@@ -55,7 +55,7 @@ def cmd_check(args) -> int:
     }
     if args.full:
         stage = pipeline.level_system_for_stage if args.mode == "level" else pipeline.radial_system_for_stage
-        full_system = stage(g, "Gplus", reduced=False)
+        full_system = stage(g, "G", reduced=False)
         payload["equations"] = len(full_system.xors)
         payload["transitivity_clauses"] = len(full_system.transitivity)
     verdict = "planar" if result.planar else "not planar"

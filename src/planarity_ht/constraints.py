@@ -3,9 +3,9 @@
 The level system lives on pair-order variables "u left of w" for same-level
 vertices.  The radial system lives on anchored triple variables "a, u, v
 clockwise" plus left flags for edges sharing an endpoint with a gap's
-reference edge.  Both come in a full flavour (with transitivity clauses) and
-a reduced flavour that keeps only the XOR equations; the reduced flavour is
-what gets solved.
+reference edge.  Both come in a reduced flavour that holds only the XOR
+equations, which is what gets solved, and a full flavour that adds the
+transitivity clauses on top.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class ConstraintSystem:
                 if v not in self.index:
                     raise ValueError(f"clause references undeclared variable {v}")
 
-    def reduced(self) -> "ConstraintSystem":
-        return ConstraintSystem(self.variables, list(self.xors), [], self.meta + "-reduced")
-
 
 def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | TransitivityClause]:
     """All violated constraints under a total assignment."""
@@ -129,30 +126,34 @@ def satisfies(system: ConstraintSystem, a: Assignment) -> bool:
 # Level systems
 
 
-def build_level_full(g: LevelGraph) -> ConstraintSystem:
-    """Pair-order variables, consistency XORs, transitivity clauses, planarity XORs."""
+def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
+    """Pair-order variables, consistency XORs, planarity XORs."""
     require_valid(g, proper=True)
     variables: list[BoolVar] = []
     xors: list[XorEquation] = []
-    trans: list[TransitivityClause] = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
         for u, w in permutations(vs, 2):
             variables.append(PairVar(u, w))
         for u, w in combinations(vs, 2):
             xors.append(XorEquation((PairVar(u, w), PairVar(w, u)), 1))
-        for u, w, y in permutations(vs, 3):
-            trans.append(TransitivityClause(PairVar(u, w), PairVar(w, y), PairVar(u, y)))
     for i in range(1, g.k):
         gap = g.gap_edges(i)
         for (u, v), (w, x) in combinations(gap, 2):
             if independent((u, v), (w, x)):
                 xors.append(XorEquation((PairVar(u, w), PairVar(v, x)), 0))
-    return ConstraintSystem(tuple(variables), xors, trans, "level-full")
+    return ConstraintSystem(tuple(variables), xors, [], "level-reduced")
 
 
-def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
-    return build_level_full(g).reduced()
+def build_level_full(g: LevelGraph) -> ConstraintSystem:
+    """The reduced level system plus its transitivity clauses."""
+    reduced = build_level_reduced(g)
+    trans = [
+        TransitivityClause(PairVar(u, w), PairVar(w, y), PairVar(u, y))
+        for i in range(1, g.k + 1)
+        for u, w, y in permutations(g.on_level(i), 3)
+    ]
+    return ConstraintSystem(reduced.variables, reduced.xors, trans, "level-full")
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +272,14 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, 
     return eps, plain, plus_adj, minus_adj
 
 
-def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
-    """Anchored linear-order constraints, cyclic coupling, and gap planarity XORs.
-
-    Transitivity clauses are written with a rotated negated head (anchor,u,v
-    and anchor,v,w together forbid anchor,w,u), which pins the anchored order
-    to a linearization of the circle.
-    """
+def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
+    """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs."""
     require_valid(g, proper=True)
     problems = validate_reference_sets(g, refs)
     if problems:
         raise ValueError("invalid reference sets: " + "; ".join(problems))
     variables: list[BoolVar] = []
     xors: list[XorEquation] = []
-    trans: list[TransitivityClause] = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
         for a in refs.anchors(i):
@@ -293,10 +288,6 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
                 variables.append(TripleVar(a, u, v))
             for u, v in combinations(others, 2):
                 xors.append(XorEquation((TripleVar(a, u, v), TripleVar(a, v, u)), 1))
-            for u, v, w in permutations(others, 3):
-                trans.append(
-                    TransitivityClause(TripleVar(a, u, v), TripleVar(a, v, w), TripleVar(a, w, u), negated_head=True)
-                )
         ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
         if ap != am:
             others = [v for v in vs if v not in (ap, am)]
@@ -329,8 +320,21 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
             for (u, v) in plain:
                 if independent(f, (u, v)):
                     xors.append(XorEquation((FlagVar(*f), TripleVar(ap, u, f[0])), 0))
-    return ConstraintSystem(tuple(variables), xors, trans, "radial-full")
+    return ConstraintSystem(tuple(variables), xors, [], "radial-reduced")
 
 
-def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
-    return build_radial_full(g, refs).reduced()
+def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
+    """The reduced radial system plus its transitivity clauses.
+
+    Transitivity clauses are written with a rotated negated head (anchor,u,v
+    and anchor,v,w together forbid anchor,w,u), which pins the anchored order
+    to a linearization of the circle.
+    """
+    reduced = build_radial_reduced(g, refs)
+    trans = [
+        TransitivityClause(TripleVar(a, u, v), TripleVar(a, v, w), TripleVar(a, w, u), negated_head=True)
+        for i in range(1, g.k + 1)
+        for a in refs.anchors(i)
+        for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)
+    ]
+    return ConstraintSystem(reduced.variables, reduced.xors, trans, "radial-full")

@@ -71,9 +71,9 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
     proper, _ = properize(g)
     lctx = make_level_context(proper)
 
-    sat_g = solve_reduced(build_level_reduced(proper)) is not None
-    sat_gp_assignment = solve_reduced(build_level_reduced(lctx.pg.graph))
-    sat_gp = sat_gp_assignment is not None
+    phi = solve_reduced(build_level_reduced(proper))
+    sat_g = phi is not None
+    sat_gp = solve_reduced(build_level_reduced(lctx.pg.graph)) is not None
     level_oracle = brute_level(proper, budget)
     if not sat_g == sat_gp == level_oracle.planar:
         problems.append(
@@ -81,7 +81,6 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
             f"oracle {level_oracle.planar}"
         )
     if sat_g and not problems:
-        phi = solve_reduced(build_level_reduced(proper))
         phi_plus = lift_assignment_level(phi, lctx)
         d = drawing_from_assignment_level(phi_plus, lctx)
         report = star_report_level(d, lctx)
@@ -91,12 +90,10 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
             assignment_from_drawing_level(d, lctx)  # raises if the round trip fails
 
     variants = reference_set_variants(proper)
-    radial_sats = []
-    rctx = None
-    for refs, augmented in variants:
-        radial_sats.append(solve_reduced(build_radial_reduced(augmented, refs)) is not None)
-        if rctx is None:
-            rctx = make_radial_context(augmented, refs)
+    radial_phis = [solve_reduced(build_radial_reduced(augmented, refs)) for refs, augmented in variants]
+    radial_sats = [p is not None for p in radial_phis]
+    refs, augmented = variants[0]
+    rctx = make_radial_context(augmented, refs)
     sat_radial_gp = solve_reduced(build_radial_reduced(rctx.pg.graph, rctx.plus_refs)) is not None
     radial_oracle = brute_radial(rctx.base, rctx.refs, budget)
     decisions = set(radial_sats) | {sat_radial_gp, radial_oracle.planar}
@@ -106,8 +103,7 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
             f"{sat_radial_gp}, oracle {radial_oracle.planar}"
         )
     if radial_oracle.planar and not problems:
-        phi = solve_reduced(build_radial_reduced(rctx.base, rctx.refs))
-        phi_plus = lift_assignment_radial(phi, rctx)
+        phi_plus = lift_assignment_radial(radial_phis[0], rctx)
         d = drawing_from_assignment_radial(phi_plus, rctx)
         report = star_report_radial(d, rctx)
         if report.ht_violations:

@@ -38,6 +38,8 @@ def parse_graph(data: Any) -> LevelGraph:
         raise FormatError(f"graph document lacks key {missing}") from None
     if not isinstance(k, int):
         raise FormatError("'levels' must be an integer")
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise FormatError("'vertices' and 'edges' must be lists")
     level: dict[str, int] = {}
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "level" not in entry:
@@ -50,8 +52,8 @@ def parse_graph(data: Any) -> LevelGraph:
         level[vid] = lv
     parsed_edges: list[Edge] = []
     for pair in edges:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"edge entry {pair!r} must be a two-element list")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(v, str) for v in pair):
+            raise FormatError(f"edge entry {pair!r} must be a list of two vertex ids")
         parsed_edges.append((pair[0], pair[1]))
     return LevelGraph(k, level, tuple(parsed_edges))
 
@@ -87,8 +89,13 @@ def parse_edge_key(key: str) -> Edge:
 def parse_drawing(data: Any) -> LevelDrawing | RadialDrawing:
     if not isinstance(data, dict) or "kind" not in data or "orders" not in data:
         raise FormatError("drawing document needs 'kind' and 'orders'")
+    for key in ("orders", "flags"):
+        if not isinstance(data.get(key, {}), dict):
+            raise FormatError(f"drawing '{key}' must be a JSON object")
     orders: dict[int, tuple[str, ...]] = {}
     for key, ids in data["orders"].items():
+        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+            raise FormatError(f"order of level {key!r} must be a list of vertex ids")
         orders[int(key)] = tuple(ids)
     if data["kind"] == "level":
         return LevelDrawing(orders)

@@ -1,10 +1,11 @@
 """End-to-end decision pipelines.
 
-A check properizes the input, builds the star form and its proper
-subdivision, assembles the reduced constraint system on the subdivision, and
-solves it over GF(2).  On the satisfiable side the solution is realized as a
-drawing whose smoothed form passes the even-crossings verification; that
-drawing is the returned witness.
+A check properizes the input, assembles the reduced constraint system of the
+properized graph G, and solves it over GF(2); its satisfiability is the
+answer.  Only when a witness is wanted is the star form and its proper
+subdivision G+ built: the solution is lifted to G+ and realized as a drawing
+whose smoothed form passes the even-crossings verification; that drawing is
+the returned witness.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .constraints import (
 )
 from .drawing import (
     CrossingReport,
-    LevelContext,
     LevelDrawing,
-    RadialContext,
     RadialDrawing,
     drawing_from_assignment_level,
     drawing_from_assignment_radial,
@@ -57,6 +56,9 @@ def solve_reduced(system: ConstraintSystem) -> Assignment | None:
 
 @dataclass
 class CheckResult:
+    """One decision; variables and equations count the reduced system of the
+    properized input, the system that decided."""
+
     mode: str
     planar: bool
     variables: int
@@ -66,51 +68,37 @@ class CheckResult:
     refs: ReferenceSets | None = None
 
 
-def level_context(g: LevelGraph) -> LevelContext:
-    require_valid(g)
-    proper, _ = properize(g)
-    return make_level_context(proper)
-
-
-def radial_context(g: LevelGraph, *, largest: bool = False) -> RadialContext:
-    require_valid(g)
-    proper, _ = properize(g)
-    refs, augmented = choose_reference_sets(proper, largest=largest)
-    return make_radial_context(augmented, refs)
+def _attach_witness(result: CheckResult, phi: Assignment, ctx, lift, realize, report_fn) -> None:
+    d = realize(lift(phi, ctx), ctx)
+    report = report_fn(d, ctx)
+    if report.ht_violations:
+        raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
+    result.witness = d
+    result.witness_report = report
 
 
 def check_level(g: LevelGraph, *, witness: bool = False) -> CheckResult:
-    ctx = level_context(g)
-    system = build_level_reduced(ctx.pg.graph)
-    phi_plus = solve_reduced(system)
-    result = CheckResult("level", phi_plus is not None, len(system.variables), len(system.xors))
-    if phi_plus is not None and witness:
-        # witness path: solve the input-stage system and lift it to the subdivision
-        phi = solve_reduced(build_level_reduced(ctx.base))
-        assert phi is not None, "stage decisions diverged"
-        d = drawing_from_assignment_level(lift_assignment_level(phi, ctx), ctx)
-        report = star_report_level(d, ctx)
-        if report.ht_violations:
-            raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
-        result.witness = d
-        result.witness_report = report
+    require_valid(g)
+    proper, _ = properize(g)
+    system = build_level_reduced(proper)
+    phi = solve_reduced(system)
+    result = CheckResult("level", phi is not None, len(system.variables), len(system.xors))
+    if phi is not None and witness:
+        _attach_witness(result, phi, make_level_context(proper),
+                        lift_assignment_level, drawing_from_assignment_level, star_report_level)
     return result
 
 
 def check_radial(g: LevelGraph, *, witness: bool = False) -> CheckResult:
-    ctx = radial_context(g)
-    system = build_radial_reduced(ctx.pg.graph, ctx.plus_refs)
-    phi_plus = solve_reduced(system)
-    result = CheckResult("radial", phi_plus is not None, len(system.variables), len(system.xors), refs=ctx.refs)
-    if phi_plus is not None and witness:
-        phi = solve_reduced(build_radial_reduced(ctx.base, ctx.refs))
-        assert phi is not None, "stage decisions diverged"
-        d = drawing_from_assignment_radial(lift_assignment_radial(phi, ctx), ctx)
-        report = star_report_radial(d, ctx)
-        if report.ht_violations:
-            raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
-        result.witness = d
-        result.witness_report = report
+    require_valid(g)
+    proper, _ = properize(g)
+    refs, augmented = choose_reference_sets(proper)
+    system = build_radial_reduced(augmented, refs)
+    phi = solve_reduced(system)
+    result = CheckResult("radial", phi is not None, len(system.variables), len(system.xors), refs=refs)
+    if phi is not None and witness:
+        _attach_witness(result, phi, make_radial_context(augmented, refs),
+                        lift_assignment_radial, drawing_from_assignment_radial, star_report_radial)
     return result
 
 
@@ -123,8 +111,7 @@ def level_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> C
         target = make_level_context(proper).pg.graph
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    system = build_level_full(target)
-    return system.reduced() if reduced else system
+    return build_level_reduced(target) if reduced else build_level_full(target)
 
 
 def radial_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> ConstraintSystem:
@@ -132,10 +119,10 @@ def radial_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> 
     proper, _ = properize(g)
     refs, augmented = choose_reference_sets(proper)
     if stage == "G":
-        system = build_radial_full(augmented, refs)
+        target = augmented
     elif stage == "Gplus":
         ctx = make_radial_context(augmented, refs)
-        system = build_radial_full(ctx.pg.graph, ctx.plus_refs)
+        target, refs = ctx.pg.graph, ctx.plus_refs
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    return system.reduced() if reduced else system
+    return build_radial_reduced(target, refs) if reduced else build_radial_full(target, refs)

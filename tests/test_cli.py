@@ -111,11 +111,19 @@ def test_check_radial_empty_level_exit_2(tmp_path):
     assert main(["check", "radial", str(p)]) == 2
 
 
-def test_check_full_reports_transitivity(k22_file, capsys):
-    assert main(["--json", "check", "level", k22_file, "--full"]) == 1
+def test_check_full_reports_transitivity(tmp_path, capsys):
+    # K3,3 on two levels: the input's full system has 3! clauses per level,
+    # 2 * 3 consistency rows and 18 independent edge pairs
+    doc = {"levels": 2, "vertices": [{"id": f"{s}{i}", "level": lv} for s, lv in (("a", 1), ("b", 2))
+                                     for i in range(3)],
+           "edges": [[f"a{i}", f"b{j}"] for i in range(3) for j in range(3)]}
+    p = tmp_path / "k33.json"
+    p.write_text(json.dumps(doc))
+    assert main(["--json", "check", "level", str(p), "--full"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["system"] == "full"
-    assert payload["transitivity_clauses"] > 0
+    assert payload["transitivity_clauses"] == 12
+    assert (payload["variables"], payload["equations"]) == (12, 24)
 
 
 def test_render_mismatch_exit_2(path_file, tmp_path, k22_file):
@@ -150,3 +158,19 @@ def test_crosscheck_empty_dir_exit_2(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()
     assert main(["crosscheck", str(d)]) == 2
+
+
+def test_check_list_endpoint_exit_2(tmp_path, capsys):
+    doc = {"levels": 2, "vertices": [{"id": "a1", "level": 1}, {"id": "a2", "level": 2}],
+           "edges": [[["a1"], "a2"]]}
+    p = tmp_path / "nested.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", "level", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: edge entry")
+
+
+def test_render_orders_list_exit_2(path_file, tmp_path, capsys):
+    drawing = tmp_path / "d.json"
+    drawing.write_text(json.dumps({"kind": "level", "orders": []}))
+    assert main(["render", str(drawing), path_file, "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: drawing 'orders'")

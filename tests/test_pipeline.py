@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from planarity_ht import pipeline
 from planarity_ht.constraints import build_level_reduced, build_radial_reduced, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.crosscheck import crosscheck_instance, run_crosscheck
 from planarity_ht.graphs import LevelGraph, properize
 from planarity_ht.oracle import brute_level, brute_radial
-from planarity_ht.pipeline import check_level, check_radial, solve_reduced
+from planarity_ht.pipeline import (
+    check_level,
+    check_radial,
+    level_system_for_stage,
+    radial_system_for_stage,
+    solve_reduced,
+)
 from tests.conftest import make_path
 
 
@@ -75,10 +84,27 @@ def test_stage_decisions_agree_with_each_other_and_oracle():
     for g in exhaustive_proper_graphs(2, 3, cap=50):
         proper, _ = properize(g)
         sat_g = solve_reduced(build_level_reduced(proper)) is not None
-        assert sat_g == check_level(g).planar == brute_level(proper).planar
+        sat_gp = solve_reduced(level_system_for_stage(g, "Gplus")) is not None
+        assert sat_g == sat_gp == check_level(g).planar == brute_level(proper).planar
         refs, aug = choose_reference_sets(proper)
         sat_rg = solve_reduced(build_radial_reduced(aug, refs)) is not None
-        assert sat_rg == check_radial(g).planar == brute_radial(aug, refs).planar
+        sat_rgp = solve_reduced(radial_system_for_stage(g, "Gplus")) is not None
+        assert sat_rg == sat_rgp == check_radial(g).planar == brute_radial(aug, refs).planar
+
+
+def test_decision_without_witness_builds_no_subdivision(monkeypatch, k22):
+    def refuse(*args):
+        raise AssertionError("the subdivision was built for a decision")
+
+    monkeypatch.setattr(pipeline, "make_level_context", refuse)
+    monkeypatch.setattr(pipeline, "make_radial_context", refuse)
+    rng = random.Random(4)
+    graphs = [k22, make_path(3)] + [random_proper_graph(rng, max_levels=4, max_width=3) for _ in range(20)]
+    for g in graphs:
+        check_level(g)
+        check_radial(g)
+    with pytest.raises(AssertionError, match="subdivision"):
+        check_radial(k22, witness=True)
 
 
 def test_input_and_subdivision_oracles_agree_sample():

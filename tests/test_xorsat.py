@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarity_ht.xorsat import Sat, Unsat, XorSystem, rank, solve
+from planarity_ht.xorsat import Sat, Unsat, XorSystem, eliminate, rank, solve
 
 
 def brute_force_satisfiable(sys: XorSystem) -> bool:
@@ -29,6 +29,18 @@ def test_contradiction_certificate():
     assert result.certificate == (0, 1)
 
 
+def assert_contradiction(sys: XorSystem, certificate: tuple[int, ...]) -> None:
+    """The certificate's rows sum to 0 = 1."""
+    cols: set[int] = set()
+    parity = 0
+    for r in certificate:
+        idx, p = sys.rows[r]
+        for i in idx:
+            cols ^= {i}
+        parity ^= p
+    assert cols == set() and parity == 1
+
+
 def test_certificate_rows_sum_to_contradiction():
     rng = random.Random(5)
     found = 0
@@ -42,13 +54,7 @@ def test_certificate_rows_sum_to_contradiction():
         result = solve(sys)
         if isinstance(result, Unsat):
             found += 1
-            cols: set[int] = set()
-            parity = 0
-            for r in result.certificate:
-                idx, p = sys.rows[r]
-                cols ^= set(idx)
-                parity ^= p
-            assert cols == set() and parity == 1
+            assert_contradiction(sys, result.certificate)
 
 
 def test_rank_examples():
@@ -90,3 +96,37 @@ def test_solve_is_deterministic(sys):
     a = solve(sys)
     b = solve(sys)
     assert a == b
+
+
+@st.composite
+def mostly_pair_systems(draw):
+    """Rows of 1-4 indices, repeats allowed, most of them two-variable rows."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        size = draw(st.sampled_from([1, 2, 2, 2, 3, 4]))
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        rows.append((idx, draw(st.integers(0, 1))))
+    return XorSystem.build(n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mostly_pair_systems())
+def test_union_find_solve_matches_plain_elimination(sys):
+    result = solve(sys)
+    reference = eliminate(sys)
+    assert isinstance(result, Sat) == isinstance(reference, Sat)
+    if isinstance(result, Sat):
+        assert result == reference
+    else:
+        assert_contradiction(sys, result.certificate)
+
+
+def test_union_find_certificates_cover_both_conflict_kinds():
+    # a pair-row cycle with odd parity, and a 3-row conflict left for elimination
+    cycle = XorSystem.build(3, [([0, 1], 1), ([1, 2], 1), ([0, 2], 1)])
+    assert solve(cycle) == Unsat((0, 1, 2))
+    residual = XorSystem.build(4, [([0, 1], 0), ([2, 3], 1), ([0, 2, 3], 0), ([1], 0)])
+    result = solve(residual)
+    assert isinstance(result, Unsat)
+    assert_contradiction(residual, result.certificate)
