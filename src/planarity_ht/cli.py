@@ -193,12 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide planarity of a graph file")
     p.add_argument("mode", choices=["level", "radial"])
     p.add_argument("file")
-    mx = p.add_mutually_exclusive_group()
-    mx.add_argument("--reduced", action="store_true", default=True,
-                    help="decide via the reduced XOR system (default)")
-    mx.add_argument("--full", action="store_true",
-                    help="report the full system's size; the decision still uses the reduced system, "
-                         "whose satisfiability is equivalent")
+    p.add_argument("--full", action="store_true",
+                   help="report the full system's size; the decision still uses the reduced system, "
+                        "whose satisfiability is equivalent")
     p.add_argument("--witness", metavar="PATH",
                    help="construct the even-crossings witness drawing and write it to PATH")
     p.set_defaults(func=cmd_check)
@@ -206,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-constraints", help="print a constraint system")
     p.add_argument("mode", choices=["level", "radial"])
     p.add_argument("file")
-    mx = p.add_mutually_exclusive_group()
-    mx.add_argument("--reduced", action="store_true", default=True)
-    mx.add_argument("--full", action="store_true")
+    p.add_argument("--full", action="store_true")
     p.add_argument("--stage", choices=["G", "Gplus"], default="G",
                    help="emit for the properized input or for its stretched subdivision")
     p.set_defaults(func=cmd_emit_constraints)

@@ -118,10 +118,6 @@ def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | Tran
     return bad
 
 
-def satisfies(system: ConstraintSystem, a: Assignment) -> bool:
-    return not evaluate(system, a)
-
-
 # ---------------------------------------------------------------------------
 # Level systems
 

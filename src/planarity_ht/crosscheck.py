@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import build_level_reduced, build_radial_reduced, reference_set_variants
+from .constraints import build_radial_reduced, reference_set_variants
 from .drawing import (
     assignment_from_drawing_level,
     assignment_from_drawing_radial,
@@ -71,9 +71,9 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
     proper, _ = properize(g)
     lctx = make_level_context(proper)
 
-    phi = solve_reduced(build_level_reduced(proper))
+    phi = solve_reduced(lctx.system)
     sat_g = phi is not None
-    sat_gp = solve_reduced(build_level_reduced(lctx.pg.graph)) is not None
+    sat_gp = solve_reduced(lctx.plus_system) is not None
     level_oracle = brute_level(proper, budget)
     if not sat_g == sat_gp == level_oracle.planar:
         problems.append(
@@ -89,12 +89,12 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
         else:
             assignment_from_drawing_level(d, lctx)  # raises if the round trip fails
 
-    variants = reference_set_variants(proper)
-    radial_phis = [solve_reduced(build_radial_reduced(augmented, refs)) for refs, augmented in variants]
-    radial_sats = [p is not None for p in radial_phis]
-    refs, augmented = variants[0]
+    (refs, augmented), *others = reference_set_variants(proper)
     rctx = make_radial_context(augmented, refs)
-    sat_radial_gp = solve_reduced(build_radial_reduced(rctx.pg.graph, rctx.plus_refs)) is not None
+    radial_phis = [solve_reduced(rctx.system)]
+    radial_phis += [solve_reduced(build_radial_reduced(alt_graph, alt_refs)) for alt_refs, alt_graph in others]
+    radial_sats = [p is not None for p in radial_phis]
+    sat_radial_gp = solve_reduced(rctx.plus_system) is not None
     radial_oracle = brute_radial(rctx.base, rctx.refs, budget)
     decisions = set(radial_sats) | {sat_radial_gp, radial_oracle.planar}
     if len(decisions) != 1:

@@ -30,7 +30,7 @@ from .constraints import (
     validate_reference_sets,
 )
 from .graphs import Edge, LevelGraph, VertexId, independent
-from .starform import BetaMaps, PlusGraph, StarForm, build_betas, build_plus, build_star_level, build_star_radial
+from .starform import PlusGraph, StarForm, build_betas, build_plus, build_star_level, build_star_radial
 
 
 class NotHananiTutteError(ValueError):
@@ -221,10 +221,14 @@ def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets,
 # Contexts bundling the star form machinery for one input graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LevelContext:
+    """The subdivision of one proper input graph and the reduced systems of both."""
+
     base: LevelGraph
     pg: PlusGraph
+    system: ConstraintSystem        # reduced system of base
+    plus_system: ConstraintSystem   # reduced system of pg.graph
 
     @property
     def star_form(self) -> StarForm:
@@ -236,35 +240,25 @@ class LevelContext:
 
 
 def make_level_context(g: LevelGraph) -> LevelContext:
-    return LevelContext(g, build_plus(build_star_level(g)))
+    pg = build_plus(build_star_level(g))
+    return LevelContext(base=g, pg=pg, system=build_level_reduced(g), plus_system=build_level_reduced(pg.graph))
 
 
-@dataclass(frozen=True)
-class RadialContext:
-    base: LevelGraph            # proper input, reference edges already inserted
-    refs: ReferenceSets
-    pg: PlusGraph
-    betas: BetaMaps
+@dataclass(frozen=True, kw_only=True)
+class RadialContext(LevelContext):
+    refs: ReferenceSets         # base has its reference edges already inserted
     plus_refs: ReferenceSets    # the beta maps viewed as reference sets of the subdivision
-
-    @property
-    def star_form(self) -> StarForm:
-        return self.pg.star_form
-
-    def segment_origin(self) -> dict[Edge, Edge]:
-        return {seg: star_edge for star_edge, path in self.pg.prov.paths.items()
-                for seg in zip(path, path[1:])}
 
 
 def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
-    sf = build_star_radial(g, refs.alpha_plus, refs.alpha_minus)
-    pg = build_plus(sf)
+    pg = build_plus(build_star_radial(g, refs.alpha_plus, refs.alpha_minus))
     betas = build_betas(pg, refs.alpha_plus, refs.alpha_minus)
     plus_refs = ReferenceSets(dict(betas.plus), dict(betas.minus))
     problems = validate_reference_sets(pg.graph, plus_refs)
     if problems:
         raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
-    return RadialContext(g, refs, pg, betas, plus_refs)
+    return RadialContext(base=g, pg=pg, system=build_radial_reduced(g, refs),
+                         plus_system=build_radial_reduced(pg.graph, plus_refs), refs=refs, plus_refs=plus_refs)
 
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
@@ -287,10 +281,6 @@ def induced_pair_assignment(d: LevelDrawing) -> Assignment:
         for u, w in permutations(order, 2):
             out[PairVar(u, w)] = pos[u] < pos[w]
     return out
-
-
-def _limit_point(pg: PlusGraph, star_edge: Edge, lv: int) -> VertexId:
-    return pg.point_at(star_edge, lv)
 
 
 def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[Assignment, Assignment]:
@@ -326,16 +316,16 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
                     lv = max(star_level[e1[0]], star_level[e2[0]])
                 else:
                     raise AssertionError(f"edges {e1}, {e2} share a level but meet head to tail")
-                val = psi[PairVar(_limit_point(pg, e1, lv), _limit_point(pg, e2, lv))]
+                val = psi[PairVar(pg.point_at(e1, lv), pg.point_at(e2, lv))]
             phi_plus[PairVar(x, y)] = val
     phi: Assignment = {}
     for i in range(1, ctx.base.k + 1):
         for u, w in permutations(ctx.base.on_level(i), 2):
             su, sw = sf.stretch[u], sf.stretch[w]
             lv = max(star_level[su[0]], star_level[sw[0]])
-            phi[PairVar(u, w)] = phi_plus[PairVar(_limit_point(pg, su, lv), _limit_point(pg, sw, lv))]
-    require_satisfying(build_level_reduced(pg.graph), phi_plus)
-    require_satisfying(build_level_reduced(ctx.base), phi)
+            phi[PairVar(u, w)] = phi_plus[PairVar(pg.point_at(su, lv), pg.point_at(sw, lv))]
+    require_satisfying(ctx.plus_system, phi_plus)
+    require_satisfying(ctx.system, phi)
     return phi_plus, phi
 
 
@@ -347,7 +337,7 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> Assignment:
     the same origin their tails' order.
     """
     pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(build_level_reduced(ctx.base), phi)
+    require_satisfying(ctx.system, phi)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
     phi_plus: Assignment = {}
     for j in range(1, pg.graph.k + 1):
@@ -366,14 +356,14 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> Assignment:
                     assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
                     val = phi[PairVar(e1[0], e2[0])]
             phi_plus[PairVar(x, y)] = val
-    require_satisfying(build_level_reduced(pg.graph), phi_plus)
+    require_satisfying(ctx.plus_system, phi_plus)
     return phi_plus
 
 
 def drawing_from_assignment_level(phi_plus: Assignment, ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
     pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(build_level_reduced(pg.graph), phi_plus)
+    require_satisfying(ctx.plus_system, phi_plus)
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
@@ -434,7 +424,7 @@ def _psi_gap_order(phi: Assignment, refs: ReferenceSets, i: int, e: Edge, f: Edg
 def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> Assignment:
     """Extend a satisfying radial assignment of the input to its subdivision."""
     pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(build_radial_reduced(ctx.base, ctx.refs), phi)
+    require_satisfying(ctx.system, phi)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
     phi_plus: Assignment = {}
     for j in range(1, pg.graph.k + 1):
@@ -456,7 +446,7 @@ def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> Assignment:
         _, _, plus_adj, minus_adj = gap_edge_classes(pg.graph, ctx.plus_refs, j)
         for seg in plus_adj + minus_adj:
             phi_plus[FlagVar(*seg)] = phi[FlagVar(pg.origin[seg[0]], pg.origin[seg[1]])]
-    require_satisfying(build_radial_reduced(pg.graph, ctx.plus_refs), phi_plus)
+    require_satisfying(ctx.plus_system, phi_plus)
     return phi_plus
 
 
@@ -468,11 +458,11 @@ def drawing_from_assignment_radial(phi_plus: Assignment, ctx: RadialContext) -> 
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
     pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(build_radial_reduced(pg.graph, ctx.plus_refs), phi_plus)
+    require_satisfying(ctx.plus_system, phi_plus)
     cyclic: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
-        bm, bp = ctx.betas.minus[j], ctx.betas.plus[j]
+        bm, bp = ctx.plus_refs.alpha_minus[j], ctx.plus_refs.alpha_plus[j]
         if bm != bp:
             between = [v for v in vs if v not in (bm, bp) and phi_plus[TripleVar(bm, v, bp)]]
             outside = [v for v in vs if v not in (bm, bp) and not phi_plus[TripleVar(bm, v, bp)]]
@@ -541,5 +531,5 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
         _, _, plus_adj, minus_adj = gap_edge_classes(pg.graph, ctx.plus_refs, j)
         for seg in plus_adj + minus_adj:
             phi[FlagVar(*seg)] = d.left_flag[seg]
-    require_satisfying(build_radial_reduced(pg.graph, ctx.plus_refs), phi)
+    require_satisfying(ctx.plus_system, phi)
     return phi

@@ -86,6 +86,18 @@ def parse_edge_key(key: str) -> Edge:
     return (parts[0], parts[1])
 
 
+def _parse_flag_key(key: str, level: dict[str, int]) -> Edge:
+    """Split a flag key at its '->'; when vertex ids contain '->' too, at the
+    one '->' whose two sides are vertices on consecutive levels."""
+    if key.count("->") < 2:
+        return parse_edge_key(key)
+    cuts = [(key[:i], key[i + 2:]) for i in range(len(key)) if key.startswith("->", i)]
+    fits = [(t, h) for t, h in cuts if t in level and level.get(h) == level[t] + 1]
+    if len(fits) != 1:
+        raise FormatError(f"edge key {key!r} does not split into one edge between consecutive levels")
+    return fits[0]
+
+
 def parse_drawing(data: Any) -> LevelDrawing | RadialDrawing:
     if not isinstance(data, dict) or "kind" not in data or "orders" not in data:
         raise FormatError("drawing document needs 'kind' and 'orders'")
@@ -100,7 +112,8 @@ def parse_drawing(data: Any) -> LevelDrawing | RadialDrawing:
     if data["kind"] == "level":
         return LevelDrawing(orders)
     if data["kind"] == "radial":
-        flags = {parse_edge_key(k): bool(v) for k, v in data.get("flags", {}).items()}
+        level = {v: i for i, ids in orders.items() for v in ids}
+        flags = {_parse_flag_key(k, level): bool(v) for k, v in data.get("flags", {}).items()}
         return RadialDrawing(orders, flags)
     raise FormatError(f"unknown drawing kind {data['kind']!r}")
 
@@ -129,10 +142,6 @@ DUMP_HEADER = (
 )
 
 _VAR_RE = re.compile(r"([xtl])\(([^()]*)\)")
-
-
-def _var_str(v: BoolVar) -> str:
-    return str(v)
 
 
 def dump_system(system: ConstraintSystem) -> str:

@@ -106,12 +106,11 @@ def level_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> C
     require_valid(g)
     proper, _ = properize(g)
     if stage == "G":
-        target = proper
-    elif stage == "Gplus":
-        target = make_level_context(proper).pg.graph
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    return build_level_reduced(target) if reduced else build_level_full(target)
+        return build_level_reduced(proper) if reduced else build_level_full(proper)
+    if stage == "Gplus":
+        ctx = make_level_context(proper)
+        return ctx.plus_system if reduced else build_level_full(ctx.pg.graph)
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 def radial_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> ConstraintSystem:
@@ -119,10 +118,8 @@ def radial_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> 
     proper, _ = properize(g)
     refs, augmented = choose_reference_sets(proper)
     if stage == "G":
-        target = augmented
-    elif stage == "Gplus":
+        return build_radial_reduced(augmented, refs) if reduced else build_radial_full(augmented, refs)
+    if stage == "Gplus":
         ctx = make_radial_context(augmented, refs)
-        target, refs = ctx.pg.graph, ctx.plus_refs
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    return build_radial_reduced(target, refs) if reduced else build_radial_full(target, refs)
+        return ctx.plus_system if reduced else build_radial_full(ctx.pg.graph, ctx.plus_refs)
+    raise ValueError(f"unknown stage {stage!r}")

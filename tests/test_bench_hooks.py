@@ -1,0 +1,19 @@
+"""The benchmark's tracer wraps library functions by name; a renamed or
+deleted name silently drops out of its per-layer figures.  This guard keeps
+the set of names it cannot find to the ones retired on purpose."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def test_bench_tracer_finds_every_hooked_name():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.install()  # detached: no library function is replaced
+    # crosscheck takes its level systems from the level context
+    assert tracer.missing == ["crosscheck.build_level_reduced"]

@@ -71,7 +71,7 @@ def test_emit_constraints_counts(tmp_path, capsys):
     assert main(["emit-constraints", "level", str(p), "--full"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
     assert len(lines) == 3 + 6
-    assert main(["emit-constraints", "level", str(p), "--reduced"]) == 0
+    assert main(["emit-constraints", "level", str(p)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
     assert len(lines) == 3
     assert all("->" not in l for l in lines)
@@ -174,3 +174,17 @@ def test_render_orders_list_exit_2(path_file, tmp_path, capsys):
     drawing.write_text(json.dumps({"kind": "level", "orders": []}))
     assert main(["render", str(drawing), path_file, "--out", str(tmp_path / "x.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: drawing 'orders'")
+
+
+def test_radial_witness_with_arrow_in_vertex_id_renders(tmp_path):
+    # c->1 is reference-adjacent, so the witness carries a flag key with three '->'
+    doc = {"levels": 2,
+           "vertices": [{"id": "a", "level": 1}, {"id": "b", "level": 1},
+                        {"id": "c->1", "level": 2}, {"id": "d", "level": 2}],
+           "edges": [["a", "c->1"], ["b", "c->1"], ["b", "d"]]}
+    p = tmp_path / "arrow.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "witness.json"
+    assert main(["check", "radial", str(p), "--witness", str(out)]) == 0
+    assert "b~top~c->1~bot~5->c->1~bot" in json.loads(out.read_text())["flags"]
+    assert main(["render", str(out), str(p), "--out", str(tmp_path / "w.svg")]) == 0

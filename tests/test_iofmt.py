@@ -43,6 +43,21 @@ def test_radial_drawing_round_trip():
     assert parse_drawing(drawing_to_json(d)) == d
 
 
+def test_flag_key_splits_between_consecutive_levels():
+    orders = {"1": ["a", "a->b"], "2": ["c"]}
+    d = parse_drawing({"kind": "radial", "orders": orders, "flags": {"a->b->c": 1}})
+    assert d.left_flag == {("a->b", "c"): True}
+
+
+def test_ambiguous_flag_key_raises():
+    # both a | b->c and a->b | c join vertices on levels 1 and 2
+    orders = {"1": ["a", "a->b"], "2": ["b->c", "c"]}
+    with pytest.raises(FormatError):
+        parse_drawing({"kind": "radial", "orders": orders, "flags": {"a->b->c": 1}})
+    with pytest.raises(FormatError):
+        parse_drawing({"kind": "radial", "orders": {"1": ["a"], "2": ["c"]}, "flags": {"a->b->c": 1}})
+
+
 def test_parse_drawing_rejects_unknown_kind():
     with pytest.raises(FormatError):
         parse_drawing({"kind": "solid", "orders": {}})

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from planarity_ht import pipeline
+from planarity_ht import crosscheck, drawing, pipeline
 from planarity_ht.constraints import build_level_reduced, build_radial_reduced, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.crosscheck import crosscheck_instance, run_crosscheck
+from planarity_ht.drawing import make_level_context, make_radial_context
 from planarity_ht.graphs import LevelGraph, properize
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import (
@@ -105,6 +106,53 @@ def test_decision_without_witness_builds_no_subdivision(monkeypatch, k22):
         check_radial(g)
     with pytest.raises(AssertionError, match="subdivision"):
         check_radial(k22, witness=True)
+
+
+def _record_builds(monkeypatch) -> list[tuple]:
+    """(graph, reference sets) of every reduced-system build, wherever it is looked up."""
+    builds: list[tuple] = []
+    for module in (pipeline, drawing, crosscheck):
+        for name in ("build_level_reduced", "build_radial_reduced"):
+            build = getattr(module, name, None)
+            if build is not None:
+                def record(g, *refs, _build=build):
+                    builds.append((g, *refs))
+                    return _build(g, *refs)
+                monkeypatch.setattr(module, name, record)
+    return builds
+
+
+def _plus_graph(g: LevelGraph, mode: str) -> LevelGraph:
+    proper, _ = properize(g)
+    if mode == "level":
+        return make_level_context(proper).pg.graph
+    refs, aug = choose_reference_sets(proper)
+    return make_radial_context(aug, refs).pg.graph
+
+
+def test_witness_check_builds_the_subdivision_system_once(monkeypatch, k22):
+    path = make_path(3)
+    cases = [(check_level, path, _plus_graph(path, "level")),
+             (check_radial, path, _plus_graph(path, "radial")),
+             (check_radial, k22, _plus_graph(k22, "radial"))]
+    builds = _record_builds(monkeypatch)
+    for check, g, plus in cases:
+        builds.clear()
+        assert check(g, witness=True).witness is not None
+        assert sum(b[0] == plus for b in builds) == 1
+
+
+def test_crosscheck_builds_no_system_twice(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    planar = 0
+    for g in exhaustive_proper_graphs(2, 3, cap=30):
+        builds.clear()
+        problems, level_planar, _ = crosscheck_instance(g)
+        assert problems == []
+        planar += level_planar
+        for i, b in enumerate(builds):
+            assert b not in builds[:i], f"system of {b} built twice"
+    assert planar > 5
 
 
 def test_input_and_subdivision_oracles_agree_sample():
