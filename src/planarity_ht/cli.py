@@ -13,10 +13,9 @@ import sys
 
 from . import corpus, iofmt, pipeline, render
 from .crosscheck import run_crosscheck
-from .drawing import LevelDrawing, RadialDrawing, make_level_context, make_radial_context
-from .graphs import InvalidGraphError, LevelGraph, properize, validate
+from .drawing import LevelDrawing, RadialDrawing, check_drawing_covers
+from .graphs import InvalidGraphError, LevelGraph, require_valid
 from .oracle import BudgetExceededError, brute_level, brute_radial, default_budget
-from .constraints import choose_reference_sets
 
 EXIT_PLANAR = 0
 EXIT_NONPLANAR = 1
@@ -33,18 +32,14 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _load_valid_graph(path: str) -> LevelGraph:
     g = iofmt.load_graph(path)
-    problems = validate(g)
-    if problems:
-        raise InvalidGraphError(problems)
+    require_valid(g)
     return g
 
 
 def cmd_check(args) -> int:
     g = _load_valid_graph(args.file)
-    if args.mode == "level":
-        result = pipeline.check_level(g, witness=args.witness is not None)
-    else:
-        result = pipeline.check_radial(g, witness=args.witness is not None)
+    check = pipeline.check_level if args.mode == "level" else pipeline.check_radial
+    result = check(g, witness=args.witness is not None)
     payload = {
         "command": "check",
         "mode": args.mode,
@@ -54,8 +49,7 @@ def cmd_check(args) -> int:
         "system": "full" if args.full else "reduced",
     }
     if args.full:
-        stage = pipeline.level_system_for_stage if args.mode == "level" else pipeline.radial_system_for_stage
-        full_system = stage(g, "G", reduced=False)
+        full_system = pipeline.system_for_stage(g, args.mode, "G", full=True)
         payload["equations"] = len(full_system.xors)
         payload["transitivity_clauses"] = len(full_system.transitivity)
     verdict = "planar" if result.planar else "not planar"
@@ -73,23 +67,16 @@ def cmd_check(args) -> int:
 
 def cmd_emit_constraints(args) -> int:
     g = _load_valid_graph(args.file)
-    if args.mode == "level":
-        system = pipeline.level_system_for_stage(g, args.stage, reduced=not args.full)
-    else:
-        system = pipeline.radial_system_for_stage(g, args.stage, reduced=not args.full)
+    system = pipeline.system_for_stage(g, args.mode, args.stage, full=args.full)
     sys.stdout.write(iofmt.dump_system(system))
     return EXIT_PLANAR
 
 
 def cmd_oracle(args) -> int:
     g = _load_valid_graph(args.file)
-    proper, _ = properize(g)
+    ctx = pipeline.stage_context(g, args.mode)
     budget = args.budget if args.budget is not None else default_budget()
-    if args.mode == "level":
-        result = brute_level(proper, budget)
-    else:
-        refs, augmented = choose_reference_sets(proper)
-        result = brute_radial(augmented, refs, budget)
+    result = brute_level(ctx.base, budget) if args.mode == "level" else brute_radial(ctx.base, ctx.refs, budget)
     payload = {
         "command": "oracle",
         "mode": args.mode,
@@ -105,14 +92,13 @@ def cmd_oracle(args) -> int:
 
 def _candidate_targets(g: LevelGraph, d: LevelDrawing | RadialDrawing):
     """Find which stage of the pipeline the drawing's vertex names belong to."""
-    proper, _ = properize(g)
     if isinstance(d, LevelDrawing):
-        yield proper, None
-        yield make_level_context(proper).pg.graph, None
+        ctx = pipeline.stage_context(g, "level")
+        yield ctx.base, None
+        yield ctx.pg.graph, None
     else:
-        refs, augmented = choose_reference_sets(proper)
-        yield augmented, refs
-        ctx = make_radial_context(augmented, refs)
+        ctx = pipeline.stage_context(g, "radial")
+        yield ctx.base, ctx.refs
         yield ctx.pg.graph, ctx.plus_refs
 
 
@@ -120,9 +106,8 @@ def cmd_render(args) -> int:
     g = _load_valid_graph(args.graph)
     d = iofmt.load_drawing(args.drawing)
     orders = d.orders if isinstance(d, LevelDrawing) else d.cyclic
-    drawn = {v for order in orders.values() for v in order}
     for target, refs in _candidate_targets(g, d):
-        if set(target.level) == drawn and orders.keys() == set(range(1, target.k + 1)):
+        if orders.keys() == set(range(1, target.k + 1)) and not check_drawing_covers(orders, target):
             if isinstance(d, LevelDrawing):
                 svg = render.render_level_svg(target, d)
             else:
@@ -225,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="compare solver and oracle over an instance corpus")
     p.add_argument("corpus", nargs="?", help="directory of graph .json files")
     p.add_argument("--random", type=int, metavar="N", help="generate N random instances")
-    p.add_argument("--exhaustive", action="store_true", help="exhaustive corpus up to --max-size (default)")
     p.add_argument("--max-size", type=_size_pair, default=(3, 3), metavar="K,W")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=20_000)

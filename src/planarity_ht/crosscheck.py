@@ -125,13 +125,11 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
     return problems, level_oracle.planar, radial_oracle.planar
 
 
-def run_crosscheck(instances, budget: int | None = None, fail_fast: bool = True,
-                   oracle_on_subdivision: bool = False) -> CrosscheckSummary:
+def run_crosscheck(instances, budget: int | None = None) -> CrosscheckSummary:
+    """Crosscheck each instance in turn; stop at the first with a mismatch."""
     summary = CrosscheckSummary()
     for g in instances:
-        problems, level_planar, radial_planar = crosscheck_instance(
-            g, budget, oracle_on_subdivision=oracle_on_subdivision
-        )
+        problems, level_planar, radial_planar = crosscheck_instance(g, budget)
         summary.instances += 1
         summary.level_planar += level_planar
         summary.radial_planar += radial_planar
@@ -139,6 +137,5 @@ def run_crosscheck(instances, budget: int | None = None, fail_fast: bool = True,
             from .iofmt import graph_to_json
 
             summary.mismatches.append(f"instance {graph_to_json(g)}: " + "; ".join(problems))
-            if fail_fast:
-                break
+            break
     return summary

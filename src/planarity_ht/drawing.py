@@ -14,6 +14,7 @@ directions and in both the level and the radial setting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .constraints import (
@@ -223,12 +224,22 @@ def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets,
 
 @dataclass(frozen=True, kw_only=True)
 class LevelContext:
-    """The subdivision of one proper input graph and the reduced systems of both."""
+    """One proper input graph; its subdivision and the reduced systems of both
+    are built on first use."""
 
     base: LevelGraph
-    pg: PlusGraph
-    system: ConstraintSystem        # reduced system of base
-    plus_system: ConstraintSystem   # reduced system of pg.graph
+
+    @cached_property
+    def pg(self) -> PlusGraph:
+        return build_plus(build_star_level(self.base))
+
+    @cached_property
+    def system(self) -> ConstraintSystem:
+        return build_level_reduced(self.base)
+
+    @cached_property
+    def plus_system(self) -> ConstraintSystem:
+        return build_level_reduced(self.pg.graph)
 
     @property
     def star_form(self) -> StarForm:
@@ -240,25 +251,38 @@ class LevelContext:
 
 
 def make_level_context(g: LevelGraph) -> LevelContext:
-    pg = build_plus(build_star_level(g))
-    return LevelContext(base=g, pg=pg, system=build_level_reduced(g), plus_system=build_level_reduced(pg.graph))
+    return LevelContext(base=g)
 
 
 @dataclass(frozen=True, kw_only=True)
 class RadialContext(LevelContext):
-    refs: ReferenceSets         # base has its reference edges already inserted
-    plus_refs: ReferenceSets    # the beta maps viewed as reference sets of the subdivision
+    refs: ReferenceSets  # base has its reference edges already inserted
+
+    @cached_property
+    def pg(self) -> PlusGraph:
+        return build_plus(build_star_radial(self.base, self.refs.alpha_plus, self.refs.alpha_minus))
+
+    @cached_property
+    def plus_refs(self) -> ReferenceSets:
+        """The beta maps viewed as reference sets of the subdivision."""
+        betas = build_betas(self.pg, self.refs.alpha_plus, self.refs.alpha_minus)
+        plus_refs = ReferenceSets(dict(betas.plus), dict(betas.minus))
+        problems = validate_reference_sets(self.pg.graph, plus_refs)
+        if problems:
+            raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
+        return plus_refs
+
+    @cached_property
+    def system(self) -> ConstraintSystem:
+        return build_radial_reduced(self.base, self.refs)
+
+    @cached_property
+    def plus_system(self) -> ConstraintSystem:
+        return build_radial_reduced(self.pg.graph, self.plus_refs)
 
 
 def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
-    pg = build_plus(build_star_radial(g, refs.alpha_plus, refs.alpha_minus))
-    betas = build_betas(pg, refs.alpha_plus, refs.alpha_minus)
-    plus_refs = ReferenceSets(dict(betas.plus), dict(betas.minus))
-    problems = validate_reference_sets(pg.graph, plus_refs)
-    if problems:
-        raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
-    return RadialContext(base=g, pg=pg, system=build_radial_reduced(g, refs),
-                         plus_system=build_radial_reduced(pg.graph, plus_refs), refs=refs, plus_refs=plus_refs)
+    return RadialContext(base=g, refs=refs)
 
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:

@@ -36,7 +36,7 @@ def parse_graph(data: Any) -> LevelGraph:
         edges = data["edges"]
     except KeyError as missing:
         raise FormatError(f"graph document lacks key {missing}") from None
-    if not isinstance(k, int):
+    if type(k) is not int:
         raise FormatError("'levels' must be an integer")
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise FormatError("'vertices' and 'edges' must be lists")
@@ -45,7 +45,7 @@ def parse_graph(data: Any) -> LevelGraph:
         if not isinstance(entry, dict) or "id" not in entry or "level" not in entry:
             raise FormatError(f"vertex entry {entry!r} needs 'id' and 'level'")
         vid, lv = entry["id"], entry["level"]
-        if not isinstance(vid, str) or not isinstance(lv, int):
+        if not isinstance(vid, str) or type(lv) is not int:
             raise FormatError(f"vertex entry {entry!r} must have string id and integer level")
         if vid in level:
             raise FormatError(f"duplicate vertex id {vid!r}")
@@ -106,6 +106,8 @@ def parse_drawing(data: Any) -> LevelDrawing | RadialDrawing:
             raise FormatError(f"drawing '{key}' must be a JSON object")
     orders: dict[int, tuple[str, ...]] = {}
     for key, ids in data["orders"].items():
+        if not re.fullmatch(r"[1-9][0-9]*", key):
+            raise FormatError(f"order key {key!r} is not a level number")
         if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
             raise FormatError(f"order of level {key!r} must be a list of vertex ids")
         orders[int(key)] = tuple(ids)
@@ -113,7 +115,11 @@ def parse_drawing(data: Any) -> LevelDrawing | RadialDrawing:
         return LevelDrawing(orders)
     if data["kind"] == "radial":
         level = {v: i for i, ids in orders.items() for v in ids}
-        flags = {_parse_flag_key(k, level): bool(v) for k, v in data.get("flags", {}).items()}
+        flags = {}
+        for key, value in data.get("flags", {}).items():
+            if type(value) not in (bool, int) or value not in (0, 1):
+                raise FormatError(f"flag {key!r} must be true, false, 0 or 1")
+            flags[_parse_flag_key(key, level)] = bool(value)
         return RadialDrawing(orders, flags)
     raise FormatError(f"unknown drawing kind {data['kind']!r}")
 

@@ -16,15 +16,13 @@ from . import xorsat
 from .constraints import (
     Assignment,
     ConstraintSystem,
-    ReferenceSets,
     build_level_full,
-    build_level_reduced,
     build_radial_full,
-    build_radial_reduced,
     choose_reference_sets,
 )
 from .drawing import (
     CrossingReport,
+    LevelContext,
     LevelDrawing,
     RadialDrawing,
     drawing_from_assignment_level,
@@ -36,7 +34,7 @@ from .drawing import (
     star_report_level,
     star_report_radial,
 )
-from .graphs import LevelGraph, properize, require_valid
+from .graphs import LevelGraph, properize
 
 
 def to_xor_system(system: ConstraintSystem) -> xorsat.XorSystem:
@@ -65,61 +63,50 @@ class CheckResult:
     equations: int
     witness: LevelDrawing | RadialDrawing | None = None
     witness_report: CrossingReport | None = None
-    refs: ReferenceSets | None = None
 
 
-def _attach_witness(result: CheckResult, phi: Assignment, ctx, lift, realize, report_fn) -> None:
-    d = realize(lift(phi, ctx), ctx)
-    report = report_fn(d, ctx)
-    if report.ht_violations:
-        raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
-    result.witness = d
-    result.witness_report = report
+def stage_context(g: LevelGraph, mode: str) -> LevelContext:
+    """The stage context of a raw input graph: properized and, in radial mode,
+    with its reference sets chosen and inserted."""
+    proper, _ = properize(g)
+    if mode == "level":
+        return make_level_context(proper)
+    if mode == "radial":
+        refs, augmented = choose_reference_sets(proper)
+        return make_radial_context(augmented, refs)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
+    ctx = stage_context(g, mode)
+    phi = solve_reduced(ctx.system)
+    result = CheckResult(mode, phi is not None, len(ctx.system.variables), len(ctx.system.xors))
+    if phi is not None and witness:
+        result.witness = realize(lift(phi, ctx), ctx)
+        result.witness_report = report = report_fn(result.witness, ctx)
+        if report.ht_violations:
+            raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
+    return result
 
 
 def check_level(g: LevelGraph, *, witness: bool = False) -> CheckResult:
-    require_valid(g)
-    proper, _ = properize(g)
-    system = build_level_reduced(proper)
-    phi = solve_reduced(system)
-    result = CheckResult("level", phi is not None, len(system.variables), len(system.xors))
-    if phi is not None and witness:
-        _attach_witness(result, phi, make_level_context(proper),
-                        lift_assignment_level, drawing_from_assignment_level, star_report_level)
-    return result
+    return _check(g, "level", witness, lift_assignment_level, drawing_from_assignment_level, star_report_level)
 
 
 def check_radial(g: LevelGraph, *, witness: bool = False) -> CheckResult:
-    require_valid(g)
-    proper, _ = properize(g)
-    refs, augmented = choose_reference_sets(proper)
-    system = build_radial_reduced(augmented, refs)
-    phi = solve_reduced(system)
-    result = CheckResult("radial", phi is not None, len(system.variables), len(system.xors), refs=refs)
-    if phi is not None and witness:
-        _attach_witness(result, phi, make_radial_context(augmented, refs),
-                        lift_assignment_radial, drawing_from_assignment_radial, star_report_radial)
-    return result
+    return _check(g, "radial", witness, lift_assignment_radial, drawing_from_assignment_radial, star_report_radial)
 
 
-def level_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> ConstraintSystem:
-    require_valid(g)
-    proper, _ = properize(g)
-    if stage == "G":
-        return build_level_reduced(proper) if reduced else build_level_full(proper)
-    if stage == "Gplus":
-        ctx = make_level_context(proper)
-        return ctx.plus_system if reduced else build_level_full(ctx.pg.graph)
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def radial_system_for_stage(g: LevelGraph, stage: str, reduced: bool = True) -> ConstraintSystem:
-    require_valid(g)
-    proper, _ = properize(g)
-    refs, augmented = choose_reference_sets(proper)
-    if stage == "G":
-        return build_radial_reduced(augmented, refs) if reduced else build_radial_full(augmented, refs)
-    if stage == "Gplus":
-        ctx = make_radial_context(augmented, refs)
-        return ctx.plus_system if reduced else build_radial_full(ctx.pg.graph, ctx.plus_refs)
-    raise ValueError(f"unknown stage {stage!r}")
+def system_for_stage(g: LevelGraph, mode: str, stage: str, full: bool = False) -> ConstraintSystem:
+    """The reduced system, or with `full` the full one, of the properized input
+    (stage "G") or of its stretched subdivision (stage "Gplus")."""
+    ctx = stage_context(g, mode)
+    if stage not in ("G", "Gplus"):
+        raise ValueError(f"unknown stage {stage!r}")
+    plus = stage == "Gplus"
+    if not full:
+        return ctx.plus_system if plus else ctx.system
+    graph = ctx.pg.graph if plus else ctx.base
+    if mode == "level":
+        return build_level_full(graph)
+    return build_radial_full(graph, ctx.plus_refs if plus else ctx.refs)

@@ -15,5 +15,7 @@ def test_bench_tracer_finds_every_hooked_name():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.install()  # detached: no library function is replaced
-    # crosscheck takes its level systems from the level context
-    assert tracer.missing == ["crosscheck.build_level_reduced"]
+    # pipeline and crosscheck take their level systems from the stage
+    # contexts, whose builds go through drawing's hooked builders
+    assert tracer.missing == ["pipeline.build_level_reduced", "pipeline.build_radial_reduced",
+                              "crosscheck.build_level_reduced"]

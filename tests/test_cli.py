@@ -188,3 +188,17 @@ def test_radial_witness_with_arrow_in_vertex_id_renders(tmp_path):
     assert main(["check", "radial", str(p), "--witness", str(out)]) == 0
     assert "b~top~c->1~bot~5->c->1~bot" in json.loads(out.read_text())["flags"]
     assert main(["render", str(out), str(p), "--out", str(tmp_path / "w.svg")]) == 0
+
+
+def test_render_order_with_repeated_vertex_exit_2(tmp_path, capsys):
+    doc = {"levels": 2, "vertices": [{"id": v, "level": lv} for v, lv in (("a", 1), ("c", 1), ("b", 2), ("d", 2))],
+           "edges": [["a", "b"], ["c", "d"]]}
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    drawing = tmp_path / "d.json"
+    svg = str(tmp_path / "d.svg")
+    drawing.write_text(json.dumps({"kind": "level", "orders": {"1": ["a", "c"], "2": ["b", "d"]}}))
+    assert main(["render", str(drawing), str(graph), "--out", svg]) == 0
+    drawing.write_text(json.dumps({"kind": "level", "orders": {"1": ["a", "c"], "2": ["b", "d", "d"]}}))
+    assert main(["render", str(drawing), str(graph), "--out", svg]) == 2
+    assert "does not cover" in capsys.readouterr().err

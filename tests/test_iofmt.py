@@ -33,6 +33,29 @@ def test_parse_graph_rejects_malformed():
         )
 
 
+def test_parse_graph_rejects_boolean_levels():
+    with pytest.raises(FormatError, match="'levels' must be an integer"):
+        parse_graph({"levels": True, "vertices": [{"id": "a", "level": 1}], "edges": []})
+    with pytest.raises(FormatError, match="integer level"):
+        parse_graph({"levels": 1, "vertices": [{"id": "a", "level": True}], "edges": []})
+
+
+def test_parse_drawing_rejects_non_canonical_level_keys():
+    for key in ("02", "x", "+2", " 2", "2.0"):
+        with pytest.raises(FormatError, match="not a level number"):
+            parse_drawing({"kind": "level", "orders": {"1": ["a"], "2": ["b"], key: ["c"]}})
+
+
+def test_parse_drawing_rejects_non_boolean_flags():
+    orders = {"1": ["a"], "2": ["x"]}
+    for value in ("yes", 2, -1, 1.0, None, [1]):
+        with pytest.raises(FormatError, match="must be true, false, 0 or 1"):
+            parse_drawing({"kind": "radial", "orders": orders, "flags": {"a->x": value}})
+    for value in (True, False, 0, 1):
+        d = parse_drawing({"kind": "radial", "orders": orders, "flags": {"a->x": value}})
+        assert d.left_flag == {("a", "x"): bool(value)}
+
+
 def test_level_drawing_round_trip():
     d = LevelDrawing({1: ("a", "b"), 2: ("c",)})
     assert parse_drawing(drawing_to_json(d)) == d

@@ -1,23 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from planarity_ht import crosscheck, drawing, pipeline
+from planarity_ht import constraints, crosscheck, drawing, pipeline
+from planarity_ht.cli import main
 from planarity_ht.constraints import build_level_reduced, build_radial_reduced, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.crosscheck import crosscheck_instance, run_crosscheck
-from planarity_ht.drawing import make_level_context, make_radial_context
 from planarity_ht.graphs import LevelGraph, properize
+from planarity_ht.iofmt import graph_to_json
 from planarity_ht.oracle import brute_level, brute_radial
-from planarity_ht.pipeline import (
-    check_level,
-    check_radial,
-    level_system_for_stage,
-    radial_system_for_stage,
-    solve_reduced,
-)
+from planarity_ht.pipeline import check_level, check_radial, solve_reduced, stage_context, system_for_stage
 from tests.conftest import make_path
 
 
@@ -85,11 +81,11 @@ def test_stage_decisions_agree_with_each_other_and_oracle():
     for g in exhaustive_proper_graphs(2, 3, cap=50):
         proper, _ = properize(g)
         sat_g = solve_reduced(build_level_reduced(proper)) is not None
-        sat_gp = solve_reduced(level_system_for_stage(g, "Gplus")) is not None
+        sat_gp = solve_reduced(system_for_stage(g, "level", "Gplus")) is not None
         assert sat_g == sat_gp == check_level(g).planar == brute_level(proper).planar
         refs, aug = choose_reference_sets(proper)
         sat_rg = solve_reduced(build_radial_reduced(aug, refs)) is not None
-        sat_rgp = solve_reduced(radial_system_for_stage(g, "Gplus")) is not None
+        sat_rgp = solve_reduced(system_for_stage(g, "radial", "Gplus")) is not None
         assert sat_rg == sat_rgp == check_radial(g).planar == brute_radial(aug, refs).planar
 
 
@@ -97,8 +93,8 @@ def test_decision_without_witness_builds_no_subdivision(monkeypatch, k22):
     def refuse(*args):
         raise AssertionError("the subdivision was built for a decision")
 
-    monkeypatch.setattr(pipeline, "make_level_context", refuse)
-    monkeypatch.setattr(pipeline, "make_radial_context", refuse)
+    for name in ("build_plus", "build_star_level", "build_star_radial"):
+        monkeypatch.setattr(drawing, name, refuse)
     rng = random.Random(4)
     graphs = [k22, make_path(3)] + [random_proper_graph(rng, max_levels=4, max_width=3) for _ in range(20)]
     for g in graphs:
@@ -111,7 +107,7 @@ def test_decision_without_witness_builds_no_subdivision(monkeypatch, k22):
 def _record_builds(monkeypatch) -> list[tuple]:
     """(graph, reference sets) of every reduced-system build, wherever it is looked up."""
     builds: list[tuple] = []
-    for module in (pipeline, drawing, crosscheck):
+    for module in (pipeline, drawing, crosscheck, constraints):
         for name in ("build_level_reduced", "build_radial_reduced"):
             build = getattr(module, name, None)
             if build is not None:
@@ -122,24 +118,57 @@ def _record_builds(monkeypatch) -> list[tuple]:
     return builds
 
 
-def _plus_graph(g: LevelGraph, mode: str) -> LevelGraph:
-    proper, _ = properize(g)
-    if mode == "level":
-        return make_level_context(proper).pg.graph
-    refs, aug = choose_reference_sets(proper)
-    return make_radial_context(aug, refs).pg.graph
+def _witness_cases(k22) -> list[tuple]:
+    path = make_path(3)
+    return [(check_level, path, "level"), (check_radial, path, "radial"), (check_radial, k22, "radial")]
 
 
 def test_witness_check_builds_the_subdivision_system_once(monkeypatch, k22):
-    path = make_path(3)
-    cases = [(check_level, path, _plus_graph(path, "level")),
-             (check_radial, path, _plus_graph(path, "radial")),
-             (check_radial, k22, _plus_graph(k22, "radial"))]
+    cases = [(check, g, stage_context(g, mode).pg.graph) for check, g, mode in _witness_cases(k22)]
     builds = _record_builds(monkeypatch)
     for check, g, plus in cases:
         builds.clear()
         assert check(g, witness=True).witness is not None
         assert sum(b[0] == plus for b in builds) == 1
+
+
+def test_witness_check_builds_the_input_system_once(monkeypatch, k22):
+    cases = [(check, g, stage_context(g, mode).base) for check, g, mode in _witness_cases(k22)]
+    builds = _record_builds(monkeypatch)
+    for check, g, base in cases:
+        builds.clear()
+        assert check(g, witness=True).witness is not None
+        assert sum(b[0] == base for b in builds) == 1
+        assert len(builds) == 2
+
+
+def _graph_file(tmp_path, g: LevelGraph) -> str:
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    return str(path)
+
+
+def test_render_of_a_subdivision_drawing_builds_no_system(monkeypatch, tmp_path, k22):
+    for _, g, mode in _witness_cases(k22):
+        graph = _graph_file(tmp_path, g)
+        witness = str(tmp_path / "w.json")
+        assert main(["check", mode, graph, "--witness", witness]) == 0
+        builds = _record_builds(monkeypatch)
+        assert main(["render", witness, graph, "--out", str(tmp_path / "w.svg")]) == 0
+        assert builds == []
+        monkeypatch.undo()
+
+
+def test_emit_full_subdivision_system_builds_its_reduced_system_once(monkeypatch, tmp_path, k22):
+    for _, g, mode in _witness_cases(k22):
+        graph = _graph_file(tmp_path, g)
+        ctx = stage_context(g, mode)
+        base, plus = ctx.base, ctx.pg.graph
+        builds = _record_builds(monkeypatch)
+        assert main(["emit-constraints", mode, graph, "--stage", "Gplus", "--full"]) == 0
+        assert [b[0] for b in builds] == [plus]
+        assert base != plus
+        monkeypatch.undo()
 
 
 def test_crosscheck_builds_no_system_twice(monkeypatch):
