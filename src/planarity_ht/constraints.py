@@ -85,18 +85,24 @@ Assignment = dict[BoolVar, bool]
 
 @dataclass
 class ConstraintSystem:
+    """Variables, XOR equations and transitivity clauses; `rows` holds each
+    equation as (variable indices, parity), in the order of `xors`."""
+
     variables: tuple[BoolVar, ...]
     xors: list[XorEquation]
     transitivity: list[TransitivityClause]
     meta: str
     index: dict[BoolVar, int] = field(init=False, repr=False)
+    rows: list[tuple[tuple[int, ...], int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.index = {v: i for i, v in enumerate(self.variables)}
+        self.index = index = {v: i for i, v in enumerate(self.variables)}
+        self.rows = rows = []
         for eq in self.xors:
-            for v in eq.vars:
-                if v not in self.index:
-                    raise ValueError(f"equation references undeclared variable {v}")
+            idx = tuple(map(index.get, eq.vars))
+            if None in idx:
+                raise ValueError(f"equation references undeclared variable {eq.vars[idx.index(None)]}")
+            rows.append((idx, eq.parity))
         for cl in self.transitivity:
             for v in (cl.a, cl.b, cl.head):
                 if v not in self.index:
@@ -105,13 +111,15 @@ class ConstraintSystem:
 
 def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | TransitivityClause]:
     """All violated constraints under a total assignment."""
-    missing = [v for v in system.variables if v not in a]
-    if missing:
-        raise ValueError(f"assignment is partial, missing {missing[0]} and {len(missing) - 1} more")
-    bad: list[XorEquation | TransitivityClause] = []
-    for eq in system.xors:
-        if sum(a[v] for v in eq.vars) & 1 != eq.parity:
-            bad.append(eq)
+    try:
+        values = [a[v] for v in system.variables]
+    except KeyError:
+        missing = [v for v in system.variables if v not in a]
+        raise ValueError(f"assignment is partial, missing {missing[0]} and {len(missing) - 1} more") from None
+    bad: list[XorEquation | TransitivityClause] = [
+        eq for eq, (idx, parity) in zip(system.xors, system.rows)
+        if sum(map(values.__getitem__, idx)) & 1 != parity
+    ]
     for cl in system.transitivity:
         if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head):
             bad.append(cl)
@@ -127,14 +135,12 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     require_valid(g, proper=True)
     variables: list[BoolVar] = []
     xors: list[XorEquation] = []
-    for i in range(1, g.k + 1):
-        vs = g.on_level(i)
+    for vs in g.by_level.values():
         for u, w in permutations(vs, 2):
             variables.append(PairVar(u, w))
         for u, w in combinations(vs, 2):
             xors.append(XorEquation((PairVar(u, w), PairVar(w, u)), 1))
-    for i in range(1, g.k):
-        gap = g.gap_edges(i)
+    for gap in g.by_gap.values():
         for (u, v), (w, x) in combinations(gap, 2):
             if independent((u, v), (w, x)):
                 xors.append(XorEquation((PairVar(u, w), PairVar(v, x)), 0))
@@ -146,8 +152,8 @@ def build_level_full(g: LevelGraph) -> ConstraintSystem:
     reduced = build_level_reduced(g)
     trans = [
         TransitivityClause(PairVar(u, w), PairVar(w, y), PairVar(u, y))
-        for i in range(1, g.k + 1)
-        for u, w, y in permutations(g.on_level(i), 3)
+        for vs in g.by_level.values()
+        for u, w, y in permutations(vs, 3)
     ]
     return ConstraintSystem(reduced.variables, reduced.xors, trans, "level-full")
 

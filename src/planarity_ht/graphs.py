@@ -9,6 +9,7 @@ in this package is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 VertexId = str
 Edge = tuple[VertexId, VertexId]
@@ -24,17 +25,38 @@ class InvalidGraphError(ValueError):
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """A leveled DAG.  `level` maps each vertex to its level in 1..k."""
+    """A leveled DAG.  `level` maps each vertex to its level in 1..k.
+
+    `level` and `edges` are not mutated after construction: the per-level
+    index (`by_level`, `by_gap`) is built from them on first use and kept.
+    """
 
     k: int
     level: dict[VertexId, int]
     edges: tuple[Edge, ...]
 
+    @cached_property
+    def by_level(self) -> dict[int, tuple[VertexId, ...]]:
+        """Each non-empty level, ascending, mapped to its vertices sorted by id."""
+        out: dict[int, list[VertexId]] = {}
+        for v in sorted(self.level):
+            out.setdefault(self.level[v], []).append(v)
+        return {i: tuple(out[i]) for i in sorted(out)}
+
+    @cached_property
+    def by_gap(self) -> dict[int, tuple[Edge, ...]]:
+        """Each level that is the tail level of an edge, ascending, mapped to
+        the edges leaving it, sorted."""
+        out: dict[int, list[Edge]] = {}
+        for e in sorted(self.edges):
+            out.setdefault(self.level[e[0]], []).append(e)
+        return {i: tuple(out[i]) for i in sorted(out)}
+
     def vertices(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.level))
 
     def on_level(self, i: int) -> tuple[VertexId, ...]:
-        return tuple(sorted(v for v, lv in self.level.items() if lv == i))
+        return self.by_level.get(i, ())
 
     def widths(self) -> list[int]:
         counts = [0] * (self.k + 1)
@@ -44,7 +66,7 @@ class LevelGraph:
 
     def gap_edges(self, i: int) -> tuple[Edge, ...]:
         """Edges whose tail lies on level i, in sorted order."""
-        return tuple(sorted(e for e in self.edges if self.level[e[0]] == i))
+        return self.by_gap.get(i, ())
 
     def is_proper(self) -> bool:
         return all(self.level[v] == self.level[u] + 1 for u, v in self.edges)

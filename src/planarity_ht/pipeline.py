@@ -38,8 +38,7 @@ from .graphs import LevelGraph, properize
 
 
 def to_xor_system(system: ConstraintSystem) -> xorsat.XorSystem:
-    rows = [([system.index[v] for v in eq.vars], eq.parity) for eq in system.xors]
-    return xorsat.XorSystem.build(len(system.variables), rows)
+    return xorsat.XorSystem.build(len(system.variables), system.rows)
 
 
 def solve_reduced(system: ConstraintSystem) -> Assignment | None:

@@ -74,8 +74,7 @@ def build_star_level(g: LevelGraph) -> StarForm:
     top: dict[VertexId, VertexId] = {}
     level_origin: dict[int, int] = {}
     offset = 0
-    for i in range(1, g.k + 1):
-        vs = g.on_level(i)
+    for i, vs in g.by_level.items():
         n = len(vs)
         for j, v in enumerate(vs, start=1):
             bot[v] = bot_name(v)

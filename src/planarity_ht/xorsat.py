@@ -11,6 +11,7 @@ variables as `eliminate` on the whole system.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -22,7 +23,7 @@ class XorSystem:
     rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @staticmethod
-    def build(n: int, rows: list[tuple[list[int], int]]) -> "XorSystem":
+    def build(n: int, rows: list[tuple[Sequence[int], int]]) -> "XorSystem":
         packed = []
         for idx, parity in rows:
             if any(not 0 <= i < n for i in idx):

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planarity_ht
 from planarity_ht.cli import main
+from planarity_ht.graphs import LevelGraph
 from planarity_ht.iofmt import graph_to_json
+from planarity_ht.pipeline import check_level
 from tests.conftest import make_path
 
 
@@ -202,3 +209,33 @@ def test_render_order_with_repeated_vertex_exit_2(tmp_path, capsys):
     drawing.write_text(json.dumps({"kind": "level", "orders": {"1": ["a", "c"], "2": ["b", "d", "d"]}}))
     assert main(["render", str(drawing), str(graph), "--out", svg]) == 2
     assert "does not cover" in capsys.readouterr().err
+
+
+def test_check_json_reports_witness_crossings(tmp_path, capsys):
+    # the witness of this planar graph keeps an even, nonzero number of crossings
+    g = LevelGraph(2, {"a1": 1, "b1": 1, "c1": 1, "a2": 2, "b2": 2}, (("a1", "b2"), ("b1", "a2")))
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(graph_to_json(g)))
+    assert main(["--json", "check", "level", str(p), "--witness", str(tmp_path / "w.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expect = check_level(g, witness=True).witness_report.total()
+    assert expect > 0
+    assert payload["witness_crossings"] == expect
+
+
+def test_huge_level_count_answers_at_once(tmp_path):
+    doc = {"levels": 100_000_000, "vertices": [{"id": "a", "level": 1}, {"id": "b", "level": 2}],
+           "edges": [["a", "b"]]}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(planarity_ht.__file__).resolve().parent.parent))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "planarity_ht.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=10)
+
+    done = run("check", "level", str(p))
+    assert done.returncode == 0
+    assert done.stdout == "level: planar (0 variables, 0 equations)\n"
+    assert run("check", "level", str(p), "--witness", str(tmp_path / "w.json")).returncode == 0
+    assert run("emit-constraints", "level", str(p), "--full").returncode == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from planarity_ht.constraints import (
+    ConstraintSystem,
     FlagVar,
     PairVar,
     ReferenceSets,
@@ -232,3 +233,28 @@ def test_full_radial_transitivity_head_is_rotated_negation():
         assert cl.a.anchor == cl.b.anchor == cl.head.anchor
         assert cl.a.v == cl.b.u
         assert cl.head == TripleVar(cl.a.anchor, cl.b.v, cl.a.u)
+
+
+def test_system_rejects_undeclared_variable():
+    with pytest.raises(ValueError, match=r"undeclared variable x\(b,a\)"):
+        ConstraintSystem((PairVar("a", "b"),), [XorEquation((PairVar("a", "b"), PairVar("b", "a")), 1)], [], "t")
+
+
+def _complete_bipartite(n: int) -> LevelGraph:
+    return LevelGraph(2, {f"a{i}": 1 for i in range(n)} | {f"b{i}": 2 for i in range(n)},
+                      tuple((f"a{i}", f"b{j}") for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_on_rows_matches_per_equation_recomputation(n):
+    g = _complete_bipartite(n)
+    refs, aug = choose_reference_sets(g)
+    systems = [build_level_reduced(g), build_level_full(g), build_radial_reduced(aug, refs),
+               build_radial_full(aug, refs)]
+    rng = random.Random(n)
+    for s in systems:
+        for _ in range(50):
+            a = {v: rng.random() < 0.5 for v in s.variables}
+            expect = [eq for eq in s.xors if sum(a[v] for v in eq.vars) % 2 != eq.parity]
+            expect += [cl for cl in s.transitivity if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head)]
+            assert evaluate(s, a) == expect

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarity_ht.corpus import random_proper_graph
 from planarity_ht.graphs import (
@@ -169,3 +171,29 @@ def test_limit_levels_always_aligned():
             lim = limits(pair, proper, prov)
             assert proper.level[lim.e_low] == proper.level[lim.f_low] == lim.low
             assert proper.level[lim.e_high] == proper.level[lim.f_high] == lim.high
+
+
+@st.composite
+def graphs_with_empty_levels(draw):
+    """Valid graphs on up to 6 levels; ids come unsorted and levels may be empty."""
+    k = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.sampled_from("hgfedcba"), max_size=8, unique=True))
+    level = {v: draw(st.integers(1, k)) for v in ids}
+    upward = [(u, v) for u in ids for v in ids if level[u] < level[v]]
+    edges = draw(st.lists(st.sampled_from(upward), unique=True)) if upward else []
+    return LevelGraph(k, level, tuple(edges)), upward
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_empty_levels())
+def test_level_index_equals_the_scans(case):
+    g, upward = case
+    assert validate(g) == []
+    for i in range(0, g.k + 2):
+        assert g.on_level(i) == tuple(sorted(v for v, lv in g.level.items() if lv == i))
+        assert g.gap_edges(i) == tuple(sorted(e for e in g.edges if g.level[e[0]] == i))
+    extra = [e for e in upward if e not in g.edges]
+    h = g.with_edges(extra)
+    for e in extra:
+        assert e in h.gap_edges(g.level[e[0]])
+        assert e not in g.gap_edges(g.level[e[0]])
