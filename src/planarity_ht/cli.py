@@ -50,7 +50,7 @@ def cmd_check(args) -> int:
     }
     if args.full:
         full_system = pipeline.system_for_stage(g, args.mode, "G", full=True)
-        payload["equations"] = len(full_system.xors)
+        payload["equations"] = len(full_system.rows)
         payload["transitivity_clauses"] = len(full_system.transitivity)
     verdict = "planar" if result.planar else "not planar"
     text = f"{args.mode}: {verdict} ({result.variables} variables, {payload['equations']} equations)"
@@ -108,7 +108,8 @@ def cmd_render(args) -> int:
     d = iofmt.load_drawing(args.drawing)
     orders = d.orders if isinstance(d, LevelDrawing) else d.cyclic
     for target, refs in _candidate_targets(g, d):
-        if orders.keys() == set(range(1, target.k + 1)) and not check_drawing_covers(orders, target):
+        if (len(orders) == target.k and orders.keys() == set(range(1, target.k + 1))
+                and not check_drawing_covers(orders, target)):
             if isinstance(d, LevelDrawing):
                 svg = render.render_level_svg(target, d)
             else:

@@ -6,14 +6,20 @@ clockwise" plus left flags for edges sharing an endpoint with a gap's
 reference edge.  Both come in a reduced flavour that holds only the XOR
 equations, which is what gets solved, and a full flavour that adds the
 transitivity clauses on top.
+
+Each mode numbers its variables once (`pair_numbering`, `triple_numbering`);
+the builders emit their equations as integer rows over that numbering, and
+the variable objects serve only to print equations and name violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
-from .graphs import Edge, LevelGraph, VertexId, independent, require_valid
+from .graphs import Edge, LevelGraph, VertexId, require_valid
 
 
 @dataclass(frozen=True, order=True)
@@ -83,30 +89,42 @@ class TransitivityClause:
 Assignment = dict[BoolVar, bool]
 
 
+Row = tuple[tuple[int, ...], int]
+
+
 @dataclass
 class ConstraintSystem:
-    """Variables, XOR equations and transitivity clauses; `rows` holds each
-    equation as (variable indices, parity), in the order of `xors`."""
+    """Variables, XOR rows and transitivity clauses.  A row (variable
+    indices, parity) states that the indexed variables sum to the parity."""
 
     variables: tuple[BoolVar, ...]
-    xors: list[XorEquation]
+    rows: list[Row]
     transitivity: list[TransitivityClause]
     meta: str
-    index: dict[BoolVar, int] = field(init=False, repr=False)
-    rows: list[tuple[tuple[int, ...], int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.index = index = {v: i for i, v in enumerate(self.variables)}
-        self.rows = rows = []
-        for eq in self.xors:
-            idx = tuple(map(index.get, eq.vars))
-            if None in idx:
-                raise ValueError(f"equation references undeclared variable {eq.vars[idx.index(None)]}")
-            rows.append((idx, eq.parity))
+        n = len(self.variables)
+        for idx, _ in self.rows:
+            if idx and (min(idx) < 0 or max(idx) >= n):
+                raise ValueError(f"row {idx} references an undeclared variable index, {n} declared")
         for cl in self.transitivity:
             for v in (cl.a, cl.b, cl.head):
                 if v not in self.index:
                     raise ValueError(f"clause references undeclared variable {v}")
+
+    @cached_property
+    def index(self) -> dict[BoolVar, int]:
+        return {v: i for i, v in enumerate(self.variables)}
+
+    @cached_property
+    def xors(self) -> list[XorEquation]:
+        """The rows spelled out as equations over the variable objects."""
+        return [_spell(self.variables, row) for row in self.rows]
+
+
+def _spell(variables: tuple[BoolVar, ...], row: Row) -> XorEquation:
+    idx, parity = row
+    return XorEquation(tuple(map(variables.__getitem__, idx)), parity)
 
 
 def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | TransitivityClause]:
@@ -117,8 +135,8 @@ def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | Tran
         missing = [v for v in system.variables if v not in a]
         raise ValueError(f"assignment is partial, missing {missing[0]} and {len(missing) - 1} more") from None
     bad: list[XorEquation | TransitivityClause] = [
-        eq for eq, (idx, parity) in zip(system.xors, system.rows)
-        if sum(map(values.__getitem__, idx)) & 1 != parity
+        _spell(system.variables, row) for row in system.rows
+        if sum(map(values.__getitem__, row[0])) & 1 != row[1]
     ]
     for cl in system.transitivity:
         if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head):
@@ -130,32 +148,52 @@ def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | Tran
 # Level systems
 
 
+def pair_numbering(g: LevelGraph) -> Callable[[VertexId, VertexId], int]:
+    """The index of PairVar(u, w) in the level systems of g: levels in
+    ascending order, each level's ordered pairs in `permutations` order."""
+    pos: dict[VertexId, int] = {}
+    block: dict[VertexId, int] = {}  # index of u's first pair
+    count = 0
+    for vs in g.by_level.values():
+        stride = len(vs) - 1
+        for p, v in enumerate(vs):
+            pos[v] = p
+            block[v] = count + p * stride
+        count += len(vs) * stride
+
+    def number(u: VertexId, w: VertexId) -> int:
+        pw = pos[w]
+        return block[u] + pw - (pw > pos[u])
+
+    return number
+
+
 def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     """Pair-order variables, consistency XORs, planarity XORs."""
     require_valid(g, proper=True)
+    number = pair_numbering(g)
     variables: list[BoolVar] = []
-    xors: list[XorEquation] = []
+    rows: list[Row] = []
     for vs in g.by_level.values():
-        for u, w in permutations(vs, 2):
-            variables.append(PairVar(u, w))
-        for u, w in combinations(vs, 2):
-            xors.append(XorEquation((PairVar(u, w), PairVar(w, u)), 1))
+        variables.extend(PairVar(u, w) for u, w in permutations(vs, 2))
+        rows.extend(((number(u, w), number(w, u)), 1) for u, w in combinations(vs, 2))
     for gap in g.by_gap.values():
-        for (u, v), (w, x) in combinations(gap, 2):
-            if independent((u, v), (w, x)):
-                xors.append(XorEquation((PairVar(u, w), PairVar(v, x)), 0))
-    return ConstraintSystem(tuple(variables), xors, [], "level-reduced")
+        # a proper gap's edges are independent when both endpoints differ
+        rows.extend(((number(u, w), number(v, x)), 0)
+                    for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
+    return ConstraintSystem(tuple(variables), rows, [], "level-reduced")
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
     """The reduced level system plus its transitivity clauses."""
     reduced = build_level_reduced(g)
+    number, var = pair_numbering(g), reduced.variables
     trans = [
-        TransitivityClause(PairVar(u, w), PairVar(w, y), PairVar(u, y))
+        TransitivityClause(var[number(u, w)], var[number(w, y)], var[number(u, y)])
         for vs in g.by_level.values()
         for u, w, y in permutations(vs, 3)
     ]
-    return ConstraintSystem(reduced.variables, reduced.xors, trans, "level-full")
+    return ConstraintSystem(reduced.variables, reduced.rows, trans, "level-full")
 
 
 # ---------------------------------------------------------------------------
@@ -274,55 +312,83 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, 
     return eps, plain, plus_adj, minus_adj
 
 
+TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
+
+
+def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, int]:
+    """The index of TripleVar(a, u, v), and the number of triples."""
+    pos: dict[VertexId, int] = {}
+    block: dict[VertexId, tuple[int, int, int]] = {}  # anchor: first index, position, stride
+    count = 0
+    for i, vs in g.by_level.items():
+        for p, v in enumerate(vs):
+            pos[v] = p
+        for a in refs.anchors(i):
+            block[a] = (count, pos[a], len(vs) - 2)
+            count += (len(vs) - 1) * (len(vs) - 2)
+
+    def number(a: VertexId, u: VertexId, v: VertexId) -> int:
+        first, pa, stride = block[a]
+        pu, pv = pos[u], pos[v]
+        pu -= pu > pa
+        pv -= pv > pa
+        return first + pu * stride + pv - (pv > pu)
+
+    return number, count
+
+
+def triple_numbering(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, dict[Edge, int]]:
+    """The index of TripleVar(a, u, v) in the radial systems of g, and of
+    FlagVar(*e) by edge e.  Triples come first: levels in ascending order,
+    each level's anchors in `ReferenceSets.anchors` order, the ordered pairs
+    of the other vertices in `permutations` order.  Then the flags, gap by
+    gap, plus-adjacent edges before minus-adjacent ones."""
+    number, count = _triple_blocks(g, refs)
+    flags: dict[Edge, int] = {}
+    for i in range(1, g.k):
+        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+        for e in plus_adj + minus_adj:
+            flags[e] = count + len(flags)
+    return number, flags
+
+
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
     """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs."""
     require_valid(g, proper=True)
     problems = validate_reference_sets(g, refs)
     if problems:
         raise ValueError("invalid reference sets: " + "; ".join(problems))
+    number, _ = _triple_blocks(g, refs)
     variables: list[BoolVar] = []
-    xors: list[XorEquation] = []
+    rows: list[Row] = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
         for a in refs.anchors(i):
             others = [v for v in vs if v != a]
-            for u, v in permutations(others, 2):
-                variables.append(TripleVar(a, u, v))
-            for u, v in combinations(others, 2):
-                xors.append(XorEquation((TripleVar(a, u, v), TripleVar(a, v, u)), 1))
+            variables.extend(TripleVar(a, u, v) for u, v in permutations(others, 2))
+            rows.extend(((number(a, u, v), number(a, v, u)), 1) for u, v in combinations(others, 2))
         ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
         if ap != am:
             others = [v for v in vs if v not in (ap, am)]
-            for u, v in permutations(others, 2):
-                xors.append(
-                    XorEquation(
-                        (TripleVar(am, u, v), TripleVar(ap, u, v), TripleVar(am, u, ap), TripleVar(am, v, ap)), 0
-                    )
-                )
-            for v in others:
-                xors.append(XorEquation((TripleVar(am, v, ap), TripleVar(ap, am, v)), 0))
+            rows.extend(((number(am, u, v), number(ap, u, v), number(am, u, ap), number(am, v, ap)), 0)
+                        for u, v in permutations(others, 2))
+            rows.extend(((number(am, v, ap), number(ap, am, v)), 0) for v in others)
     for i in range(1, g.k):
         eps, plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
         ap, am_next = eps
-        for e in plus_adj:
+        flag: dict[Edge, int] = {}
+        for e in plus_adj + minus_adj:
+            flag[e] = len(variables)
             variables.append(FlagVar(*e))
-        for e in minus_adj:
-            variables.append(FlagVar(*e))
-        for (u, v), (w, x) in combinations(plain, 2):
-            if independent((u, v), (w, x)):
-                xors.append(XorEquation((TripleVar(ap, u, w), TripleVar(am_next, v, x)), 0))
-        for e in plus_adj:
-            for f in minus_adj:
-                xors.append(XorEquation((FlagVar(*e), FlagVar(*f)), 1))
-        for e in plus_adj:
-            for (u, v) in plain:
-                if independent(e, (u, v)):
-                    xors.append(XorEquation((FlagVar(*e), TripleVar(am_next, v, e[1])), 0))
-        for f in minus_adj:
-            for (u, v) in plain:
-                if independent(f, (u, v)):
-                    xors.append(XorEquation((FlagVar(*f), TripleVar(ap, u, f[0])), 0))
-    return ConstraintSystem(tuple(variables), xors, [], "radial-reduced")
+        # a proper gap's edges are independent when both endpoints differ
+        rows.extend(((number(ap, u, w), number(am_next, v, x)), 0)
+                    for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x)
+        rows.extend(((flag[e], flag[f]), 1) for e in plus_adj for f in minus_adj)
+        rows.extend(((flag[e], number(am_next, v, e[1])), 0)
+                    for e in plus_adj for u, v in plain if v != e[1])
+        rows.extend(((flag[f], number(ap, u, f[0])), 0)
+                    for f in minus_adj for u, v in plain if u != f[0])
+    return ConstraintSystem(tuple(variables), rows, [], "radial-reduced")
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -333,10 +399,11 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
     to a linearization of the circle.
     """
     reduced = build_radial_reduced(g, refs)
+    number, var = _triple_blocks(g, refs)[0], reduced.variables
     trans = [
-        TransitivityClause(TripleVar(a, u, v), TripleVar(a, v, w), TripleVar(a, w, u), negated_head=True)
+        TransitivityClause(var[number(a, u, v)], var[number(a, v, w)], var[number(a, w, u)], negated_head=True)
         for i in range(1, g.k + 1)
         for a in refs.anchors(i)
         for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)
     ]
-    return ConstraintSystem(reduced.variables, reduced.xors, trans, "radial-full")
+    return ConstraintSystem(reduced.variables, reduced.rows, trans, "radial-full")

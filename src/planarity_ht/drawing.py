@@ -28,6 +28,8 @@ from .constraints import (
     build_radial_reduced,
     evaluate,
     gap_edge_classes,
+    pair_numbering,
+    triple_numbering,
     validate_reference_sets,
 )
 from .graphs import Edge, LevelGraph, VertexId, independent
@@ -362,24 +364,26 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> Assignment:
     """
     pg, sf = ctx.pg, ctx.star_form
     require_satisfying(ctx.system, phi)
+    bits = [phi[v] for v in ctx.system.variables]
+    number = pair_numbering(ctx.base)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    phi_plus: Assignment = {}
-    for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
-        for x, y in permutations(vs, 2):
-            a, b = pg.origin[x], pg.origin[y]
-            if a != b:
-                val = phi[PairVar(a, b)]
-            else:
-                e1 = rev_star.get(pg.edge_of.get(x, ("", "")))
-                e2 = rev_star.get(pg.edge_of.get(y, ("", "")))
-                assert e1 is not None and e2 is not None, "origin collision off the star edges"
-                if e1[0] == e2[0]:
-                    val = phi[PairVar(e1[1], e2[1])]
-                else:
-                    assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
-                    val = phi[PairVar(e1[0], e2[0])]
-            phi_plus[PairVar(x, y)] = val
+    origin, edge_of = pg.origin, pg.edge_of
+    plus_bits = []
+    for var in ctx.plus_system.variables:
+        x, y = var.u, var.w
+        a, b = origin[x], origin[y]
+        if a != b:
+            plus_bits.append(bits[number(a, b)])
+            continue
+        e1 = rev_star.get(edge_of.get(x, ("", "")))
+        e2 = rev_star.get(edge_of.get(y, ("", "")))
+        assert e1 is not None and e2 is not None, "origin collision off the star edges"
+        if e1[0] == e2[0]:
+            plus_bits.append(bits[number(e1[1], e2[1])])
+        else:
+            assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
+            plus_bits.append(bits[number(e1[0], e2[0])])
+    phi_plus = dict(zip(ctx.plus_system.variables, plus_bits))
     require_satisfying(ctx.plus_system, phi_plus)
     return phi_plus
 
@@ -449,27 +453,24 @@ def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> Assignment:
     """Extend a satisfying radial assignment of the input to its subdivision."""
     pg, sf = ctx.pg, ctx.star_form
     require_satisfying(ctx.system, phi)
+    bits = [phi[v] for v in ctx.system.variables]
+    number, flag = triple_numbering(ctx.base, ctx.refs)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    phi_plus: Assignment = {}
-    for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
-        for x in ctx.plus_refs.anchors(j):
-            others = [v for v in vs if v != x]
-            ox = pg.origin[x]
-            for y, z in permutations(others, 2):
-                oy, oz = pg.origin[y], pg.origin[z]
-                if len({ox, oy, oz}) == 3:
-                    val = phi[TripleVar(ox, oy, oz)]
-                else:
-                    assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
-                    e = rev_star[pg.edge_of[y]]
-                    f = rev_star[pg.edge_of[z]]
-                    val = _psi_gap_order(phi, ctx.refs, ctx.base.level[e[0]], e, f)
-                phi_plus[TripleVar(x, y, z)] = val
-    for j in range(1, pg.graph.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(pg.graph, ctx.plus_refs, j)
-        for seg in plus_adj + minus_adj:
-            phi_plus[FlagVar(*seg)] = phi[FlagVar(pg.origin[seg[0]], pg.origin[seg[1]])]
+    origin, edge_of = pg.origin, pg.edge_of
+    plus_bits = []
+    for var in ctx.plus_system.variables:
+        if type(var) is FlagVar:
+            plus_bits.append(bits[flag[origin[var.tail], origin[var.head]]])
+            continue
+        ox, oy, oz = origin[var.anchor], origin[var.u], origin[var.v]
+        if len({ox, oy, oz}) == 3:
+            plus_bits.append(bits[number(ox, oy, oz)])
+        else:
+            assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
+            e = rev_star[edge_of[var.u]]
+            f = rev_star[edge_of[var.v]]
+            plus_bits.append(_psi_gap_order(phi, ctx.refs, ctx.base.level[e[0]], e, f))
+    phi_plus = dict(zip(ctx.plus_system.variables, plus_bits))
     require_satisfying(ctx.plus_system, phi_plus)
     return phi_plus
 

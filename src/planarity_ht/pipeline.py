@@ -48,7 +48,7 @@ def solve_reduced(system: ConstraintSystem) -> Assignment | None:
     result = xorsat.solve(to_xor_system(system))
     if isinstance(result, xorsat.Unsat):
         return None
-    return {v: bool(result.assignment[i]) for v, i in system.index.items()}
+    return dict(zip(system.variables, map(bool, result.assignment)))
 
 
 @dataclass
@@ -79,7 +79,7 @@ def stage_context(g: LevelGraph, mode: str) -> LevelContext:
 def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
     ctx = stage_context(g, mode)
     phi = solve_reduced(ctx.system)
-    result = CheckResult(mode, phi is not None, len(ctx.system.variables), len(ctx.system.xors))
+    result = CheckResult(mode, phi is not None, len(ctx.system.variables), len(ctx.system.rows))
     if phi is not None and witness:
         result.witness = realize(lift(phi, ctx), ctx)
         result.witness_report = report = report_fn(result.witness, ctx)

@@ -239,3 +239,20 @@ def test_huge_level_count_answers_at_once(tmp_path):
     assert done.stdout == "level: planar (0 variables, 0 equations)\n"
     assert run("check", "level", str(p), "--witness", str(tmp_path / "w.json")).returncode == 0
     assert run("emit-constraints", "level", str(p), "--full").returncode == 0
+
+
+def test_render_of_a_huge_level_count_witness_answers_at_once(tmp_path):
+    # the witness covers the four sublevels of G+, so the input's level count
+    # must be ruled out without listing its levels
+    doc = {"levels": 100_000_000, "vertices": [{"id": "a", "level": 1}, {"id": "b", "level": 2}],
+           "edges": [["a", "b"]]}
+    graph, witness = tmp_path / "g.json", tmp_path / "w.json"
+    graph.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(planarity_ht.__file__).resolve().parent.parent))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "planarity_ht.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=10)
+
+    assert run("check", "level", str(graph), "--witness", str(witness)).returncode == 0
+    assert run("render", str(witness), str(graph), "--out", str(tmp_path / "o.svg")).returncode == 0

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarity_ht.constraints import (
     ConstraintSystem,
@@ -17,12 +20,15 @@ from planarity_ht.constraints import (
     build_radial_reduced,
     choose_reference_sets,
     evaluate,
+    gap_edge_classes,
+    pair_numbering,
     reference_set_variants,
+    triple_numbering,
     validate_reference_sets,
 )
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.drawing import induced_pair_assignment, induced_radial_assignment
-from planarity_ht.graphs import LevelGraph
+from planarity_ht.graphs import LevelGraph, independent
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import solve_reduced
 from tests.conftest import make_path
@@ -236,8 +242,8 @@ def test_full_radial_transitivity_head_is_rotated_negation():
 
 
 def test_system_rejects_undeclared_variable():
-    with pytest.raises(ValueError, match=r"undeclared variable x\(b,a\)"):
-        ConstraintSystem((PairVar("a", "b"),), [XorEquation((PairVar("a", "b"), PairVar("b", "a")), 1)], [], "t")
+    with pytest.raises(ValueError, match=r"row \(0, 1\) references an undeclared variable index"):
+        ConstraintSystem((PairVar("a", "b"),), [((0, 1), 1)], [], "t")
 
 
 def _complete_bipartite(n: int) -> LevelGraph:
@@ -258,3 +264,80 @@ def test_evaluate_on_rows_matches_per_equation_recomputation(n):
             expect = [eq for eq in s.xors if sum(a[v] for v in eq.vars) % 2 != eq.parity]
             expect += [cl for cl in s.transitivity if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head)]
             assert evaluate(s, a) == expect
+
+
+@st.composite
+def proper_graphs_with_empty_levels(draw):
+    """Valid proper graphs on up to 5 levels of up to 4 vertices; ids come
+    unsorted and levels may be empty."""
+    k = draw(st.integers(1, 5))
+    ids = iter(draw(st.permutations("abcdefghijklmnopqrst")))
+    level = {next(ids): i for i in range(1, k + 1) for _ in range(draw(st.integers(0, 4)))}
+    upward = [(u, v) for u in level for v in level if level[v] == level[u] + 1]
+    edges = draw(st.lists(st.sampled_from(upward), unique=True)) if upward else []
+    return LevelGraph(k, level, tuple(edges))
+
+
+def _level_equations(g: LevelGraph) -> list[XorEquation]:
+    """The level system's equations, built one variable object at a time."""
+    eqs = []
+    for vs in g.by_level.values():
+        eqs += [XorEquation((PairVar(u, w), PairVar(w, u)), 1) for u, w in itertools.combinations(vs, 2)]
+    for gap in g.by_gap.values():
+        eqs += [XorEquation((PairVar(e[0], f[0]), PairVar(e[1], f[1])), 0)
+                for e, f in itertools.combinations(gap, 2) if independent(e, f)]
+    return eqs
+
+
+def _radial_equations(g: LevelGraph, refs: ReferenceSets) -> list[XorEquation]:
+    """The radial system's equations, built one variable object at a time."""
+    eqs = []
+    T, F = TripleVar, FlagVar
+    for i in range(1, g.k + 1):
+        vs = g.on_level(i)
+        for a in refs.anchors(i):
+            others = [v for v in vs if v != a]
+            eqs += [XorEquation((T(a, u, v), T(a, v, u)), 1) for u, v in itertools.combinations(others, 2)]
+        ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
+        if ap != am:
+            others = [v for v in vs if v not in (ap, am)]
+            eqs += [XorEquation((T(am, u, v), T(ap, u, v), T(am, u, ap), T(am, v, ap)), 0)
+                    for u, v in itertools.permutations(others, 2)]
+            eqs += [XorEquation((T(am, v, ap), T(ap, am, v)), 0) for v in others]
+    for i in range(1, g.k):
+        (ap, am_next), plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+        eqs += [XorEquation((T(ap, e[0], f[0]), T(am_next, e[1], f[1])), 0)
+                for e, f in itertools.combinations(plain, 2) if independent(e, f)]
+        eqs += [XorEquation((F(*e), F(*f)), 1) for e in plus_adj for f in minus_adj]
+        eqs += [XorEquation((F(*e), T(am_next, f[1], e[1])), 0)
+                for e in plus_adj for f in plain if independent(e, f)]
+        eqs += [XorEquation((F(*e), T(ap, f[0], e[0])), 0)
+                for e in minus_adj for f in plain if independent(e, f)]
+    return eqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(proper_graphs_with_empty_levels())
+def test_numbering_matches_the_variable_order(g):
+    pair = pair_numbering(g)
+    s = build_level_reduced(g)
+    for i, v in enumerate(s.variables):
+        assert pair(v.u, v.w) == i
+    expect = _level_equations(g)
+    assert s.xors == expect
+    assert s.rows == [(tuple(pair(v.u, v.w) for v in eq.vars), eq.parity) for eq in expect]
+    if any(not g.on_level(i) for i in range(1, g.k + 1)):
+        return  # radial reference sets need every level nonempty
+    refs, aug = choose_reference_sets(g)
+    triple, flags = triple_numbering(aug, refs)
+    s = build_radial_reduced(aug, refs)
+
+    def number(v):
+        return triple(v.anchor, v.u, v.v) if isinstance(v, TripleVar) else flags[v.edge]
+
+    for i, v in enumerate(s.variables):
+        assert number(v) == i
+    assert list(flags) == [v.edge for v in s.variables if isinstance(v, FlagVar)]
+    expect = _radial_equations(aug, refs)
+    assert s.xors == expect
+    assert s.rows == [(tuple(map(number, eq.vars)), eq.parity) for eq in expect]

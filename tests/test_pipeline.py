@@ -142,6 +142,24 @@ def test_witness_check_builds_the_input_system_once(monkeypatch, k22):
         assert len(builds) == 2
 
 
+def _staircase(k: int, w: int) -> LevelGraph:
+    """k levels of w vertices; vertex j of each level reaches j and j + 1 above it."""
+    level = {f"v{i}_{j}": i for i in range(1, k + 1) for j in range(w)}
+    edges = tuple((f"v{i}_{j}", f"v{i + 1}_{t}") for i in range(1, k) for j in range(w) for t in (j, j + 1) if t < w)
+    return LevelGraph(k, level, edges)
+
+
+def test_witness_check_builds_no_equation_objects(monkeypatch):
+    # systems are integer rows: a satisfied check never spells an equation out
+    def refuse(*args):
+        raise AssertionError("an equation object was built")
+
+    monkeypatch.setattr(constraints, "XorEquation", refuse)
+    g = _staircase(4, 3)
+    assert check_level(g, witness=True).witness is not None
+    assert check_radial(g, witness=True).witness is not None
+
+
 def _graph_file(tmp_path, g: LevelGraph) -> str:
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph_to_json(g)))
