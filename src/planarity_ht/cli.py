@@ -15,7 +15,7 @@ from . import corpus, iofmt, pipeline, render
 from .crosscheck import run_crosscheck
 from .drawing import LevelDrawing, RadialDrawing, check_drawing_covers
 from .graphs import InvalidGraphError, LevelGraph, require_valid
-from .oracle import BudgetExceededError, brute_level, brute_radial, default_budget
+from .oracle import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, brute_level, brute_radial
 
 EXIT_PLANAR = 0
 EXIT_NONPLANAR = 1
@@ -76,8 +76,8 @@ def cmd_emit_constraints(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_valid_graph(args.file)
     ctx = pipeline.stage_context(g, args.mode)
-    budget = args.budget if args.budget is not None else default_budget()
-    result = brute_level(ctx.base, budget) if args.mode == "level" else brute_radial(ctx.base, ctx.refs, budget)
+    result = (brute_level(ctx.base, args.budget) if args.mode == "level"
+              else brute_radial(ctx.base, ctx.refs, args.budget))
     payload = {
         "command": "oracle",
         "mode": args.mode,
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["level", "radial"])
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
-                   help=f"max states to enumerate (default {default_budget()}, "
-                        "override with PLANARITY_HT_BUDGET)")
+                   help=f"max states to enumerate (default {DEFAULT_BUDGET}, "
+                        f"override with {BUDGET_ENV_VAR})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render", help="render a drawing file to SVG")

@@ -280,14 +280,13 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
     return refs, aug
 
 
-def reference_set_variants(g: LevelGraph, count: int = 2) -> list[tuple[ReferenceSets, LevelGraph]]:
-    """Up to `count` distinct valid reference selections for the same graph."""
+def reference_set_variants(g: LevelGraph) -> list[tuple[ReferenceSets, LevelGraph]]:
+    """The smallest-edge reference selection, then the largest-edge one if it differs."""
     variants = [choose_reference_sets(g)]
-    if count > 1:
-        alt = choose_reference_sets(g, largest=True)
-        if alt[0] != variants[0][0]:
-            variants.append(alt)
-    return variants[:count]
+    alt = choose_reference_sets(g, largest=True)
+    if alt[0] != variants[0][0]:
+        variants.append(alt)
+    return variants
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +309,15 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, 
         else:
             plain.append(e)
     return eps, plain, plus_adj, minus_adj
+
+
+def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
+    """The edges that carry a left flag: gap by gap, plus-adjacent before minus-adjacent."""
+    out: list[Edge] = []
+    for i in range(1, g.k):
+        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+        out += plus_adj + minus_adj
+    return out
 
 
 TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
@@ -344,12 +352,7 @@ def triple_numbering(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, 
     of the other vertices in `permutations` order.  Then the flags, gap by
     gap, plus-adjacent edges before minus-adjacent ones."""
     number, count = _triple_blocks(g, refs)
-    flags: dict[Edge, int] = {}
-    for i in range(1, g.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        for e in plus_adj + minus_adj:
-            flags[e] = count + len(flags)
-    return number, flags
+    return number, {e: count + n for n, e in enumerate(flagged_edges(g, refs))}
 
 
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:

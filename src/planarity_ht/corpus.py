@@ -125,7 +125,7 @@ def random_level_drawing(rng: random.Random, g: LevelGraph):
 
 
 def random_radial_drawing(rng: random.Random, g: LevelGraph, refs) -> "RadialDrawing":
-    from .constraints import gap_edge_classes
+    from .constraints import flagged_edges
     from .drawing import RadialDrawing
 
     cyclic = {}
@@ -133,9 +133,4 @@ def random_radial_drawing(rng: random.Random, g: LevelGraph, refs) -> "RadialDra
         vs = list(g.on_level(i))
         rng.shuffle(vs)
         cyclic[i] = tuple(vs)
-    flags = {}
-    for i in range(1, g.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        for e in plus_adj + minus_adj:
-            flags[e] = rng.random() < 0.5
-    return RadialDrawing(cyclic, flags)
+    return RadialDrawing(cyclic, {e: rng.random() < 0.5 for e in flagged_edges(g, refs)})

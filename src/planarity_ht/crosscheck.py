@@ -61,8 +61,18 @@ def check_structural_counts(g: LevelGraph, level_ctx, radial_ctx) -> list[str]:
     return problems
 
 
-def crosscheck_instance(g: LevelGraph, budget: int | None = None,
-                        oracle_on_subdivision: bool = False) -> tuple[list[str], bool, bool]:
+def _round_trip(mode: str, phi, ctx, lift, realize, report_fn, back) -> list[str]:
+    """Lift and realize a solution, verify the drawing, and extract a satisfying
+    assignment from it again; `back` raises if that fails."""
+    d = realize(lift(phi, ctx), ctx)
+    report = report_fn(d, ctx)
+    if report.ht_violations:
+        return [f"{mode} witness has odd independent pair {report.ht_violations[0]}"]
+    back(d, ctx)
+    return []
+
+
+def crosscheck_instance(g: LevelGraph, budget: int | None = None) -> tuple[list[str], bool, bool]:
     """Run every solver/oracle/round-trip comparison on one instance.
 
     Returns (mismatch descriptions, level planar, radial planar).
@@ -81,13 +91,9 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
             f"oracle {level_oracle.planar}"
         )
     if sat_g and not problems:
-        phi_plus = lift_assignment_level(phi, lctx)
-        d = drawing_from_assignment_level(phi_plus, lctx)
-        report = star_report_level(d, lctx)
-        if report.ht_violations:
-            problems.append(f"level witness has odd independent pair {report.ht_violations[0]}")
-        else:
-            assignment_from_drawing_level(d, lctx)  # raises if the round trip fails
+        problems += _round_trip("level", phi, lctx, lift_assignment_level,
+                                drawing_from_assignment_level, star_report_level,
+                                assignment_from_drawing_level)
 
     (refs, augmented), *others = reference_set_variants(proper)
     rctx = make_radial_context(augmented, refs)
@@ -103,24 +109,14 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None,
             f"{sat_radial_gp}, oracle {radial_oracle.planar}"
         )
     if radial_oracle.planar and not problems:
-        phi_plus = lift_assignment_radial(radial_phis[0], rctx)
-        d = drawing_from_assignment_radial(phi_plus, rctx)
-        report = star_report_radial(d, rctx)
-        if report.ht_violations:
-            problems.append(f"radial witness has odd independent pair {report.ht_violations[0]}")
-        else:
-            assignment_from_drawing_radial(d, rctx)
+        problems += _round_trip("radial", radial_phis[0], rctx, lift_assignment_radial,
+                                drawing_from_assignment_radial, star_report_radial,
+                                assignment_from_drawing_radial)
 
     problems.extend(check_structural_counts(proper, lctx, rctx))
 
     if level_oracle.planar and not radial_oracle.planar:
         problems.append("level planar instance reported radially non-planar")
-
-    if oracle_on_subdivision and not problems:
-        if brute_level(lctx.pg.graph, budget).planar != level_oracle.planar:
-            problems.append("level oracle disagrees between input and subdivision")
-        if brute_radial(rctx.pg.graph, rctx.plus_refs, budget).planar != radial_oracle.planar:
-            problems.append("radial oracle disagrees between input and subdivision")
 
     return problems, level_oracle.planar, radial_oracle.planar
 

@@ -27,6 +27,7 @@ from .constraints import (
     build_level_reduced,
     build_radial_reduced,
     evaluate,
+    flagged_edges,
     gap_edge_classes,
     pair_numbering,
     triple_numbering,
@@ -103,6 +104,11 @@ def check_drawing_covers(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph)
     return problems
 
 
+# ---------------------------------------------------------------------------
+# Crossing model: one rule per gap and mode, shared by counting, verification,
+# the oracles and rendering
+
+
 @dataclass
 class CrossingReport:
     per_pair: dict[tuple[Edge, Edge], int]
@@ -120,56 +126,49 @@ def _pair_key(e: Edge, f: Edge) -> tuple[Edge, Edge]:
     return (e, f) if e <= f else (f, e)
 
 
-def verify_hanani_tutte(report: CrossingReport, independent_fn=independent) -> list[tuple[Edge, Edge]]:
+def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge, Edge]]:
+    return [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent(*pair)]
+
+
+def verify_hanani_tutte(report: CrossingReport) -> list[tuple[Edge, Edge]]:
     """Independent pairs with odd crossing counts; empty means the drawing passes."""
-    return [pair for pair, c in sorted(report.per_pair.items()) if c % 2 and independent_fn(*pair)]
+    return _odd_independent(report.per_pair)
 
 
-# ---------------------------------------------------------------------------
-# Crossing counting, level
+def _require_hanani_tutte(report: CrossingReport) -> None:
+    if report.ht_violations:
+        pair = report.ht_violations[0]
+        raise NotHananiTutteError(pair, report.count(*pair))
+
+
+def _count_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
+                     aggregate: dict[Edge, Edge] | None) -> CrossingReport:
+    """Per-pair crossing counts over every gap; `gap_pairs(i)` lists gap i's
+    crossing segment pairs, and `aggregate` rolls them up to pre-image edges."""
+    problems = check_drawing_covers(orders, g)
+    if problems:
+        raise ValueError("; ".join(problems))
+    per_pair: dict[tuple[Edge, Edge], int] = {}
+    for i in range(1, g.k):
+        for e, f in gap_pairs(i):
+            if aggregate is not None:
+                e, f = aggregate[e], aggregate[f]
+                if e == f:
+                    continue
+            key = _pair_key(e, f)
+            per_pair[key] = per_pair.get(key, 0) + 1
+    return CrossingReport(per_pair, _odd_independent(per_pair), planar=not per_pair)
+
+
+def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> list[tuple[Edge, Edge]]:
+    """Independent edge pairs whose tails and heads lie in opposite orders."""
+    return [(e, f) for e, f in combinations(edges, 2)
+            if independent(e, f) and (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]])]
 
 
 def gap_crossing_pairs_level(d: LevelDrawing, g: LevelGraph, i: int) -> list[tuple[Edge, Edge]]:
     """Segment pairs that cross between levels i and i+1: independent and inverted."""
-    lo = d.positions(i)
-    hi = d.positions(i + 1)
-    out = []
-    for e, f in combinations(g.gap_edges(i), 2):
-        if not independent(e, f):
-            continue
-        if (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]]):
-            out.append((e, f))
-    return out
-
-
-def _build_report(crossing_pairs, aggregate: dict[Edge, Edge] | None, independent_fn) -> CrossingReport:
-    per_pair: dict[tuple[Edge, Edge], int] = {}
-    for e, f in crossing_pairs:
-        if aggregate is not None:
-            e, f = aggregate[e], aggregate[f]
-            if e == f:
-                continue
-        key = _pair_key(e, f)
-        per_pair[key] = per_pair.get(key, 0) + 1
-    violations = [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent_fn(*pair)]
-    return CrossingReport(per_pair, violations, planar=not per_pair)
-
-
-def count_crossings_level(d: LevelDrawing, g: LevelGraph,
-                          aggregate: dict[Edge, Edge] | None = None,
-                          independent_fn=independent) -> CrossingReport:
-    """Per-pair crossing counts; with `aggregate`, counts roll up to pre-image edges."""
-    problems = check_drawing_covers(d.orders, g)
-    if problems:
-        raise ValueError("; ".join(problems))
-    pairs = []
-    for i in range(1, g.k):
-        pairs.extend(gap_crossing_pairs_level(d, g, i))
-    return _build_report(pairs, aggregate, independent_fn)
-
-
-# ---------------------------------------------------------------------------
-# Crossing counting, radial
+    return _inverted_pairs(g.gap_edges(i), d.positions(i), d.positions(i + 1))
 
 
 def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets, i: int) -> list[tuple[Edge, Edge]]:
@@ -187,12 +186,7 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
             raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
     lo = d.cut_after(i, eps[0])
     hi = d.cut_after(i + 1, eps[1])
-    out = []
-    for e, f in combinations(plain, 2):
-        if not independent(e, f):
-            continue
-        if (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]]):
-            out.append((e, f))
+    out = _inverted_pairs(plain, lo, hi)
     for e in plus_adj:
         for f in minus_adj:
             if d.left_flag[e] == d.left_flag[f]:
@@ -208,16 +202,15 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     return out
 
 
+def count_crossings_level(d: LevelDrawing, g: LevelGraph,
+                          aggregate: dict[Edge, Edge] | None = None) -> CrossingReport:
+    """Per-pair crossing counts; with `aggregate`, counts roll up to pre-image edges."""
+    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i), aggregate)
+
+
 def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets,
-                           aggregate: dict[Edge, Edge] | None = None,
-                           independent_fn=independent) -> CrossingReport:
-    problems = check_drawing_covers(d.cyclic, g)
-    if problems:
-        raise ValueError("; ".join(problems))
-    pairs = []
-    for i in range(1, g.k):
-        pairs.extend(gap_crossing_pairs_radial(d, g, refs, i))
-    return _build_report(pairs, aggregate, independent_fn)
+                           aggregate: dict[Edge, Edge] | None = None) -> CrossingReport:
+    return _count_crossings(d.cyclic, g, lambda i: gap_crossing_pairs_radial(d, g, refs, i), aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +314,7 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
     """
     pg, sf = ctx.pg, ctx.star_form
     psi = induced_pair_assignment(d)
-    report = star_report_level(d, ctx)
-    if report.ht_violations:
-        pair = report.ht_violations[0]
-        raise NotHananiTutteError(pair, report.count(*pair))
+    _require_hanani_tutte(star_report_level(d, ctx))
     star_level = sf.star.level
     phi_plus: Assignment = {}
     for j in range(1, pg.graph.k + 1):
@@ -395,7 +385,7 @@ def drawing_from_assignment_level(phi_plus: Assignment, ctx: LevelContext) -> Le
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
-        pivots = [v for v in vs if v in sf.owner]
+        pivots = pg.star_vertices_on(j)
         assert len(pivots) == 1, f"level {j} of the plain subdivision must hold one stretched vertex"
         pivot = pivots[0]
         left = [v for v in vs if v != pivot and not phi_plus[PairVar(pivot, v)]]
@@ -417,10 +407,8 @@ def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
             others = [v for v in vs if v != a]
             for u, v in permutations(others, 2):
                 out[TripleVar(a, u, v)] = d.clockwise(i, a, u, v)
-    for i in range(1, g.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        for e in plus_adj + minus_adj:
-            out[FlagVar(*e)] = d.left_flag[e]
+    for e in flagged_edges(g, refs):
+        out[FlagVar(*e)] = d.left_flag[e]
     return out
 
 
@@ -501,11 +489,7 @@ def drawing_from_assignment_radial(phi_plus: Assignment, ctx: RadialContext) -> 
                 after = [v for v in vs if v not in (bm, xi) and phi_plus[TripleVar(bm, xi, v)]]
                 before = [v for v in vs if v not in (bm, xi) and not phi_plus[TripleVar(bm, xi, v)]]
                 cyclic[j] = (bm, *before, xi, *after)
-    left_flag: dict[Edge, bool] = {}
-    for j in range(1, pg.graph.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(pg.graph, ctx.plus_refs, j)
-        for seg in plus_adj + minus_adj:
-            left_flag[seg] = phi_plus[FlagVar(*seg)]
+    left_flag = {seg: phi_plus[FlagVar(*seg)] for seg in flagged_edges(pg.graph, ctx.plus_refs)}
     return RadialDrawing(cyclic, left_flag)
 
 
@@ -518,10 +502,7 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     extra phantom crossing at that vertex so that every pair ends up even.
     """
     pg = ctx.pg
-    report = star_report_radial(d, ctx)
-    if report.ht_violations:
-        pair = report.ht_violations[0]
-        raise NotHananiTutteError(pair, report.count(*pair))
+    _require_hanani_tutte(star_report_radial(d, ctx))
     origin_seg = ctx.segment_origin()
     # crossings of each star edge pair, bucketed by the gap's lower level
     by_gap: dict[tuple[Edge, Edge], dict[int, int]] = {}
@@ -552,9 +533,7 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
                 psi = d.clockwise(j, x, y, z)
                 parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
                 phi[TripleVar(x, y, z)] = psi != bool(parity)
-    for j in range(1, pg.graph.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(pg.graph, ctx.plus_refs, j)
-        for seg in plus_adj + minus_adj:
-            phi[FlagVar(*seg)] = d.left_flag[seg]
+    for seg in flagged_edges(pg.graph, ctx.plus_refs):
+        phi[FlagVar(*seg)] = d.left_flag[seg]
     require_satisfying(ctx.plus_system, phi)
     return phi

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .constraints import ReferenceSets, gap_edge_classes
-from .drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
-from .graphs import LevelGraph, require_valid
+from .constraints import ReferenceSets, flagged_edges
+from .drawing import LevelDrawing, RadialDrawing, gap_crossing_pairs_level, gap_crossing_pairs_radial
+from .graphs import Edge, LevelGraph, VertexId, require_valid
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PLANARITY_HT_BUDGET"
@@ -23,7 +23,10 @@ BUDGET_ENV_VAR = "PLANARITY_HT_BUDGET"
 
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    try:
+        return int(raw) if raw else DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 class BudgetExceededError(RuntimeError):
@@ -40,23 +43,43 @@ class OracleResult:
     states_examined: int
 
 
+def _orders(vs: tuple[VertexId, ...], pinned: int):
+    """Every order of vs that keeps its first `pinned` vertices in place."""
+    head, tail = vs[:pinned], vs[pinned:]
+    return (head + rest for rest in permutations(tail))
+
+
+def _enumerate(g: LevelGraph, budget: int | None, pinned: int, flagged: list[Edge],
+               drawing, gap_pairs) -> OracleResult:
+    """Visit every order per level (first `pinned` vertices fixed) and every
+    flag combination; accept the first state with no crossing in any gap.
+
+    The state count is checked against the budget before any order is built.
+    """
+    budget = default_budget() if budget is None else budget
+    levels = [g.on_level(i) for i in range(1, g.k + 1)]
+    needed = 2 ** len(flagged)
+    for vs in levels:
+        needed *= factorial(len(vs) - pinned)
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
+    gaps = range(1, g.k)
+    states = 0
+    for combo in product(*(_orders(vs, pinned) for vs in levels)):
+        orders = dict(enumerate(combo, start=1))
+        for bits in product((False, True), repeat=len(flagged)):
+            states += 1
+            d = drawing(orders, dict(zip(flagged, bits)))
+            if not any(gap_pairs(d, i) for i in gaps):
+                return OracleResult(True, d, states)
+    return OracleResult(False, None, states)
+
+
 def brute_level(g: LevelGraph, budget: int | None = None) -> OracleResult:
     """Try every per-level vertex order; planar iff some combination is crossing-free."""
     require_valid(g, proper=True)
-    budget = default_budget() if budget is None else budget
-    levels = [g.on_level(i) for i in range(1, g.k + 1)]
-    needed = 1
-    for vs in levels:
-        needed *= factorial(len(vs))
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    states = 0
-    for combo in product(*(permutations(vs) for vs in levels)):
-        states += 1
-        d = LevelDrawing({i + 1: order for i, order in enumerate(combo)})
-        if count_crossings_level(d, g).planar:
-            return OracleResult(True, d, states)
-    return OracleResult(False, None, states)
+    return _enumerate(g, budget, 0, [], lambda orders, _: LevelDrawing(orders),
+                      lambda d, i: gap_crossing_pairs_level(d, g, i))
 
 
 def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) -> OracleResult:
@@ -66,25 +89,7 @@ def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) 
     first, which visits every cyclic order exactly once.
     """
     require_valid(g, proper=True)
-    budget = default_budget() if budget is None else budget
-    levels = [g.on_level(i) for i in range(1, g.k + 1)]
-    if any(not vs for vs in levels):
+    if any(not g.on_level(i) for i in range(1, g.k + 1)):
         raise ValueError("radial enumeration needs every level nonempty")
-    flagged = []
-    for i in range(1, g.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        flagged.extend(plus_adj + minus_adj)
-    needed = 2 ** len(flagged)
-    for vs in levels:
-        needed *= factorial(len(vs) - 1)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    states = 0
-    cyclic_choices = [[(vs[0], *rest) for rest in permutations(vs[1:])] for vs in levels]
-    for combo in product(*cyclic_choices):
-        for bits in product((False, True), repeat=len(flagged)):
-            states += 1
-            d = RadialDrawing({i + 1: order for i, order in enumerate(combo)}, dict(zip(flagged, bits)))
-            if count_crossings_radial(d, g, refs).planar:
-                return OracleResult(True, d, states)
-    return OracleResult(False, None, states)
+    return _enumerate(g, budget, 1, flagged_edges(g, refs), RadialDrawing,
+                      lambda d, i: gap_crossing_pairs_radial(d, g, refs, i))

@@ -51,6 +51,24 @@ def _marker(x: float, y: float) -> str:
     )
 
 
+def _render(g: LevelGraph, width: float, height: float, backdrop: list[str], pt, gap_pairs) -> str:
+    """Edges, vertices with labels, and one marker per crossing of `gap_pairs(i)`
+    over the backdrop, with vertex v drawn at pt(v)."""
+    body = list(backdrop)
+    for u, v in sorted(g.edges):
+        (x1, y1), (x2, y2) = pt(u), pt(v)
+        body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>')
+    for v in g.vertices():
+        x, y = pt(v)
+        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{VERTEX_R}" fill="black"/>')
+        body.append(f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{escape(v)}</text>')
+    for i in range(1, g.k):
+        for e, f in gap_pairs(i):
+            x, y = _seg_intersection(pt(e[0]), pt(e[1]), pt(f[0]), pt(f[1]))
+            body.append(_marker(x, y))
+    return _svg(width, height, body)
+
+
 def render_level_svg(g: LevelGraph, d: LevelDrawing) -> str:
     width = LEVEL_STEP * (max((len(o) for o in d.orders.values()), default=1) + 1)
     height = LEVEL_STEP * (g.k + 1)
@@ -60,22 +78,9 @@ def render_level_svg(g: LevelGraph, d: LevelDrawing) -> str:
         pos = d.orders[i].index(v)
         return (LEVEL_STEP * (pos + 1), LEVEL_STEP * (g.k - i + 1))
 
-    body = []
-    for i in range(1, g.k + 1):
-        y = LEVEL_STEP * (g.k - i + 1)
-        body.append(f'<line class="level" x1="0" y1="{y}" x2="{width}" y2="{y}" stroke="#ccc"/>')
-    for u, v in sorted(g.edges):
-        (x1, y1), (x2, y2) = pt(u), pt(v)
-        body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>')
-    for v in g.vertices():
-        x, y = pt(v)
-        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{VERTEX_R}" fill="black"/>')
-        body.append(f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{escape(v)}</text>')
-    for i in range(1, g.k):
-        for e, f in gap_crossing_pairs_level(d, g, i):
-            x, y = _seg_intersection(pt(e[0]), pt(e[1]), pt(f[0]), pt(f[1]))
-            body.append(_marker(x, y))
-    return _svg(width, height, body)
+    lines = [f'<line class="level" x1="0" y1="{y}" x2="{width}" y2="{y}" stroke="#ccc"/>'
+             for y in range(LEVEL_STEP * g.k, 0, -LEVEL_STEP)]
+    return _render(g, width, height, lines, pt, lambda i: gap_crossing_pairs_level(d, g, i))
 
 
 def render_radial_svg(g: LevelGraph, d: RadialDrawing, refs: ReferenceSets) -> str:
@@ -88,21 +93,9 @@ def render_radial_svg(g: LevelGraph, d: RadialDrawing, refs: ReferenceSets) -> s
         theta = 2 * math.pi * order.index(v) / len(order)
         return (c + RADIAL_STEP * i * math.cos(theta), c + RADIAL_STEP * i * math.sin(theta))
 
-    body = []
-    for i in range(1, g.k + 1):
-        body.append(f'<circle class="level" cx="{c}" cy="{c}" r="{RADIAL_STEP * i}" fill="none" stroke="#ccc"/>')
-    for u, v in sorted(g.edges):
-        (x1, y1), (x2, y2) = pt(u), pt(v)
-        body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>')
-    for v in g.vertices():
-        x, y = pt(v)
-        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{VERTEX_R}" fill="black"/>')
-        body.append(f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{escape(v)}</text>')
-    for i in range(1, g.k):
-        for e, f in gap_crossing_pairs_radial(d, g, refs, i):
-            x, y = _seg_intersection(pt(e[0]), pt(e[1]), pt(f[0]), pt(f[1]))
-            body.append(_marker(x, y))
-    return _svg(size, size, body)
+    circles = [f'<circle class="level" cx="{c}" cy="{c}" r="{RADIAL_STEP * i}" fill="none" stroke="#ccc"/>'
+               for i in range(1, g.k + 1)]
+    return _render(g, size, size, circles, pt, lambda i: gap_crossing_pairs_radial(d, g, refs, i))
 
 
 def count_markers(svg: str) -> int:

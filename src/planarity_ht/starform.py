@@ -153,9 +153,6 @@ class PlusGraph:
     origin: dict[VertexId, VertexId]
     edge_of: dict[VertexId, Edge]  # subdivision vertex -> subdivided star edge
 
-    def path(self, star_edge: Edge) -> tuple[VertexId, ...]:
-        return self.prov.paths[star_edge]
-
     def point_at(self, star_edge: Edge, lv: int) -> VertexId:
         return self.prov.point_at(star_edge, lv, self.graph.level)
 
@@ -180,18 +177,6 @@ def build_plus(sf: StarForm) -> PlusGraph:
             # stretch edge subdivision point
             origin[w] = sf.owner[star_edge[0]]
     return PlusGraph(sf, plus, prov, origin, edge_of)
-
-
-def path_segment(pg: PlusGraph, star_edge: Edge, lo: int, hi: int) -> tuple[VertexId, ...]:
-    """Contiguous subpath of a subdivided star edge between two sublevels."""
-    if lo > hi:
-        raise ValueError(f"empty window {lo}..{hi}")
-    path = pg.path(star_edge)
-    level = pg.graph.level
-    first, last = level[path[0]], level[path[-1]]
-    if lo < first or hi > last:
-        raise ValueError(f"edge {star_edge} does not cross levels {lo}..{hi}")
-    return path[lo - first : hi - first + 1]
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,16 @@ def test_oracle_budget_env_var(k22_file, monkeypatch):
     assert main(["oracle", "level", k22_file]) == 1
 
 
+def test_malformed_budget_env_var_fails_only_the_enumerations(k22_file, monkeypatch, capsys):
+    monkeypatch.setenv("PLANARITY_HT_BUDGET", "abc")
+    assert main(["check", "radial", k22_file]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "level", k22_file]) == 2
+    assert "PLANARITY_HT_BUDGET" in capsys.readouterr().err
+    assert main(["crosscheck", "--max-size", "2,2"]) == 2
+    assert "PLANARITY_HT_BUDGET" in capsys.readouterr().err
+
+
 def test_check_radial_empty_level_exit_2(tmp_path):
     doc = {"levels": 2, "vertices": [{"id": "a", "level": 1}], "edges": []}
     p = tmp_path / "gap.json"

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from planarity_ht.constraints import choose_reference_sets, reference_set_variants
+import planarity_ht
+from planarity_ht.constraints import choose_reference_sets, gap_edge_classes, reference_set_variants
 from planarity_ht.corpus import exhaustive_proper_graphs
-from planarity_ht.drawing import count_crossings_level, count_crossings_radial
+from planarity_ht.drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.oracle import BudgetExceededError, brute_level, brute_radial
 from tests.conftest import make_path
@@ -100,3 +107,69 @@ def test_long_path_planar_both_modes():
     assert brute_level(g).planar
     refs, aug = choose_reference_sets(g)
     assert brute_radial(aug, refs).planar
+
+
+def _reference_level(g):
+    """Every combination of linear orders, each judged by its full crossing report."""
+    states = 0
+    for combo in product(*(permutations(g.on_level(i)) for i in range(1, g.k + 1))):
+        states += 1
+        d = LevelDrawing({i + 1: order for i, order in enumerate(combo)})
+        if count_crossings_level(d, g).planar:
+            return True, d, states
+    return False, None, states
+
+
+def _reference_radial(g, refs):
+    """Every cyclic order (smallest vertex first) and flag combination, judged the same way."""
+    flagged = []
+    for i in range(1, g.k):
+        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+        flagged.extend(plus_adj + minus_adj)
+    levels = [g.on_level(i) for i in range(1, g.k + 1)]
+    cyclic = [[(vs[0], *rest) for rest in permutations(vs[1:])] for vs in levels]
+    states = 0
+    for combo in product(*cyclic):
+        for bits in product((False, True), repeat=len(flagged)):
+            states += 1
+            d = RadialDrawing({i + 1: order for i, order in enumerate(combo)}, dict(zip(flagged, bits)))
+            if count_crossings_radial(d, g, refs).planar:
+                return True, d, states
+    return False, None, states
+
+
+def test_oracles_match_a_plain_enumeration():
+    for g in exhaustive_proper_graphs(2, 3, cap=60):
+        result = brute_level(g)
+        assert (result.planar, result.witness, result.states_examined) == _reference_level(g)
+        refs, aug = choose_reference_sets(g)
+        result = brute_radial(aug, refs)
+        assert (result.planar, result.witness, result.states_examined) == _reference_radial(aug, refs)
+
+
+def test_budget_is_checked_before_any_order_is_built():
+    # one level of 13 vertices has 13! linear and 12! cyclic orders; listing
+    # them would take tens of GB, so the check runs in a child process capped
+    # at 1 GiB of address space and 20 s
+    script = """
+from planarity_ht.constraints import choose_reference_sets
+from planarity_ht.graphs import LevelGraph
+from planarity_ht.oracle import BudgetExceededError, brute_level, brute_radial
+g = LevelGraph(1, {f"v{j:02}": 1 for j in range(13)}, ())
+refs, aug = choose_reference_sets(g)
+for run in (lambda: brute_level(g, budget=1000), lambda: brute_radial(aug, refs, budget=1000)):
+    try:
+        run()
+    except BudgetExceededError as exc:
+        print(exc)
+"""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(planarity_ht.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=20, preexec_fn=cap_memory)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("enumeration needs 6227020800 states, budget is 1000\n"
+                           "enumeration needs 479001600 states, budget is 1000\n")

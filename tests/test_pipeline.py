@@ -206,8 +206,11 @@ def test_input_and_subdivision_oracles_agree_sample():
     # the stretch and subdivide transformations preserve both planarity notions
     count = 0
     for g in exhaustive_proper_graphs(2, 2, cap=40):
-        problems, _, _ = crosscheck_instance(g, oracle_on_subdivision=True)
-        assert problems == []
+        assert crosscheck_instance(g)[0] == []
+        level, radial = stage_context(g, "level"), stage_context(g, "radial")
+        assert brute_level(level.pg.graph).planar == brute_level(level.base).planar
+        assert (brute_radial(radial.pg.graph, radial.plus_refs).planar
+                == brute_radial(radial.base, radial.refs).planar)
         count += 1
     assert count > 10
 

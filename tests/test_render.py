@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 from planarity_ht.constraints import choose_reference_sets
-from planarity_ht.drawing import LevelDrawing
+from planarity_ht.corpus import random_level_drawing, random_proper_graph, random_radial_drawing
+from planarity_ht.drawing import LevelDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.render import count_markers, render_level_svg, render_radial_svg
 from tests.conftest import make_path
@@ -47,3 +50,20 @@ def test_fixed_coordinates():
     # level 1 sits at y = 60 * k, first position at x = 60
     assert 'cx="60.0" cy="120.0"' in svg
     assert 'cx="60.0" cy="60.0"' in svg
+
+
+def test_every_crossing_of_a_random_drawing_is_marked():
+    rng = random.Random(29)
+    crossings = {"level": 0, "radial": 0}
+    for _ in range(60):
+        g = random_proper_graph(rng, 4, 4, edge_density=0.6)
+        d = random_level_drawing(rng, g)
+        total = count_crossings_level(d, g).total()
+        assert count_markers(render_level_svg(g, d)) == total
+        crossings["level"] += total
+        refs, aug = choose_reference_sets(g)
+        d = random_radial_drawing(rng, aug, refs)
+        total = count_crossings_radial(d, aug, refs).total()
+        assert count_markers(render_radial_svg(aug, d, refs)) == total
+        crossings["radial"] += total
+    assert min(crossings.values()) > 0

@@ -12,7 +12,6 @@ from planarity_ht.starform import (
     build_plus,
     build_star_level,
     build_star_radial,
-    path_segment,
 )
 from tests.conftest import make_path
 
@@ -111,18 +110,6 @@ def test_k22_origin_map_hand_checked(k22):
         "b1~top~b2~bot~5": "b2",
     }
     assert pg.origin == expected
-
-
-def test_path_segment_single_level_and_full_span(k22):
-    sf = build_star_level(k22)
-    pg = build_plus(sf)
-    img = sf.star_edge[("a1", "b2")]
-    path = pg.path(img)
-    assert path_segment(pg, img, 4, 4) == (pg.point_at(img, 4),)
-    assert path_segment(pg, img, 3, 6) == path
-    assert path_segment(pg, img, 4, 5) == path[1:3]
-    with pytest.raises(ValueError):
-        path_segment(pg, img, 2, 4)
 
 
 def test_every_stretch_edge_crosses_its_middle_sublevel():
