@@ -12,6 +12,7 @@ import random
 import sys
 
 from . import corpus, iofmt, pipeline, render
+from .constraints import count_transitivity
 from .crosscheck import run_crosscheck
 from .drawing import LevelDrawing, RadialDrawing, check_drawing_covers
 from .graphs import InvalidGraphError, LevelGraph, require_valid
@@ -49,11 +50,11 @@ def cmd_check(args) -> int:
         "system": "full" if args.full else "reduced",
     }
     if args.full:
-        full_system = pipeline.system_for_stage(g, args.mode, "G", full=True)
-        payload["equations"] = len(full_system.rows)
-        payload["transitivity_clauses"] = len(full_system.transitivity)
+        # the full system's rows are the reduced ones; only its clauses are extra
+        ctx = pipeline.stage_context(g, args.mode)
+        payload["transitivity_clauses"] = count_transitivity(ctx.base, ctx.refs if args.mode == "radial" else None)
     verdict = "planar" if result.planar else "not planar"
-    text = f"{args.mode}: {verdict} ({result.variables} variables, {payload['equations']} equations)"
+    text = f"{args.mode}: {verdict} ({result.variables} variables, {result.equations} equations)"
     if result.witness is not None:
         out = args.witness
         with open(out, "w", encoding="utf-8") as fh:

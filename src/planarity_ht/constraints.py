@@ -196,6 +196,17 @@ def build_level_full(g: LevelGraph) -> ConstraintSystem:
     return ConstraintSystem(reduced.variables, reduced.rows, trans, "level-full")
 
 
+def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
+    """The number of transitivity clauses of g's full level system, or with
+    `refs` of its full radial system, without building either: one clause per
+    ordered triple of a level's vertices, or per anchor of a level and
+    ordered triple of the level's other vertices."""
+    if refs is None:
+        return sum(w * (w - 1) * (w - 2) for w in map(len, g.by_level.values()))
+    return sum(len(refs.anchors(i)) * (len(vs) - 1) * (len(vs) - 2) * (len(vs) - 3)
+               for i, vs in g.by_level.items())
+
+
 # ---------------------------------------------------------------------------
 # Reference sets
 

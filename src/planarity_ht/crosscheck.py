@@ -21,6 +21,7 @@ from .drawing import (
     lift_assignment_radial,
     make_level_context,
     make_radial_context,
+    require_satisfying,
     star_report_level,
     star_report_radial,
 )
@@ -62,9 +63,12 @@ def check_structural_counts(g: LevelGraph, level_ctx, radial_ctx) -> list[str]:
 
 
 def _round_trip(mode: str, phi, ctx, lift, realize, report_fn, back) -> list[str]:
-    """Lift and realize a solution, verify the drawing, and extract a satisfying
-    assignment from it again; `back` raises if that fails."""
-    d = realize(lift(phi, ctx), ctx)
+    """Lift a solution and check the lift against the subdivision's reduced
+    system, realize and verify the drawing, and extract a satisfying
+    assignment from it again; the checks and `back` raise if they fail."""
+    lifted = lift(phi, ctx)
+    require_satisfying(ctx.plus_system, lifted)
+    d = realize(lifted, ctx)
     report = report_fn(d, ctx)
     if report.ht_violations:
         return [f"{mode} witness has odd independent pair {report.ht_violations[0]}"]

@@ -13,12 +13,14 @@ directions and in both the level and the radial setting.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 
 from .constraints import (
     Assignment,
+    BoolVar,
     ConstraintSystem,
     FlagVar,
     PairVar,
@@ -161,9 +163,14 @@ def _count_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap
 
 
 def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> list[tuple[Edge, Edge]]:
-    """Independent edge pairs whose tails and heads lie in opposite orders."""
+    """Independent edge pairs whose tails and heads lie in opposite orders.
+
+    All edges lie in one gap, so two of them are independent exactly when
+    their tails differ and their heads differ; the crossing rules below use
+    the same test.
+    """
     return [(e, f) for e, f in combinations(edges, 2)
-            if independent(e, f) and (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]])]
+            if e[0] != f[0] and e[1] != f[1] and (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]])]
 
 
 def gap_crossing_pairs_level(d: LevelDrawing, g: LevelGraph, i: int) -> list[tuple[Edge, Edge]]:
@@ -180,10 +187,17 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     reference-adjacent edge crosses a plain edge when its flag disagrees with
     the plain edge's position relative to the adjacent edge's free endpoint.
     """
-    eps, plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+    classes = _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
     for e in plus_adj + minus_adj:
         if e not in d.left_flag:
             raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
+    return _gap_crossing_pairs_radial(d, i, classes)
+
+
+def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes) -> list[tuple[Edge, Edge]]:
+    """`gap_crossing_pairs_radial` on gap i's `gap_edge_classes`, for a drawing
+    that flags every reference-adjacent edge."""
+    eps, plain, plus_adj, minus_adj = classes
     lo = d.cut_after(i, eps[0])
     hi = d.cut_after(i + 1, eps[1])
     out = _inverted_pairs(plain, lo, hi)
@@ -193,11 +207,11 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
                 out.append((e, f))
     for e in plus_adj:
         for f in plain:
-            if independent(e, f) and d.left_flag[e] != (hi[f[1]] < hi[e[1]]):
+            if e[0] != f[0] and e[1] != f[1] and d.left_flag[e] != (hi[f[1]] < hi[e[1]]):
                 out.append((e, f))
     for e in minus_adj:
         for f in plain:
-            if independent(e, f) and d.left_flag[e] != (lo[f[0]] < lo[e[0]]):
+            if e[0] != f[0] and e[1] != f[1] and d.left_flag[e] != (lo[f[0]] < lo[e[0]]):
                 out.append((e, f))
     return out
 
@@ -266,6 +280,11 @@ class RadialContext(LevelContext):
         if problems:
             raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
         return plus_refs
+
+    @cached_property
+    def plus_flagged(self) -> tuple[Edge, ...]:
+        """The subdivision's edges that carry a left flag, in `flagged_edges` order."""
+        return tuple(flagged_edges(self.pg.graph, self.plus_refs))
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -345,7 +364,30 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
     return phi_plus, phi
 
 
-def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> Assignment:
+class LiftedAssignment(Mapping):
+    """A satisfying assignment of the subdivision G+, computed bit by bit.
+
+    `bit(var)` derives one variable's value from the input's solution and
+    raises KeyError for anything that is no variable of G+'s systems.  The
+    keys are `ctx.plus_system.variables`, so only a caller that iterates the
+    mapping or takes its length builds G+'s reduced system.
+    """
+
+    def __init__(self, ctx: LevelContext, bit: Callable[[BoolVar], bool]):
+        self._ctx = ctx
+        self._bit = bit
+
+    def __getitem__(self, var: BoolVar) -> bool:
+        return self._bit(var)
+
+    def __iter__(self) -> Iterator[BoolVar]:
+        return iter(self._ctx.plus_system.variables)
+
+    def __len__(self) -> int:
+        return len(self._ctx.plus_system.variables)
+
+
+def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> LiftedAssignment:
     """Extend a satisfying assignment of the input graph to its subdivision.
 
     Vertices inherit the order of their origins; two subdivision points of
@@ -357,40 +399,36 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> Assignment:
     bits = [phi[v] for v in ctx.system.variables]
     number = pair_numbering(ctx.base)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    origin, edge_of = pg.origin, pg.edge_of
-    plus_bits = []
-    for var in ctx.plus_system.variables:
+    level, origin, edge_of = pg.graph.level, pg.origin, pg.edge_of
+
+    def bit(var: BoolVar) -> bool:
+        if type(var) is not PairVar or var.u == var.w or level.get(var.u, 0) != level.get(var.w):
+            raise KeyError(var)
         x, y = var.u, var.w
         a, b = origin[x], origin[y]
         if a != b:
-            plus_bits.append(bits[number(a, b)])
-            continue
+            return bits[number(a, b)]
         e1 = rev_star.get(edge_of.get(x, ("", "")))
         e2 = rev_star.get(edge_of.get(y, ("", "")))
         assert e1 is not None and e2 is not None, "origin collision off the star edges"
         if e1[0] == e2[0]:
-            plus_bits.append(bits[number(e1[1], e2[1])])
-        else:
-            assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
-            plus_bits.append(bits[number(e1[0], e2[0])])
-    phi_plus = dict(zip(ctx.plus_system.variables, plus_bits))
-    require_satisfying(ctx.plus_system, phi_plus)
-    return phi_plus
+            return bits[number(e1[1], e2[1])]
+        assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
+        return bits[number(e1[0], e2[0])]
+
+    return LiftedAssignment(ctx, bit)
 
 
-def drawing_from_assignment_level(phi_plus: Assignment, ctx: LevelContext) -> LevelDrawing:
+def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
-    pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(ctx.plus_system, phi_plus)
+    pg = ctx.pg
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
         pivots = pg.star_vertices_on(j)
         assert len(pivots) == 1, f"level {j} of the plain subdivision must hold one stretched vertex"
         pivot = pivots[0]
-        left = [v for v in vs if v != pivot and not phi_plus[PairVar(pivot, v)]]
-        right = [v for v in vs if v != pivot and phi_plus[PairVar(pivot, v)]]
-        orders[j] = (*left, pivot, *right)
+        right = {v: phi_plus[PairVar(pivot, v)] for v in pg.graph.on_level(j) if v != pivot}
+        orders[j] = (*(v for v, r in right.items() if not r), pivot, *(v for v, r in right.items() if r))
     return LevelDrawing(orders)
 
 
@@ -437,59 +475,63 @@ def _psi_gap_order(phi: Assignment, refs: ReferenceSets, i: int, e: Edge, f: Edg
     return vals[0]
 
 
-def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> Assignment:
+def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> LiftedAssignment:
     """Extend a satisfying radial assignment of the input to its subdivision."""
     pg, sf = ctx.pg, ctx.star_form
     require_satisfying(ctx.system, phi)
     bits = [phi[v] for v in ctx.system.variables]
     number, flag = triple_numbering(ctx.base, ctx.refs)
     rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    origin, edge_of = pg.origin, pg.edge_of
-    plus_bits = []
-    for var in ctx.plus_system.variables:
+    level, origin, edge_of = pg.graph.level, pg.origin, pg.edge_of
+    flag_bits = {seg: bits[flag[origin[seg[0]], origin[seg[1]]]] for seg in ctx.plus_flagged}
+    anchors = ctx.plus_refs.anchors
+
+    def bit(var: BoolVar) -> bool:
         if type(var) is FlagVar:
-            plus_bits.append(bits[flag[origin[var.tail], origin[var.head]]])
-            continue
+            return flag_bits[var.edge]
+        if type(var) is not TripleVar:
+            raise KeyError(var)
+        j = level.get(var.anchor)
+        if (j is None or var.anchor not in anchors(j) or level.get(var.u) != j or level.get(var.v) != j
+                or len({var.anchor, var.u, var.v}) != 3):
+            raise KeyError(var)
         ox, oy, oz = origin[var.anchor], origin[var.u], origin[var.v]
         if len({ox, oy, oz}) == 3:
-            plus_bits.append(bits[number(ox, oy, oz)])
-        else:
-            assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
-            e = rev_star[edge_of[var.u]]
-            f = rev_star[edge_of[var.v]]
-            plus_bits.append(_psi_gap_order(phi, ctx.refs, ctx.base.level[e[0]], e, f))
-    phi_plus = dict(zip(ctx.plus_system.variables, plus_bits))
-    require_satisfying(ctx.plus_system, phi_plus)
-    return phi_plus
+            return bits[number(ox, oy, oz)]
+        assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
+        e = rev_star[edge_of[var.u]]
+        f = rev_star[edge_of[var.v]]
+        return _psi_gap_order(phi, ctx.refs, ctx.base.level[e[0]], e, f)
+
+    return LiftedAssignment(ctx, bit)
 
 
-def drawing_from_assignment_radial(phi_plus: Assignment, ctx: RadialContext) -> RadialDrawing:
+def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: RadialContext) -> RadialDrawing:
     """Realize a satisfying assignment of the subdivision as a radial drawing.
 
     On a split middle level the two anchors frame the circle and every other
     vertex picks its arc; elsewhere the lone stretched vertex is placed
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
-    pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(ctx.plus_system, phi_plus)
+    pg = ctx.pg
     cyclic: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
         bm, bp = ctx.plus_refs.alpha_minus[j], ctx.plus_refs.alpha_plus[j]
         if bm != bp:
-            between = [v for v in vs if v not in (bm, bp) and phi_plus[TripleVar(bm, v, bp)]]
-            outside = [v for v in vs if v not in (bm, bp) and not phi_plus[TripleVar(bm, v, bp)]]
-            cyclic[j] = (bm, *between, bp, *outside)
+            between = {v: phi_plus[TripleVar(bm, v, bp)] for v in vs if v not in (bm, bp)}
+            cyclic[j] = (bm, *(v for v, t in between.items() if t), bp,
+                         *(v for v, t in between.items() if not t))
         else:
             stars = pg.star_vertices_on(j)
             xi = stars[0] if stars else None
             if xi is None or xi == bm:
                 cyclic[j] = tuple(vs)
             else:
-                after = [v for v in vs if v not in (bm, xi) and phi_plus[TripleVar(bm, xi, v)]]
-                before = [v for v in vs if v not in (bm, xi) and not phi_plus[TripleVar(bm, xi, v)]]
-                cyclic[j] = (bm, *before, xi, *after)
-    left_flag = {seg: phi_plus[FlagVar(*seg)] for seg in flagged_edges(pg.graph, ctx.plus_refs)}
+                after = {v: phi_plus[TripleVar(bm, xi, v)] for v in vs if v not in (bm, xi)}
+                cyclic[j] = (bm, *(v for v, t in after.items() if not t), xi,
+                             *(v for v, t in after.items() if t))
+    left_flag = {seg: phi_plus[FlagVar(*seg)] for seg in ctx.plus_flagged}
     return RadialDrawing(cyclic, left_flag)
 
 
@@ -533,7 +575,7 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
                 psi = d.clockwise(j, x, y, z)
                 parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
                 phi[TripleVar(x, y, z)] = psi != bool(parity)
-    for seg in flagged_edges(pg.graph, ctx.plus_refs):
+    for seg in ctx.plus_flagged:
         phi[FlagVar(*seg)] = d.left_flag[seg]
     require_satisfying(ctx.plus_system, phi)
     return phi

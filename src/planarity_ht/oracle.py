@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .constraints import ReferenceSets, flagged_edges
-from .drawing import LevelDrawing, RadialDrawing, gap_crossing_pairs_level, gap_crossing_pairs_radial
+from .constraints import ReferenceSets, flagged_edges, gap_edge_classes
+from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, gap_crossing_pairs_level
 from .graphs import Edge, LevelGraph, VertexId, require_valid
 
 DEFAULT_BUDGET = 10_000_000
@@ -91,5 +91,6 @@ def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) 
     require_valid(g, proper=True)
     if any(not g.on_level(i) for i in range(1, g.k + 1)):
         raise ValueError("radial enumeration needs every level nonempty")
+    classes = {i: gap_edge_classes(g, refs, i) for i in range(1, g.k)}
     return _enumerate(g, budget, 1, flagged_edges(g, refs), RadialDrawing,
-                      lambda d, i: gap_crossing_pairs_radial(d, g, refs, i))
+                      lambda d, i: _gap_crossing_pairs_radial(d, i, classes[i]))

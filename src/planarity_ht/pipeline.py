@@ -3,7 +3,8 @@
 A check properizes the input, assembles the reduced constraint system of the
 properized graph G, and solves it over GF(2); its satisfiability is the
 answer.  Only when a witness is wanted is the star form and its proper
-subdivision G+ built: the solution is lifted to G+ and realized as a drawing
+subdivision G+ built: the solution is lifted to G+, each bit computed as the
+drawing reads it, without G+'s constraint system, and realized as a drawing
 whose smoothed form passes the even-crossings verification; that drawing is
 the returned witness.
 """

@@ -37,6 +37,7 @@ from planarity_ht.drawing import (
     lift_assignment_radial,
     make_level_context,
     make_radial_context,
+    require_satisfying,
     star_report_level,
     star_report_radial,
 )
@@ -140,6 +141,23 @@ def test_criterion_3_hanani_tutte_synthesis(corpus, level_results, radial_result
         f"{level_built} level and {radial_built} radial drawings built, "
         f"{violations} verification failures, {time.time() - t0:.1f}s",
     )
+
+
+def test_lift_satisfies_the_subdivision_system_on_the_corpus(corpus, level_results, radial_results):
+    # the lifting lemma: a solution of G's reduced system lifts to one of
+    # G+'s; the witness path reads the lift without building G+'s system
+    level_lifted = radial_lifted = 0
+    for g, (level_sat, _), (_, radial_planar, _) in zip(corpus, level_results[0], radial_results[0]):
+        if level_sat:
+            ctx = make_level_context(g)
+            require_satisfying(ctx.plus_system, lift_assignment_level(solve_reduced(ctx.system), ctx))
+            level_lifted += 1
+        if radial_planar:
+            refs, aug = reference_set_variants(g)[0]
+            ctx = make_radial_context(aug, refs)
+            require_satisfying(ctx.plus_system, lift_assignment_radial(solve_reduced(ctx.system), ctx))
+            radial_lifted += 1
+    assert level_lifted > 0 and radial_lifted > 0
 
 
 def test_criterion_4_crossing_parity_limits():

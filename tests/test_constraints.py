@@ -19,6 +19,7 @@ from planarity_ht.constraints import (
     build_radial_full,
     build_radial_reduced,
     choose_reference_sets,
+    count_transitivity,
     evaluate,
     gap_edge_classes,
     pair_numbering,
@@ -341,3 +342,12 @@ def test_numbering_matches_the_variable_order(g):
     expect = _radial_equations(aug, refs)
     assert s.xors == expect
     assert s.rows == [(tuple(map(number, eq.vars)), eq.parity) for eq in expect]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_transitivity_count_matches_the_full_builds(seed, density):
+    g = random_proper_graph(random.Random(seed), max_levels=4, max_width=5, edge_density=density)
+    assert count_transitivity(g) == len(build_level_full(g).transitivity)
+    refs, aug = choose_reference_sets(g)
+    assert count_transitivity(aug, refs) == len(build_radial_full(aug, refs).transitivity)

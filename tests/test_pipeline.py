@@ -123,13 +123,19 @@ def _witness_cases(k22) -> list[tuple]:
     return [(check_level, path, "level"), (check_radial, path, "radial"), (check_radial, k22, "radial")]
 
 
-def test_witness_check_builds_the_subdivision_system_once(monkeypatch, k22):
-    cases = [(check, g, stage_context(g, mode).pg.graph) for check, g, mode in _witness_cases(k22)]
-    builds = _record_builds(monkeypatch)
-    for check, g, plus in cases:
+def test_witness_check_builds_one_system(monkeypatch):
+    # the lift answers G+'s bits from G's solution: G+ is built, its system is not
+    builds: list[LevelGraph] = []
+    for name in ("build_level_reduced", "build_radial_reduced"):
+        def record(g, *refs, _build=getattr(drawing, name)):
+            builds.append(g)
+            return _build(g, *refs)
+        monkeypatch.setattr(drawing, name, record)
+    g = _staircase(4, 3)
+    for check, mode in ((check_level, "level"), (check_radial, "radial")):
         builds.clear()
         assert check(g, witness=True).witness is not None
-        assert sum(b[0] == plus for b in builds) == 1
+        assert builds == [stage_context(g, mode).base]
 
 
 def test_witness_check_builds_the_input_system_once(monkeypatch, k22):
@@ -139,7 +145,7 @@ def test_witness_check_builds_the_input_system_once(monkeypatch, k22):
         builds.clear()
         assert check(g, witness=True).witness is not None
         assert sum(b[0] == base for b in builds) == 1
-        assert len(builds) == 2
+        assert len(builds) == 1
 
 
 def _staircase(k: int, w: int) -> LevelGraph:
@@ -158,6 +164,49 @@ def test_witness_check_builds_no_equation_objects(monkeypatch):
     g = _staircase(4, 3)
     assert check_level(g, witness=True).witness is not None
     assert check_radial(g, witness=True).witness is not None
+
+
+def _level_pivot_bit(ctx) -> constraints.PairVar:
+    """The bit of the first subdivision level that places a vertex against its pivot."""
+    pg = ctx.pg
+    j = next(j for j in range(1, pg.graph.k + 1) if len(pg.graph.on_level(j)) > 1)
+    pivot = pg.star_vertices_on(j)[0]
+    return constraints.PairVar(pivot, next(v for v in pg.graph.on_level(j) if v != pivot))
+
+
+def _radial_pivot_bit(ctx) -> constraints.TripleVar:
+    """The bit of the first subdivision level with one anchor that places a
+    vertex against the level's lone stretched vertex."""
+    pg, refs = ctx.pg, ctx.plus_refs
+    for j in range(1, pg.graph.k + 1):
+        anchor, stars = refs.alpha_minus[j], pg.star_vertices_on(j)
+        if anchor == refs.alpha_plus[j] and stars and stars[0] != anchor:
+            others = [v for v in pg.graph.on_level(j) if v not in (anchor, stars[0])]
+            if others:
+                return constraints.TripleVar(anchor, stars[0], others[0])
+    raise AssertionError("no level places a vertex against a lone stretched vertex")
+
+
+@pytest.mark.parametrize("check, g, lift, pivot_bit", [
+    (check_level, LevelGraph(2, {"a": 1, "c": 1, "b": 2, "d": 2}, (("a", "b"), ("c", "d"))),
+     "lift_assignment_level", _level_pivot_bit),
+    (check_radial, _staircase(3, 3), "lift_assignment_radial", _radial_pivot_bit),
+])
+def test_verification_rejects_a_lift_with_one_pivot_bit_flipped(monkeypatch, check, g, lift, pivot_bit):
+    # the witness path does not check the lift against G+'s system, so the
+    # even-crossings verification of the drawing is what catches a broken lift
+    real = getattr(pipeline, lift)
+
+    def broken(phi, ctx):
+        lifted = dict(real(phi, ctx))
+        var = pivot_bit(ctx)
+        lifted[var] = not lifted[var]
+        return lifted
+
+    assert check(g, witness=True).witness_report.ht_violations == []
+    monkeypatch.setattr(pipeline, lift, broken)
+    with pytest.raises(AssertionError, match="witness drawing failed verification"):
+        check(g, witness=True)
 
 
 def _graph_file(tmp_path, g: LevelGraph) -> str:
