@@ -29,7 +29,6 @@ from .drawing import (
     lift_assignment_radial,
     make_level_context,
     make_radial_context,
-    verify_hanani_tutte,
 )
 from .graphs import CriticalPair, LevelGraph, Limits, critical_pairs, limits, properize, validate
 from .oracle import OracleResult, brute_level, brute_radial

@@ -8,8 +8,9 @@ equations, which is what gets solved, and a full flavour that adds the
 transitivity clauses on top.
 
 Each mode numbers its variables once (`pair_numbering`, `triple_numbering`);
-the builders emit their equations as integer rows over that numbering, and
-the variable objects serve only to print equations and name violations.
+the builders emit their equations as integer rows and their clauses as
+integer tuples over that numbering, and the variable objects serve only to
+print equations and clauses and to name violations.
 """
 
 from __future__ import annotations
@@ -90,57 +91,64 @@ Assignment = dict[BoolVar, bool]
 
 
 Row = tuple[tuple[int, ...], int]
+Clause = tuple[int, int, int, bool]
 
 
 @dataclass
 class ConstraintSystem:
-    """Variables, XOR rows and transitivity clauses.  A row (variable
-    indices, parity) states that the indexed variables sum to the parity."""
+    """Variables, XOR rows and transitivity clauses, over variable indices,
+    checked here once.  A row (indices, parity) states that the indexed
+    variables sum to the parity; a clause (a, b, head, negated) that a and b
+    together force the head, or its negation when negated."""
 
     variables: tuple[BoolVar, ...]
     rows: list[Row]
-    transitivity: list[TransitivityClause]
+    clauses: list[Clause]
     meta: str
 
     def __post_init__(self) -> None:
         n = len(self.variables)
-        for idx, _ in self.rows:
+        for idx, parity in self.rows:
             if idx and (min(idx) < 0 or max(idx) >= n):
                 raise ValueError(f"row {idx} references an undeclared variable index, {n} declared")
-        for cl in self.transitivity:
-            for v in (cl.a, cl.b, cl.head):
-                if v not in self.index:
-                    raise ValueError(f"clause references undeclared variable {v}")
-
-    @cached_property
-    def index(self) -> dict[BoolVar, int]:
-        return {v: i for i, v in enumerate(self.variables)}
+            if parity not in (0, 1):
+                raise ValueError(f"row {idx} has parity {parity!r}, not 0 or 1")
+        for cl in self.clauses:
+            if min(cl[:3]) < 0 or max(cl[:3]) >= n:
+                raise ValueError(f"clause {cl} references an undeclared variable index, {n} declared")
 
     @cached_property
     def xors(self) -> list[XorEquation]:
         """The rows spelled out as equations over the variable objects."""
-        return [_spell(self.variables, row) for row in self.rows]
+        var = self.variables
+        return [XorEquation(tuple(map(var.__getitem__, idx)), parity) for idx, parity in self.rows]
+
+    @cached_property
+    def transitivity(self) -> list[TransitivityClause]:
+        """The clauses spelled out over the variable objects."""
+        var = self.variables
+        return [TransitivityClause(var[a], var[b], var[head], negated) for a, b, head, negated in self.clauses]
 
 
-def _spell(variables: tuple[BoolVar, ...], row: Row) -> XorEquation:
-    idx, parity = row
-    return XorEquation(tuple(map(variables.__getitem__, idx)), parity)
-
-
-def evaluate(system: ConstraintSystem, a: Assignment) -> list[XorEquation | TransitivityClause]:
-    """All violated constraints under a total assignment."""
+def assignment_values(system: ConstraintSystem, a: Assignment) -> list[bool]:
+    """The values a total assignment gives the system's variables, in order."""
     try:
-        values = [a[v] for v in system.variables]
+        return [a[v] for v in system.variables]
     except KeyError:
         missing = [v for v in system.variables if v not in a]
         raise ValueError(f"assignment is partial, missing {missing[0]} and {len(missing) - 1} more") from None
+
+
+def evaluate(system: ConstraintSystem, a: Assignment | list[bool]) -> list[XorEquation | TransitivityClause]:
+    """All violated constraints under a total assignment, given as a mapping
+    or as its `assignment_values`; only violated ones get spelled out."""
+    vals = a if isinstance(a, list) else assignment_values(system, a)
     bad: list[XorEquation | TransitivityClause] = [
-        _spell(system.variables, row) for row in system.rows
-        if sum(map(values.__getitem__, row[0])) & 1 != row[1]
+        system.xors[r] for r, (idx, parity) in enumerate(system.rows)
+        if sum(map(vals.__getitem__, idx)) & 1 != parity
     ]
-    for cl in system.transitivity:
-        if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head):
-            bad.append(cl)
+    bad.extend(system.transitivity[c] for c, (x, y, head, negated) in enumerate(system.clauses)
+               if vals[x] and vals[y] and vals[head] != (not negated))
     return bad
 
 
@@ -187,13 +195,11 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
     """The reduced level system plus its transitivity clauses."""
     reduced = build_level_reduced(g)
-    number, var = pair_numbering(g), reduced.variables
-    trans = [
-        TransitivityClause(var[number(u, w)], var[number(w, y)], var[number(u, y)])
-        for vs in g.by_level.values()
-        for u, w, y in permutations(vs, 3)
-    ]
-    return ConstraintSystem(reduced.variables, reduced.rows, trans, "level-full")
+    number = pair_numbering(g)
+    clauses = [(number(u, w), number(w, y), number(u, y), False)
+               for vs in g.by_level.values()
+               for u, w, y in permutations(vs, 3)]
+    return ConstraintSystem(reduced.variables, reduced.rows, clauses, "level-full")
 
 
 def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
@@ -413,11 +419,9 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
     to a linearization of the circle.
     """
     reduced = build_radial_reduced(g, refs)
-    number, var = _triple_blocks(g, refs)[0], reduced.variables
-    trans = [
-        TransitivityClause(var[number(a, u, v)], var[number(a, v, w)], var[number(a, w, u)], negated_head=True)
-        for i in range(1, g.k + 1)
-        for a in refs.anchors(i)
-        for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)
-    ]
-    return ConstraintSystem(reduced.variables, reduced.rows, trans, "radial-full")
+    number, _ = _triple_blocks(g, refs)
+    clauses = [(number(a, u, v), number(a, v, w), number(a, w, u), True)
+               for i in range(1, g.k + 1)
+               for a in refs.anchors(i)
+               for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)]
+    return ConstraintSystem(reduced.variables, reduced.rows, clauses, "radial-full")

@@ -25,7 +25,9 @@ from .constraints import (
     FlagVar,
     PairVar,
     ReferenceSets,
+    TripleNumber,
     TripleVar,
+    assignment_values,
     build_level_reduced,
     build_radial_reduced,
     evaluate,
@@ -54,10 +56,13 @@ class UnsatisfyingAssignmentError(ValueError):
         self.violated = violated
 
 
-def require_satisfying(system: ConstraintSystem, a: Assignment) -> None:
-    bad = evaluate(system, a)
+def require_satisfying(system: ConstraintSystem, a: Mapping[BoolVar, bool]) -> list[bool]:
+    """The `assignment_values` of a, once they satisfy every constraint of the system."""
+    values = assignment_values(system, a)
+    bad = evaluate(system, values)
     if bad:
         raise UnsatisfyingAssignmentError(system, bad)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +135,6 @@ def _pair_key(e: Edge, f: Edge) -> tuple[Edge, Edge]:
 
 def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge, Edge]]:
     return [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent(*pair)]
-
-
-def verify_hanani_tutte(report: CrossingReport) -> list[tuple[Edge, Edge]]:
-    """Independent pairs with odd crossing counts; empty means the drawing passes."""
-    return _odd_independent(report.per_pair)
 
 
 def _require_hanani_tutte(report: CrossingReport) -> None:
@@ -273,9 +273,8 @@ class RadialContext(LevelContext):
 
     @cached_property
     def plus_refs(self) -> ReferenceSets:
-        """The beta maps viewed as reference sets of the subdivision."""
-        betas = build_betas(self.pg, self.refs.alpha_plus, self.refs.alpha_minus)
-        plus_refs = ReferenceSets(dict(betas.plus), dict(betas.minus))
+        """The reference sets of the subdivision, the beta maps."""
+        plus_refs = build_betas(self.pg, self.refs.alpha_plus, self.refs.alpha_minus)
         problems = validate_reference_sets(self.pg.graph, plus_refs)
         if problems:
             raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
@@ -394,12 +393,10 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> LiftedAssignmen
     edges leaving the same origin copy their heads' order, of edges entering
     the same origin their tails' order.
     """
-    pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(ctx.system, phi)
-    bits = [phi[v] for v in ctx.system.variables]
+    pg = ctx.pg
+    bits = require_satisfying(ctx.system, phi)
     number = pair_numbering(ctx.base)
-    rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    level, origin, edge_of = pg.graph.level, pg.origin, pg.edge_of
+    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.edge_of, ctx.star_form.edge_origin
 
     def bit(var: BoolVar) -> bool:
         if type(var) is not PairVar or var.u == var.w or level.get(var.u, 0) != level.get(var.w):
@@ -408,8 +405,8 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> LiftedAssignmen
         a, b = origin[x], origin[y]
         if a != b:
             return bits[number(a, b)]
-        e1 = rev_star.get(edge_of.get(x, ("", "")))
-        e2 = rev_star.get(edge_of.get(y, ("", "")))
+        e1 = edge_origin.get(edge_of.get(x, ("", "")))
+        e2 = edge_origin.get(edge_of.get(y, ("", "")))
         assert e1 is not None and e2 is not None, "origin collision off the star edges"
         if e1[0] == e2[0]:
             return bits[number(e1[1], e2[1])]
@@ -450,8 +447,10 @@ def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     return out
 
 
-def _psi_gap_order(phi: Assignment, refs: ReferenceSets, i: int, e: Edge, f: Edge) -> bool:
-    """Order of two distinct non-reference gap edges around the reference edge.
+def _psi_gap_order(bits: list[bool], number: TripleNumber, flag: dict[Edge, int], refs: ReferenceSets,
+                   i: int, e: Edge, f: Edge) -> bool:
+    """Order of two distinct non-reference gap edges around the reference edge,
+    read from the bits of a radial system numbered by `triple_numbering`.
 
     Several clauses of the defining case split may apply at once; they must
     agree for a satisfying assignment, so any disagreement is a hard error.
@@ -461,13 +460,13 @@ def _psi_gap_order(phi: Assignment, refs: ReferenceSets, i: int, e: Edge, f: Edg
     (u, u1), (v, v1) = e, f
     vals = []
     if len({ap, u, v}) == 3:
-        vals.append(phi[TripleVar(ap, u, v)])
+        vals.append(bits[number(ap, u, v)])
     if len({am_next, u1, v1}) == 3:
-        vals.append(phi[TripleVar(am_next, u1, v1)])
+        vals.append(bits[number(am_next, u1, v1)])
     if (ap == v and v != u) or (am_next == v1 and v1 != u1):
-        vals.append(phi[FlagVar(*f)])
+        vals.append(bits[flag[f]])
     if (ap == u and u != v) or (am_next == u1 and u1 != v1):
-        vals.append(not phi[FlagVar(*e)])
+        vals.append(not bits[flag[e]])
     if not vals:
         raise AssertionError(f"no ordering rule applies to {e}, {f} in gap {i}")
     if len(set(vals)) != 1:
@@ -477,12 +476,10 @@ def _psi_gap_order(phi: Assignment, refs: ReferenceSets, i: int, e: Edge, f: Edg
 
 def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> LiftedAssignment:
     """Extend a satisfying radial assignment of the input to its subdivision."""
-    pg, sf = ctx.pg, ctx.star_form
-    require_satisfying(ctx.system, phi)
-    bits = [phi[v] for v in ctx.system.variables]
+    pg = ctx.pg
+    bits = require_satisfying(ctx.system, phi)
     number, flag = triple_numbering(ctx.base, ctx.refs)
-    rev_star = {img: orig for orig, img in sf.star_edge.items()}
-    level, origin, edge_of = pg.graph.level, pg.origin, pg.edge_of
+    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.edge_of, ctx.star_form.edge_origin
     flag_bits = {seg: bits[flag[origin[seg[0]], origin[seg[1]]]] for seg in ctx.plus_flagged}
     anchors = ctx.plus_refs.anchors
 
@@ -499,9 +496,9 @@ def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> LiftedAssignm
         if len({ox, oy, oz}) == 3:
             return bits[number(ox, oy, oz)]
         assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
-        e = rev_star[edge_of[var.u]]
-        f = rev_star[edge_of[var.v]]
-        return _psi_gap_order(phi, ctx.refs, ctx.base.level[e[0]], e, f)
+        e = edge_origin[edge_of[var.u]]
+        f = edge_origin[edge_of[var.v]]
+        return _psi_gap_order(bits, number, flag, ctx.refs, ctx.base.level[e[0]], e, f)
 
     return LiftedAssignment(ctx, bit)
 

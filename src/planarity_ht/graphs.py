@@ -148,6 +148,8 @@ def properize(g: LevelGraph) -> tuple[LevelGraph, Properization]:
         path = [u]
         for lv in range(g.level[u] + 1, g.level[v]):
             w = subdivision_name(u, v, lv)
+            while w in level:  # the name of an input vertex or an earlier point: prime it
+                w += "'"
             level[w] = lv
             origin[w] = (u, v)
             path.append(w)

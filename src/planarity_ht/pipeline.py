@@ -39,12 +39,12 @@ from .graphs import LevelGraph, properize
 
 
 def to_xor_system(system: ConstraintSystem) -> xorsat.XorSystem:
-    return xorsat.XorSystem.build(len(system.variables), system.rows)
+    return xorsat.XorSystem(len(system.variables), system.rows)
 
 
 def solve_reduced(system: ConstraintSystem) -> Assignment | None:
     """One satisfying assignment of a pure-XOR system, or None."""
-    if system.transitivity:
+    if system.clauses:
         raise ValueError("only reduced systems are solvable as XOR systems")
     result = xorsat.solve(to_xor_system(system))
     if isinstance(result, xorsat.Unsat):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constraints import ReferenceSets
 from .graphs import (
     Edge,
     LevelGraph,
@@ -46,6 +47,7 @@ class StarForm:
     owner: dict[VertexId, VertexId]       # copy -> original vertex
     stretch: dict[VertexId, Edge]         # original vertex -> its stretch edge
     star_edge: dict[Edge, Edge]           # original edge -> its image
+    edge_origin: dict[Edge, Edge]         # image -> original edge
     level_origin: dict[int, int]          # sublevel -> original level
     middle: dict[int, int] | None = None  # radial only: original level -> middle sublevel
 
@@ -59,11 +61,12 @@ def _assemble(base: LevelGraph, total: int, level: dict[VertexId, int],
               level_origin: dict[int, int], middle: dict[int, int] | None) -> StarForm:
     stretch = {v: (bot[v], top[v]) for v in base.level}
     star_edge = {(u, v): (top[u], bot[v]) for u, v in base.edges}
+    edge_origin = {img: e for e, img in star_edge.items()}
     edges = tuple(sorted(stretch.values())) + tuple(sorted(star_edge.values()))
     owner = {c: v for v, c in bot.items()}
     owner.update({c: v for v, c in top.items()})
     star = LevelGraph(total, level, edges)
-    return StarForm(base, star, bot, top, owner, stretch, star_edge, level_origin, middle)
+    return StarForm(base, star, bot, top, owner, stretch, star_edge, edge_origin, level_origin, middle)
 
 
 def build_star_level(g: LevelGraph) -> StarForm:
@@ -166,11 +169,10 @@ def build_plus(sf: StarForm) -> PlusGraph:
     plus, prov = properize(sf.star)
     origin: dict[VertexId, VertexId] = dict(sf.owner)
     edge_of: dict[VertexId, Edge] = {}
-    rev_star = {img: orig for orig, img in sf.star_edge.items()}
     for w, star_edge in prov.vertex_origin.items():
         edge_of[w] = star_edge
-        if star_edge in rev_star:
-            u, v = rev_star[star_edge]
+        if star_edge in sf.edge_origin:
+            u, v = sf.edge_origin[star_edge]
             tail_block = sf.level_origin[sf.star.level[star_edge[0]]]
             origin[w] = u if sf.level_origin[plus.level[w]] == tail_block else v
         else:
@@ -179,21 +181,14 @@ def build_plus(sf: StarForm) -> PlusGraph:
     return PlusGraph(sf, plus, prov, origin, edge_of)
 
 
-@dataclass(frozen=True)
-class BetaMaps:
-    """Per-sublevel anchor vertices for the subdivision of a radial star form.
+def build_betas(pg: PlusGraph, alpha_plus: dict[int, VertexId],
+                alpha_minus: dict[int, VertexId]) -> ReferenceSets:
+    """The beta maps: the subdivision's per-sublevel anchors, as its reference sets.
 
     Below a block's middle both anchors follow the minus anchor's stretch
     path, above it the plus anchor's; on the middle itself they split into
     top(minus anchor) and bot(plus anchor) when the level's anchors differ.
     """
-
-    minus: dict[int, VertexId]
-    plus: dict[int, VertexId]
-
-
-def build_betas(pg: PlusGraph, alpha_plus: dict[int, VertexId],
-                alpha_minus: dict[int, VertexId]) -> BetaMaps:
     sf = pg.star_form
     assert sf.middle is not None, "beta maps exist only for the radial star form"
     minus: dict[int, VertexId] = {}
@@ -202,13 +197,11 @@ def build_betas(pg: PlusGraph, alpha_plus: dict[int, VertexId],
         i = sf.level_origin[j]
         ap, am = alpha_plus[i], alpha_minus[i]
         m = sf.middle[i]
-        if ap == am:
-            minus[j] = plus[j] = pg.point_at(sf.stretch[am], j)
-        elif j < m:
+        if ap == am or j < m:
             minus[j] = plus[j] = pg.point_at(sf.stretch[am], j)
         elif j > m:
             minus[j] = plus[j] = pg.point_at(sf.stretch[ap], j)
         else:
             minus[j] = sf.top[am]
             plus[j] = sf.bot[ap]
-    return BetaMaps(minus, plus)
+    return ReferenceSets(plus, minus)

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class XorSystem:
-    """n variables; each row is (sorted index tuple, parity) meaning sum of vars = parity mod 2."""
+    """n variables; each row is (index tuple in any order, parity 0 or 1)
+    meaning sum of vars = parity mod 2.  The constructor takes the rows as
+    given; `build` checks and packs rows from elsewhere."""
 
     n: int
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+    rows: Sequence[tuple[tuple[int, ...], int]]
 
     @staticmethod
     def build(n: int, rows: list[tuple[Sequence[int], int]]) -> "XorSystem":
@@ -28,7 +30,7 @@ class XorSystem:
         for idx, parity in rows:
             if any(not 0 <= i < n for i in idx):
                 raise ValueError(f"variable index out of range in row {idx}")
-            packed.append((tuple(sorted(idx)), parity & 1))
+            packed.append((tuple(idx), parity & 1))
         return XorSystem(n, tuple(packed))
 
 

@@ -266,3 +266,31 @@ def test_render_of_a_huge_level_count_witness_answers_at_once(tmp_path):
 
     assert run("check", "level", str(graph), "--witness", str(witness)).returncode == 0
     assert run("render", str(witness), str(graph), "--out", str(tmp_path / "o.svg")).returncode == 0
+
+
+def _graph_doc(levels: dict[str, int], edges: list[tuple[str, str]]) -> dict:
+    return {"levels": max(levels.values()), "vertices": [{"id": v, "level": lv} for v, lv in levels.items()],
+            "edges": [list(e) for e in edges]}
+
+
+@pytest.mark.parametrize("levels, edges, expect", [
+    # a->b is subdivided on level 2 next to an input vertex with its point's name
+    ({"a": 1, "c": 1, "a~b~2": 2, "n": 2, "b": 3, "d": 3},
+     [("c", "n"), ("c", "d"), ("a~b~2", "d"), ("n", "b"), ("n", "d"), ("a", "b")], (0, 0)),
+    ({"a": 1, "a~b~2": 2, "b": 3}, [("a", "b"), ("a", "a~b~2")], (0, 0)),
+])
+def test_an_id_named_like_a_subdivision_point_answers_like_its_renamed_twin(tmp_path, capsys, levels, edges,
+                                                                           expect):
+    def rename(v: str) -> str:
+        return "m" if v == "a~b~2" else v
+
+    p, twin = tmp_path / "g.json", tmp_path / "twin.json"
+    p.write_text(json.dumps(_graph_doc(levels, edges)))
+    twin.write_text(json.dumps(_graph_doc({rename(v): lv for v, lv in levels.items()},
+                                          [(rename(u), rename(v)) for u, v in edges])))
+    for mode, code in zip(("level", "radial"), expect):
+        for command in (["check", mode], ["oracle", mode]):
+            assert main(command + [str(p)]) == main(command + [str(twin)]) == code
+        assert main(["check", mode, str(p), "--witness", str(tmp_path / "w.json")]) == code
+        assert main(["render", str(tmp_path / "w.json"), str(p), "--out", str(tmp_path / "w.svg")]) == 0
+    assert "error" not in capsys.readouterr().err

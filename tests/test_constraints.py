@@ -247,6 +247,20 @@ def test_system_rejects_undeclared_variable():
         ConstraintSystem((PairVar("a", "b"),), [((0, 1), 1)], [], "t")
 
 
+def test_system_rejects_undeclared_clause_variable():
+    pairs = (PairVar("a", "b"), PairVar("b", "c"), PairVar("a", "c"))
+    assert ConstraintSystem(pairs, [], [(0, 1, 2, False)], "t").transitivity[0].head == pairs[2]
+    for clause in [(0, 1, 3, False), (-1, 1, 2, True)]:
+        with pytest.raises(ValueError, match="references an undeclared variable index"):
+            ConstraintSystem(pairs, [], [clause], "t")
+
+
+@pytest.mark.parametrize("parity", [2, -1])
+def test_system_rejects_parity_outside_gf2(parity):
+    with pytest.raises(ValueError, match=f"row \\(0, 1\\) has parity {parity}, not 0 or 1"):
+        ConstraintSystem((PairVar("a", "b"), PairVar("b", "a")), [((0, 1), parity)], [], "t")
+
+
 def _complete_bipartite(n: int) -> LevelGraph:
     return LevelGraph(2, {f"a{i}": 1 for i in range(n)} | {f"b{i}": 2 for i in range(n)},
                       tuple((f"a{i}", f"b{j}") for i in range(n) for j in range(n)))

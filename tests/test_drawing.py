@@ -36,7 +36,6 @@ from planarity_ht.drawing import (
     make_radial_context,
     star_report_level,
     star_report_radial,
-    verify_hanani_tutte,
 )
 from planarity_ht.graphs import LevelGraph, critical_pairs, independent, limits
 from planarity_ht.pipeline import solve_reduced
@@ -229,7 +228,7 @@ def test_even_crossing_drawing_repairs_assignment():
     report = star_report_level(d, ctx)
     assert report.count(az, by) == 2
     assert not report.planar
-    assert verify_hanani_tutte(report) == []
+    assert report.ht_violations == []
     phi_plus, phi = assignment_from_drawing_level(d, ctx)
     psi = induced_pair_assignment(d)
     assert any(phi_plus[v] != psi[v] for v in phi_plus), "repair should differ from the raw values"

@@ -73,6 +73,18 @@ def test_properize_three_level_span_adds_two_vertices():
     assert prov.paths[("a", "b")] == ("a", "a~b~2", "a~b~3", "b")
 
 
+def test_properize_names_avoid_every_vertex():
+    # a(1)->b(3) would name its point a~b~2, an input id; a(1)->b~c(3) would
+    # take a~b~c~2, the name of a~b(1)->c(3)'s point
+    g = LevelGraph(3, {"a": 1, "a~b": 1, "a~b~2": 2, "b": 3, "b~c": 3, "c": 3},
+                   (("a", "b"), ("a~b", "c"), ("a", "b~c"), ("a~b~2", "b")))
+    proper, prov = properize(g)
+    assert validate(proper) == [] and proper.is_proper()
+    assert prov.paths == {("a", "b"): ("a", "a~b~2'", "b"), ("a~b", "c"): ("a~b", "a~b~c~2", "c"),
+                          ("a", "b~c"): ("a", "a~b~c~2'", "b~c"), ("a~b~2", "b"): ("a~b~2", "b")}
+    assert len(proper.level) == len(g.level) + 3
+
+
 def test_properize_idempotent_on_random_graphs():
     rng = random.Random(1)
     for _ in range(50):

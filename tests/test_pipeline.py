@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from planarity_ht import constraints, crosscheck, drawing, pipeline
+from planarity_ht import constraints, crosscheck, drawing, pipeline, xorsat
 from planarity_ht.cli import main
 from planarity_ht.constraints import build_level_reduced, build_radial_reduced, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.crosscheck import crosscheck_instance, run_crosscheck
-from planarity_ht.graphs import LevelGraph, properize
+from planarity_ht.graphs import LevelGraph, properize, subdivision_name
 from planarity_ht.iofmt import graph_to_json
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import check_level, check_radial, solve_reduced, stage_context, system_for_stage
@@ -166,6 +166,17 @@ def test_witness_check_builds_no_equation_objects(monkeypatch):
     assert check_radial(g, witness=True).witness is not None
 
 
+def test_checks_hand_the_built_rows_to_the_solver(monkeypatch, k22):
+    # the builders' rows are checked once, by ConstraintSystem, not repacked
+    def refuse(*args):
+        raise AssertionError("XorSystem.build was called")
+
+    monkeypatch.setattr(xorsat.XorSystem, "build", refuse)
+    for g in (k22, _staircase(4, 3)):
+        for check in (check_level, check_radial):
+            assert check(g).planar == check(g, witness=True).planar
+
+
 def _level_pivot_bit(ctx) -> constraints.PairVar:
     """The bit of the first subdivision level that places a vertex against its pivot."""
     pg = ctx.pg
@@ -207,6 +218,36 @@ def test_verification_rejects_a_lift_with_one_pivot_bit_flipped(monkeypatch, che
     monkeypatch.setattr(pipeline, lift, broken)
     with pytest.raises(AssertionError, match="witness drawing failed verification"):
         check(g, witness=True)
+
+
+def _random_graph_with_long_edges(rng: random.Random) -> LevelGraph:
+    """3 or 4 nonempty levels of 1 to 3 vertices; any upward edge, long ones rarer."""
+    k = rng.randint(3, 4)
+    level = {f"v{i}{j}": i for i in range(1, k + 1) for j in range(rng.randint(1, 3))}
+    edges = tuple((u, v) for u in level for v in level
+                  if level[u] < level[v] and rng.random() < (0.4 if level[v] == level[u] + 1 else 0.25))
+    return LevelGraph(k, level, edges)
+
+
+def test_an_id_named_like_a_subdivision_point_changes_no_answer():
+    # rename a vertex to the point properize would put on a long edge crossing its level
+    rng = random.Random(29)
+    renamed = 0
+    while renamed < 150:
+        g = _random_graph_with_long_edges(rng)
+        long_edges = [(u, v) for u, v in g.edges if g.level[v] - g.level[u] > 1]
+        if not long_edges:
+            continue
+        u, v = rng.choice(long_edges)
+        lv = rng.randint(g.level[u] + 1, g.level[v] - 1)
+        x, name = rng.choice(g.on_level(lv)), subdivision_name(u, v, lv)
+        twin = LevelGraph(g.k, {name if w == x else w: i for w, i in g.level.items()},
+                          tuple(tuple(name if w == x else w for w in e) for e in g.edges))
+        for check in (check_level, check_radial):
+            result = check(twin, witness=True)
+            assert result.planar == check(g).planar
+            assert result.witness is None or result.witness_report.ht_violations == []
+        renamed += 1
 
 
 def _graph_file(tmp_path, g: LevelGraph) -> str:

@@ -155,13 +155,13 @@ def test_betas_follow_anchor_stretch_paths():
     for j in range(1, pg.graph.k + 1):
         i = sf.level_origin[j]
         if refs.alpha_plus[i] == refs.alpha_minus[i]:
-            assert betas.minus[j] == betas.plus[j]
+            assert betas.alpha_minus[j] == betas.alpha_plus[j]
         elif j == sf.middle[i]:
-            assert betas.minus[j] == sf.top[refs.alpha_minus[i]]
-            assert betas.plus[j] == sf.bot[refs.alpha_plus[i]]
+            assert betas.alpha_minus[j] == sf.top[refs.alpha_minus[i]]
+            assert betas.alpha_plus[j] == sf.bot[refs.alpha_plus[i]]
         else:
-            assert betas.minus[j] == betas.plus[j]
+            assert betas.alpha_minus[j] == betas.alpha_plus[j]
     # consecutive betas joined by edges of the subdivision
     edge_set = set(pg.graph.edges)
     for j in range(1, pg.graph.k):
-        assert (betas.plus[j], betas.minus[j + 1]) in edge_set
+        assert (betas.alpha_plus[j], betas.alpha_minus[j + 1]) in edge_set

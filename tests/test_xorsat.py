@@ -5,6 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarity_ht.corpus import exhaustive_proper_graphs
+from planarity_ht.pipeline import stage_context
 from planarity_ht.xorsat import Sat, Unsat, XorSystem, eliminate, rank, solve
 
 
@@ -130,3 +132,21 @@ def test_union_find_certificates_cover_both_conflict_kinds():
     result = solve(residual)
     assert isinstance(result, Unsat)
     assert_contradiction(residual, result.certificate)
+
+
+def test_rows_as_built_solve_like_sorted_rows():
+    # the pipeline hands the builders' rows to the solver unsorted
+    unsorted = unsat = 0
+    for n, g in enumerate(exhaustive_proper_graphs(3, 3)):
+        if n % 50:
+            continue
+        for mode in ("level", "radial"):
+            ctx = stage_context(g, mode)
+            for system in (ctx.system, ctx.plus_system):
+                rows = system.rows
+                by_index = [(tuple(sorted(idx)), parity) for idx, parity in rows]
+                result = solve(XorSystem(len(system.variables), rows))
+                assert result == solve(XorSystem(len(system.variables), by_index))
+                unsorted += by_index != rows
+                unsat += isinstance(result, Unsat)
+    assert unsorted > 20 and unsat > 20
