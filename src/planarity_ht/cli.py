@@ -52,7 +52,7 @@ def cmd_check(args) -> int:
     if args.full:
         # the full system's rows are the reduced ones; only its clauses are extra
         ctx = pipeline.stage_context(g, args.mode)
-        payload["transitivity_clauses"] = count_transitivity(ctx.base, ctx.refs if args.mode == "radial" else None)
+        payload["transitivity_clauses"] = count_transitivity(ctx.base, ctx.refs)
     verdict = "planar" if result.planar else "not planar"
     text = f"{args.mode}: {verdict} ({result.variables} variables, {result.equations} equations)"
     if result.witness is not None:
@@ -94,14 +94,9 @@ def cmd_oracle(args) -> int:
 
 def _candidate_targets(g: LevelGraph, d: LevelDrawing | RadialDrawing):
     """Find which stage of the pipeline the drawing's vertex names belong to."""
-    if isinstance(d, LevelDrawing):
-        ctx = pipeline.stage_context(g, "level")
-        yield ctx.base, None
-        yield ctx.pg.graph, None
-    else:
-        ctx = pipeline.stage_context(g, "radial")
-        yield ctx.base, ctx.refs
-        yield ctx.pg.graph, ctx.plus_refs
+    ctx = pipeline.stage_context(g, "level" if isinstance(d, LevelDrawing) else "radial")
+    yield ctx.base, ctx.refs
+    yield ctx.pg.graph, ctx.plus_refs
 
 
 def cmd_render(args) -> int:

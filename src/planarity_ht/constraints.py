@@ -9,13 +9,14 @@ transitivity clauses on top.
 
 Each mode numbers its variables once (`pair_numbering`, `triple_numbering`);
 the builders emit their equations as integer rows and their clauses as
-integer tuples over that numbering, and the variable objects serve only to
-print equations and clauses and to name violations.
+integer tuples over that numbering.  A system holds its variable count, not
+its variables: the variable objects are spelled only when something reads
+them, to print equations and clauses or to name violations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -96,18 +97,20 @@ Clause = tuple[int, int, int, bool]
 
 @dataclass
 class ConstraintSystem:
-    """Variables, XOR rows and transitivity clauses, over variable indices,
-    checked here once.  A row (indices, parity) states that the indexed
-    variables sum to the parity; a clause (a, b, head, negated) that a and b
-    together force the head, or its negation when negated."""
+    """A variable count, XOR rows and transitivity clauses over the variable
+    indices 0..n-1, checked here once.  A row (indices, parity) states that
+    the indexed variables sum to the parity; a clause (a, b, head, negated)
+    that a and b together force the head, or its negation when negated.
+    `spell` yields the variable objects in index order."""
 
-    variables: tuple[BoolVar, ...]
+    n: int
+    spell: Callable[[], Iterable[BoolVar]]
     rows: list[Row]
     clauses: list[Clause]
     meta: str
 
     def __post_init__(self) -> None:
-        n = len(self.variables)
+        n = self.n
         for idx, parity in self.rows:
             if idx and (min(idx) < 0 or max(idx) >= n):
                 raise ValueError(f"row {idx} references an undeclared variable index, {n} declared")
@@ -116,6 +119,11 @@ class ConstraintSystem:
         for cl in self.clauses:
             if min(cl[:3]) < 0 or max(cl[:3]) >= n:
                 raise ValueError(f"clause {cl} references an undeclared variable index, {n} declared")
+
+    @cached_property
+    def variables(self) -> tuple[BoolVar, ...]:
+        """The variable objects, spelled on first use."""
+        return tuple(self.spell())
 
     @cached_property
     def xors(self) -> list[XorEquation]:
@@ -130,8 +138,13 @@ class ConstraintSystem:
         return [TransitivityClause(var[a], var[b], var[head], negated) for a, b, head, negated in self.clauses]
 
 
-def assignment_values(system: ConstraintSystem, a: Assignment) -> list[bool]:
-    """The values a total assignment gives the system's variables, in order."""
+def assignment_values(system: ConstraintSystem, a: Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
+    """The values a total assignment gives the system's variables, in index
+    order; a bit list is those values already, once its length is right."""
+    if isinstance(a, list):
+        if len(a) != system.n:
+            raise ValueError(f"assignment has {len(a)} bits, {system.meta} has {system.n} variables")
+        return a
     try:
         return [a[v] for v in system.variables]
     except KeyError:
@@ -139,10 +152,11 @@ def assignment_values(system: ConstraintSystem, a: Assignment) -> list[bool]:
         raise ValueError(f"assignment is partial, missing {missing[0]} and {len(missing) - 1} more") from None
 
 
-def evaluate(system: ConstraintSystem, a: Assignment | list[bool]) -> list[XorEquation | TransitivityClause]:
+def evaluate(system: ConstraintSystem,
+             a: Mapping[BoolVar, bool] | list[bool]) -> list[XorEquation | TransitivityClause]:
     """All violated constraints under a total assignment, given as a mapping
-    or as its `assignment_values`; only violated ones get spelled out."""
-    vals = a if isinstance(a, list) else assignment_values(system, a)
+    or as a bit list; only violated ones get spelled out."""
+    vals = assignment_values(system, a)
     bad: list[XorEquation | TransitivityClause] = [
         system.xors[r] for r, (idx, parity) in enumerate(system.rows)
         if sum(map(vals.__getitem__, idx)) & 1 != parity
@@ -180,16 +194,16 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     """Pair-order variables, consistency XORs, planarity XORs."""
     require_valid(g, proper=True)
     number = pair_numbering(g)
-    variables: list[BoolVar] = []
     rows: list[Row] = []
     for vs in g.by_level.values():
-        variables.extend(PairVar(u, w) for u, w in permutations(vs, 2))
         rows.extend(((number(u, w), number(w, u)), 1) for u, w in combinations(vs, 2))
     for gap in g.by_gap.values():
         # a proper gap's edges are independent when both endpoints differ
         rows.extend(((number(u, w), number(v, x)), 0)
                     for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
-    return ConstraintSystem(tuple(variables), rows, [], "level-reduced")
+    return ConstraintSystem(sum(len(vs) * (len(vs) - 1) for vs in g.by_level.values()),
+                            lambda: (PairVar(u, w) for vs in g.by_level.values() for u, w in permutations(vs, 2)),
+                            rows, [], "level-reduced")
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
@@ -199,7 +213,7 @@ def build_level_full(g: LevelGraph) -> ConstraintSystem:
     clauses = [(number(u, w), number(w, y), number(u, y), False)
                for vs in g.by_level.values()
                for u, w, y in permutations(vs, 3)]
-    return ConstraintSystem(reduced.variables, reduced.rows, clauses, "level-full")
+    return ConstraintSystem(reduced.n, reduced.spell, reduced.rows, clauses, "level-full")
 
 
 def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
@@ -378,14 +392,13 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     problems = validate_reference_sets(g, refs)
     if problems:
         raise ValueError("invalid reference sets: " + "; ".join(problems))
-    number, _ = _triple_blocks(g, refs)
-    variables: list[BoolVar] = []
+    number, triples = _triple_blocks(g, refs)
+    flagged: list[Edge] = []
     rows: list[Row] = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
         for a in refs.anchors(i):
             others = [v for v in vs if v != a]
-            variables.extend(TripleVar(a, u, v) for u, v in permutations(others, 2))
             rows.extend(((number(a, u, v), number(a, v, u)), 1) for u, v in combinations(others, 2))
         ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
         if ap != am:
@@ -398,8 +411,8 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
         ap, am_next = eps
         flag: dict[Edge, int] = {}
         for e in plus_adj + minus_adj:
-            flag[e] = len(variables)
-            variables.append(FlagVar(*e))
+            flag[e] = triples + len(flagged)
+            flagged.append(e)
         # a proper gap's edges are independent when both endpoints differ
         rows.extend(((number(ap, u, w), number(am_next, v, x)), 0)
                     for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x)
@@ -408,7 +421,13 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
                     for e in plus_adj for u, v in plain if v != e[1])
         rows.extend(((flag[f], number(ap, u, f[0])), 0)
                     for f in minus_adj for u, v in plain if u != f[0])
-    return ConstraintSystem(tuple(variables), rows, [], "radial-reduced")
+
+    def spell() -> Iterable[BoolVar]:
+        yield from (TripleVar(a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
+                    for u, v in permutations([x for x in vs if x != a], 2))
+        yield from (FlagVar(*e) for e in flagged)
+
+    return ConstraintSystem(triples + len(flagged), spell, rows, [], "radial-reduced")
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -424,4 +443,4 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
                for i in range(1, g.k + 1)
                for a in refs.anchors(i)
                for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)]
-    return ConstraintSystem(reduced.variables, reduced.rows, clauses, "radial-full")
+    return ConstraintSystem(reduced.n, reduced.spell, reduced.rows, clauses, "radial-full")

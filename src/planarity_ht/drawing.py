@@ -14,7 +14,7 @@ directions and in both the level and the radial setting.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -56,7 +56,7 @@ class UnsatisfyingAssignmentError(ValueError):
         self.violated = violated
 
 
-def require_satisfying(system: ConstraintSystem, a: Mapping[BoolVar, bool]) -> list[bool]:
+def require_satisfying(system: ConstraintSystem, a: Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
     """The `assignment_values` of a, once they satisfy every constraint of the system."""
     values = assignment_values(system, a)
     bad = evaluate(system, values)
@@ -234,9 +234,11 @@ def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets,
 @dataclass(frozen=True, kw_only=True)
 class LevelContext:
     """One proper input graph; its subdivision and the reduced systems of both
-    are built on first use."""
+    are built on first use.  Level mode has no reference sets."""
 
     base: LevelGraph
+    refs = None
+    plus_refs = None
 
     @cached_property
     def pg(self) -> PlusGraph:
@@ -254,7 +256,9 @@ class LevelContext:
     def star_form(self) -> StarForm:
         return self.pg.star_form
 
+    @cached_property
     def segment_origin(self) -> dict[Edge, Edge]:
+        """Each edge of the subdivision mapped to the star edge it subdivides."""
         return {seg: star_edge for star_edge, path in self.pg.prov.paths.items()
                 for seg in zip(path, path[1:])}
 
@@ -265,7 +269,7 @@ def make_level_context(g: LevelGraph) -> LevelContext:
 
 @dataclass(frozen=True, kw_only=True)
 class RadialContext(LevelContext):
-    refs: ReferenceSets  # base has its reference edges already inserted
+    refs: ReferenceSets = field()  # required; base has its reference edges already inserted
 
     @cached_property
     def pg(self) -> PlusGraph:
@@ -299,11 +303,11 @@ def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
 
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
-    return count_crossings_level(d, ctx.pg.graph, aggregate=ctx.segment_origin())
+    return count_crossings_level(d, ctx.pg.graph, aggregate=ctx.segment_origin)
 
 
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
-    return count_crossings_radial(d, ctx.pg.graph, ctx.plus_refs, aggregate=ctx.segment_origin())
+    return count_crossings_radial(d, ctx.pg.graph, ctx.plus_refs, aggregate=ctx.segment_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,7 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
             if x in sf.owner or y in sf.owner:
                 val = psi[PairVar(x, y)]
             else:
-                e1, e2 = pg.edge_of[x], pg.edge_of[y]
+                e1, e2 = pg.prov.vertex_origin[x], pg.prov.vertex_origin[y]
                 if independent(e1, e2):
                     lv = max(star_level[e1[0]], star_level[e2[0]])
                 elif e1[0] == e2[0]:
@@ -369,7 +373,8 @@ class LiftedAssignment(Mapping):
     `bit(var)` derives one variable's value from the input's solution and
     raises KeyError for anything that is no variable of G+'s systems.  The
     keys are `ctx.plus_system.variables`, so only a caller that iterates the
-    mapping or takes its length builds G+'s reduced system.
+    mapping or takes its length builds G+'s reduced system and spells its
+    variables.
     """
 
     def __init__(self, ctx: LevelContext, bit: Callable[[BoolVar], bool]):
@@ -386,8 +391,9 @@ class LiftedAssignment(Mapping):
         return len(self._ctx.plus_system.variables)
 
 
-def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> LiftedAssignment:
-    """Extend a satisfying assignment of the input graph to its subdivision.
+def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignment:
+    """Extend a satisfying assignment of the input graph, a bit list as
+    `solve_reduced` returns it, to its subdivision.
 
     Vertices inherit the order of their origins; two subdivision points of
     edges leaving the same origin copy their heads' order, of edges entering
@@ -396,7 +402,7 @@ def lift_assignment_level(phi: Assignment, ctx: LevelContext) -> LiftedAssignmen
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
     number = pair_numbering(ctx.base)
-    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.edge_of, ctx.star_form.edge_origin
+    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
 
     def bit(var: BoolVar) -> bool:
         if type(var) is not PairVar or var.u == var.w or level.get(var.u, 0) != level.get(var.w):
@@ -474,12 +480,13 @@ def _psi_gap_order(bits: list[bool], number: TripleNumber, flag: dict[Edge, int]
     return vals[0]
 
 
-def lift_assignment_radial(phi: Assignment, ctx: RadialContext) -> LiftedAssignment:
-    """Extend a satisfying radial assignment of the input to its subdivision."""
+def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignment:
+    """Extend a satisfying radial assignment of the input, a bit list as
+    `solve_reduced` returns it, to its subdivision."""
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
     number, flag = triple_numbering(ctx.base, ctx.refs)
-    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.edge_of, ctx.star_form.edge_origin
+    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
     flag_bits = {seg: bits[flag[origin[seg[0]], origin[seg[1]]]] for seg in ctx.plus_flagged}
     anchors = ctx.plus_refs.anchors
 
@@ -542,7 +549,7 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     """
     pg = ctx.pg
     _require_hanani_tutte(star_report_radial(d, ctx))
-    origin_seg = ctx.segment_origin()
+    origin_seg = ctx.segment_origin
     # crossings of each star edge pair, bucketed by the gap's lower level
     by_gap: dict[tuple[Edge, Edge], dict[int, int]] = {}
     for j in range(1, pg.graph.k):
@@ -566,9 +573,9 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
         for x in ctx.plus_refs.anchors(j):
-            ex = pg.edge_of.get(x)
+            ex = pg.prov.vertex_origin.get(x)
             for y, z in permutations([v for v in vs if v != x], 2):
-                ey, ez = pg.edge_of.get(y), pg.edge_of.get(z)
+                ey, ez = pg.prov.vertex_origin.get(y), pg.prov.vertex_origin.get(z)
                 psi = d.clockwise(j, x, y, z)
                 parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
                 phi[TripleVar(x, y, z)] = psi != bool(parity)

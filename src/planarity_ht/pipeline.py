@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import xorsat
-from .constraints import (
-    Assignment,
-    ConstraintSystem,
-    build_level_full,
-    build_radial_full,
-    choose_reference_sets,
-)
+from .constraints import ConstraintSystem, build_level_full, build_radial_full, choose_reference_sets
 from .drawing import (
     CrossingReport,
     LevelContext,
@@ -39,17 +33,18 @@ from .graphs import LevelGraph, properize
 
 
 def to_xor_system(system: ConstraintSystem) -> xorsat.XorSystem:
-    return xorsat.XorSystem(len(system.variables), system.rows)
+    return xorsat.XorSystem(system.n, system.rows)
 
 
-def solve_reduced(system: ConstraintSystem) -> Assignment | None:
-    """One satisfying assignment of a pure-XOR system, or None."""
+def solve_reduced(system: ConstraintSystem) -> list[bool] | None:
+    """One satisfying assignment of a pure-XOR system as a bit list in index
+    order, or None."""
     if system.clauses:
         raise ValueError("only reduced systems are solvable as XOR systems")
     result = xorsat.solve(to_xor_system(system))
     if isinstance(result, xorsat.Unsat):
         return None
-    return dict(zip(system.variables, map(bool, result.assignment)))
+    return list(map(bool, result.assignment))
 
 
 @dataclass
@@ -80,7 +75,7 @@ def stage_context(g: LevelGraph, mode: str) -> LevelContext:
 def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
     ctx = stage_context(g, mode)
     phi = solve_reduced(ctx.system)
-    result = CheckResult(mode, phi is not None, len(ctx.system.variables), len(ctx.system.rows))
+    result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.rows))
     if phi is not None and witness:
         result.witness = realize(lift(phi, ctx), ctx)
         result.witness_report = report = report_fn(result.witness, ctx)
@@ -106,7 +101,5 @@ def system_for_stage(g: LevelGraph, mode: str, stage: str, full: bool = False) -
     plus = stage == "Gplus"
     if not full:
         return ctx.plus_system if plus else ctx.system
-    graph = ctx.pg.graph if plus else ctx.base
-    if mode == "level":
-        return build_level_full(graph)
-    return build_radial_full(graph, ctx.plus_refs if plus else ctx.refs)
+    graph, refs = (ctx.pg.graph, ctx.plus_refs) if plus else (ctx.base, ctx.refs)
+    return build_level_full(graph) if refs is None else build_radial_full(graph, refs)

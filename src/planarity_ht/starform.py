@@ -152,25 +152,22 @@ class PlusGraph:
 
     star_form: StarForm
     graph: LevelGraph
-    prov: Properization
+    prov: Properization  # vertex_origin: subdivision vertex -> subdivided star edge
     origin: dict[VertexId, VertexId]
-    edge_of: dict[VertexId, Edge]  # subdivision vertex -> subdivided star edge
 
     def point_at(self, star_edge: Edge, lv: int) -> VertexId:
         return self.prov.point_at(star_edge, lv, self.graph.level)
 
     def star_vertices_on(self, lv: int) -> tuple[VertexId, ...]:
-        sf = self.star_form
-        return tuple(v for v in self.graph.on_level(lv) if v in sf.owner)
+        """The star graph's vertices on sublevel lv; G+ keeps their levels and ids."""
+        return self.star_form.star.on_level(lv)
 
 
 def build_plus(sf: StarForm) -> PlusGraph:
     """Properize the star form and record the origin of every vertex."""
     plus, prov = properize(sf.star)
     origin: dict[VertexId, VertexId] = dict(sf.owner)
-    edge_of: dict[VertexId, Edge] = {}
     for w, star_edge in prov.vertex_origin.items():
-        edge_of[w] = star_edge
         if star_edge in sf.edge_origin:
             u, v = sf.edge_origin[star_edge]
             tail_block = sf.level_origin[sf.star.level[star_edge[0]]]
@@ -178,7 +175,7 @@ def build_plus(sf: StarForm) -> PlusGraph:
         else:
             # stretch edge subdivision point
             origin[w] = sf.owner[star_edge[0]]
-    return PlusGraph(sf, plus, prov, origin, edge_of)
+    return PlusGraph(sf, plus, prov, origin)
 
 
 def build_betas(pg: PlusGraph, alpha_plus: dict[int, VertexId],

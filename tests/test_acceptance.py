@@ -207,7 +207,7 @@ def test_criterion_5_three_paths_parity():
         ctx = make_radial_context(aug, refs)
         pg = ctx.pg
         star = ctx.star_form.star
-        origin = ctx.segment_origin()
+        origin = ctx.segment_origin
         indep_triples = [
             t for t in combinations(sorted(star.edges), 3)
             if all(independent(a, b) for a, b in combinations(t, 2))

@@ -387,7 +387,7 @@ def test_three_paths_order_agreement_iff_even_pairwise_crossings():
             j: gap_crossing_pairs_radial(d, pg.graph, ctx.plus_refs, j)
             for j in range(1, pg.graph.k)
         }
-        origin = ctx.segment_origin()
+        origin = ctx.segment_origin
         edges = sorted(star.edges)
         for e1, e2, e3 in combinations(edges, 3):
             if not (independent(e1, e2) and independent(e1, e3) and independent(e2, e3)):

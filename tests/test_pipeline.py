@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -164,6 +165,51 @@ def test_witness_check_builds_no_equation_objects(monkeypatch):
     g = _staircase(4, 3)
     assert check_level(g, witness=True).witness is not None
     assert check_radial(g, witness=True).witness is not None
+
+
+def test_checks_create_no_variable_object_of_the_input_system(monkeypatch):
+    # a system holds its variable count and spells its variables only on demand
+    def refuse(*args):
+        raise AssertionError("a variable object was built")
+
+    for name in ("PairVar", "TripleVar", "FlagVar"):
+        monkeypatch.setattr(constraints, name, refuse)
+    k33 = LevelGraph(2, {f"a{i}": 1 for i in range(3)} | {f"b{i}": 2 for i in range(3)},
+                     tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(3)))
+    for g, planar in ((k33, False), (_staircase(4, 3), True)):
+        for check in (check_level, check_radial):
+            assert check(g).planar == planar
+            assert (check(g, witness=True).witness is not None) == planar
+
+
+def test_a_bit_list_of_the_wrong_length_is_refused():
+    g = _staircase(4, 3)
+    for mode, lift in (("level", drawing.lift_assignment_level), ("radial", drawing.lift_assignment_radial)):
+        ctx = stage_context(g, mode)
+        n = ctx.system.n
+        assert n > 0
+        for bits in ([False] * (n - 1), [False] * (n + 1)):
+            with pytest.raises(ValueError, match=f"assignment has {len(bits)} bits, .* has {n} variables"):
+                constraints.evaluate(ctx.system, bits)
+            with pytest.raises(ValueError, match=f"assignment has {len(bits)} bits"):
+                lift(bits, ctx)
+
+
+def test_solve_reduced_returns_a_satisfying_bit_list():
+    solved = 0
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 50):
+        for mode in ("level", "radial"):
+            ctx = stage_context(g, mode)
+            for system in (ctx.system, ctx.plus_system):
+                bits = solve_reduced(system)
+                if bits is None:
+                    continue
+                assert type(bits) is list and len(bits) == system.n == len(system.variables)
+                assert all(type(b) is bool for b in bits)
+                assert constraints.evaluate(system, bits) == []
+                assert constraints.evaluate(system, dict(zip(system.variables, bits))) == []
+                solved += 1
+    assert solved > 100
 
 
 def test_checks_hand_the_built_rows_to_the_solver(monkeypatch, k22):

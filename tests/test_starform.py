@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -165,3 +166,17 @@ def test_betas_follow_anchor_stretch_paths():
     edge_set = set(pg.graph.edges)
     for j in range(1, pg.graph.k):
         assert (betas.alpha_plus[j], betas.alpha_minus[j + 1]) in edge_set
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_star_vertices_on_is_the_owner_filtered_plus_level(mode):
+    # G+ keeps the star graph's vertices, their sublevels and their ids
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 50):
+        if mode == "level":
+            sf = build_star_level(g)
+        else:
+            refs, aug = choose_reference_sets(g)
+            sf = build_star_radial(aug, refs.alpha_plus, refs.alpha_minus)
+        pg = build_plus(sf)
+        for j in range(pg.graph.k + 2):
+            assert pg.star_vertices_on(j) == tuple(v for v in pg.graph.on_level(j) if v in sf.owner)
