@@ -131,7 +131,7 @@ def cmd_crosscheck(args) -> int:
             return EXIT_ERROR
         for p in paths:
             instances.append(_load_valid_graph(p))
-    elif args.random:
+    elif args.random is not None:
         rng = random.Random(args.seed)
         k, w = args.max_size
         instances = [corpus.random_proper_graph(rng, k, w) for _ in range(args.random)]
@@ -160,9 +160,22 @@ def cmd_crosscheck(args) -> int:
 def _size_pair(raw: str) -> tuple[int, int]:
     try:
         k, w = raw.split(",")
-        return int(k), int(w)
+        k, w = int(k), int(w)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected K,W (levels,width), got {raw!r}") from None
+    if k < 1 or w < 1:
+        raise argparse.ArgumentTypeError(f"K and W must be at least 1, got {raw!r}")
+    return k, w
+
+
+def _count(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a count, got {raw!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"count must not be negative, got {raw!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="compare solver and oracle over an instance corpus")
     p.add_argument("corpus", nargs="?", help="directory of graph .json files")
-    p.add_argument("--random", type=int, metavar="N", help="generate N random instances")
+    p.add_argument("--random", type=_count, metavar="N", help="generate N random instances")
     p.add_argument("--max-size", type=_size_pair, default=(3, 3), metavar="K,W")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=20_000)

@@ -342,13 +342,15 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, 
     return eps, plain, plus_adj, minus_adj
 
 
+def gap_flagged_edges(classes: tuple[Edge, list[Edge], list[Edge], list[Edge]]) -> list[Edge]:
+    """A gap's edges that carry a left flag, from its `gap_edge_classes`: plus-adjacent before minus-adjacent."""
+    _, _, plus_adj, minus_adj = classes
+    return plus_adj + minus_adj
+
+
 def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
-    """The edges that carry a left flag: gap by gap, plus-adjacent before minus-adjacent."""
-    out: list[Edge] = []
-    for i in range(1, g.k):
-        _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        out += plus_adj + minus_adj
-    return out
+    """The edges that carry a left flag: gap by gap, each in `gap_flagged_edges` order."""
+    return [e for i in range(1, g.k) for e in gap_flagged_edges(gap_edge_classes(g, refs, i))]
 
 
 TripleNumber = Callable[[VertexId, VertexId, VertexId], int]

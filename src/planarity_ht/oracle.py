@@ -1,9 +1,13 @@
 """Brute-force planarity deciders: the ground truth for small instances.
 
-Both oracles enumerate the full combinatorial drawing space (linear orders
-per level, or cyclic orders plus reference flags) and accept as soon as a
-zero-crossing state appears.  Enumeration order is deterministic, so the
-witness drawing and the examined-state count are reproducible.
+Both oracles search the full combinatorial drawing space (linear orders per
+level, or cyclic orders plus reference flags) in one deterministic
+enumeration order and accept the first zero-crossing state.  The search goes
+level by level in that order and prunes by gap: a prefix of level orders is
+dropped as soon as its newest gap has no crossing-free flag setting.
+`states_examined` is the 1-based rank of the witness state in the
+enumeration order, or the full count when there is no witness; the budget
+bounds the full count.  The witness drawing and the count are reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .constraints import ReferenceSets, flagged_edges, gap_edge_classes
+from .constraints import ReferenceSets, gap_edge_classes, gap_flagged_edges
 from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, gap_crossing_pairs_level
 from .graphs import Edge, LevelGraph, VertexId, require_valid
 
@@ -49,36 +53,109 @@ def _orders(vs: tuple[VertexId, ...], pinned: int):
     return (head + rest for rest in permutations(tail))
 
 
-def _enumerate(g: LevelGraph, budget: int | None, pinned: int, flagged: list[Edge],
-               drawing, gap_pairs) -> OracleResult:
-    """Visit every order per level (first `pinned` vertices fixed) and every
-    flag combination; accept the first state with no crossing in any gap.
+class _Probe:
+    """The drawing the per-gap crossing rules read during the search.
 
-    The state count is checked against the budget before any order is built.
+    Level i shows its picked order, `choices[i - 1][pick[i - 1]]`.  The picked
+    order's positions, and each of its cuts, are computed once while it stays
+    picked; only the current pick's are kept, so memory is O(levels).
+    """
+
+    def __init__(self, choices: list[list[tuple[VertexId, ...]]], drawing):
+        self.pick = [0] * len(choices)
+        self.left_flag: dict[Edge, bool] = {}
+        self._choices = choices
+        self._drawing = drawing
+        self._views: list[tuple[int, dict]] = [(-1, {}) for _ in choices]  # per level: (pick, anchor -> positions)
+
+    def _view(self, i: int, anchor: VertexId | None) -> dict[VertexId, int]:
+        j = self.pick[i - 1]
+        seen, views = self._views[i - 1]
+        if seen != j:
+            views = {}
+            self._views[i - 1] = (j, views)
+        if anchor not in views:
+            d = self._drawing({i: self._choices[i - 1][j]}, {})
+            views[anchor] = d.positions(i) if anchor is None else d.cut_after(i, anchor)
+        return views[anchor]
+
+    def positions(self, i: int) -> dict[VertexId, int]:
+        return self._view(i, None)
+
+    def cut_after(self, i: int, a: VertexId) -> dict[VertexId, int]:
+        return self._view(i, a)
+
+
+def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[int, list[Edge]],
+               drawing, gap_pairs) -> OracleResult:
+    """Find the first state with no crossing in any gap, in enumeration order.
+
+    A state is one order per level (first `pinned` vertices fixed) plus one
+    value per flag.  The enumeration order is `product` over the levels' orders,
+    each level in `_orders` order, then `product((False, True), ...)` over the
+    flags, listed gap by gap (`gap_flags[i]` holds gap i's).  Gap i's crossings
+    read only levels i and i+1 and gap i's flags, so the search walks the
+    levels depth first in that order and drops a prefix as soon as its newest
+    gap has no crossing-free flag setting.  The first full state it reaches,
+    with each gap's first crossing-free flag setting, is the enumeration's
+    first crossing-free state; `states_examined` is its 1-based rank, or the
+    full count when there is none.
+
+    The full count is checked against the budget before any order is built.
     """
     budget = default_budget() if budget is None else budget
     levels = [g.on_level(i) for i in range(1, g.k + 1)]
+    flagged = [e for i in range(1, g.k) for e in gap_flags.get(i, ())]
     needed = 2 ** len(flagged)
     for vs in levels:
         needed *= factorial(len(vs) - pinned)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
-    gaps = range(1, g.k)
-    states = 0
-    for combo in product(*(_orders(vs, pinned) for vs in levels)):
-        orders = dict(enumerate(combo, start=1))
-        for bits in product((False, True), repeat=len(flagged)):
-            states += 1
-            d = drawing(orders, dict(zip(flagged, bits)))
-            if not any(gap_pairs(d, i) for i in gaps):
-                return OracleResult(True, d, states)
-    return OracleResult(False, None, states)
+    choices = [list(_orders(vs, pinned)) for vs in levels]
+    probe = _Probe(choices, drawing)
+    pick = probe.pick
+    settings: list[tuple[bool, ...]] = [()] * g.k  # settings[i]: gap i's flag values
+
+    def first_free_setting(i: int) -> tuple[bool, ...] | None:
+        flags = gap_flags.get(i, ())
+        for setting in product((False, True), repeat=len(flags)):
+            probe.left_flag.update(zip(flags, setting))
+            if not gap_pairs(probe, i):
+                return setting
+        return None
+
+    top = 1  # the deepest level with a picked order
+    while True:
+        setting = () if top == 1 else first_free_setting(top - 1)
+        if setting is not None:
+            settings[top - 1] = setting
+            if top == g.k:
+                break
+            top += 1
+            pick[top - 1] = 0
+            continue
+        while pick[top - 1] == len(choices[top - 1]) - 1:
+            top -= 1
+            if top == 0:
+                return OracleResult(False, None, needed)
+        pick[top - 1] += 1
+
+    # the rank: the orders' mixed-radix index, then the flag bits with
+    # flagged[0] the most significant and True as 1
+    rank = 0
+    for j, options in zip(pick, choices):
+        rank = rank * len(options) + j
+    bits = [b for setting in settings for b in setting]
+    for b in bits:
+        rank = 2 * rank + b
+    orders = {i: options[j] for i, (j, options) in enumerate(zip(pick, choices), start=1)}
+    return OracleResult(True, drawing(orders, dict(zip(flagged, bits))), rank + 1)
 
 
 def brute_level(g: LevelGraph, budget: int | None = None) -> OracleResult:
     """Try every per-level vertex order; planar iff some combination is crossing-free."""
     require_valid(g, proper=True)
-    return _enumerate(g, budget, 0, [], lambda orders, _: LevelDrawing(orders),
+    return _enumerate(g, budget, 0, {}, lambda orders, _: LevelDrawing(orders),
                       lambda d, i: gap_crossing_pairs_level(d, g, i))
 
 
@@ -92,5 +169,6 @@ def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) 
     if any(not g.on_level(i) for i in range(1, g.k + 1)):
         raise ValueError("radial enumeration needs every level nonempty")
     classes = {i: gap_edge_classes(g, refs, i) for i in range(1, g.k)}
-    return _enumerate(g, budget, 1, flagged_edges(g, refs), RadialDrawing,
+    gap_flags = {i: gap_flagged_edges(classes[i]) for i in classes}
+    return _enumerate(g, budget, 1, gap_flags, RadialDrawing,
                       lambda d, i: _gap_crossing_pairs_radial(d, i, classes[i]))

@@ -156,6 +156,26 @@ def test_crosscheck_random_exit_0(capsys):
     assert payload["mismatches"] == []
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--random", "3", "--max-size", "0,3"], "--max-size"),
+    (["--random", "3", "--max-size", "3,0"], "--max-size"),
+    (["--max-size", "0,0"], "--max-size"),
+    (["--random", "-2"], "--random"),
+])
+def test_crosscheck_refuses_empty_sizes_and_negative_counts(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err
+    assert "Traceback" not in err and "randrange" not in err
+
+
+def test_crosscheck_random_zero_checks_no_instance(capsys):
+    assert main(["--json", "crosscheck", "--random", "0", "--max-size", "2,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 0
+
+
 def test_crosscheck_exhaustive_small(capsys):
     assert main(["crosscheck", "--max-size", "2,2", "--cap", "25"]) == 0
     out = capsys.readouterr().out

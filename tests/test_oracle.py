@@ -5,7 +5,8 @@ import random
 import resource
 import subprocess
 import sys
-from itertools import permutations, product
+from collections import Counter
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -103,10 +104,13 @@ def test_witness_reverification():
 
 
 def test_long_path_planar_both_modes():
-    g = make_path(6)
-    assert brute_level(g).planar
-    refs, aug = choose_reference_sets(g)
-    assert brute_radial(aug, refs).planar
+    # 3,000 levels: the search walks the levels without recursion, so a deep
+    # graph raises no RecursionError; the first state is crossing-free
+    for k in (6, 3000):
+        g = make_path(k)
+        refs, aug = choose_reference_sets(g)
+        for result in (brute_level(g), brute_radial(aug, refs)):
+            assert result.planar and result.states_examined == 1
 
 
 def _reference_level(g):
@@ -138,13 +142,38 @@ def _reference_radial(g, refs):
     return False, None, states
 
 
+def _answer(result):
+    return result.planar, result.witness, result.states_examined
+
+
 def test_oracles_match_a_plain_enumeration():
     for g in exhaustive_proper_graphs(2, 3, cap=60):
-        result = brute_level(g)
-        assert (result.planar, result.witness, result.states_examined) == _reference_level(g)
+        assert _answer(brute_level(g)) == _reference_level(g)
         refs, aug = choose_reference_sets(g)
-        result = brute_radial(aug, refs)
-        assert (result.planar, result.witness, result.states_examined) == _reference_radial(aug, refs)
+        assert _answer(brute_radial(aug, refs)) == _reference_radial(aug, refs)
+    # every 25th graph of the 3x3 corpus, every reference-set variant: these
+    # reach non-planar answers, flags in gap 2 and witnesses late in the last
+    # level's order, which the 2x3 sample above does not
+    seen = Counter()
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 25):
+        last = g.on_level(g.k)
+        result = brute_level(g)
+        assert _answer(result) == _reference_level(g)
+        seen["level nonplanar"] += not result.planar
+        if result.planar and g.k == 3 and len(last) > 1:
+            # the last level's last order is its reversed vertex list
+            seen["level late"] += result.witness.orders[3] == last[::-1]
+        for refs, aug in reference_set_variants(g):
+            result = brute_radial(aug, refs)
+            assert _answer(result) == _reference_radial(aug, refs)
+            seen["radial nonplanar"] += not result.planar
+            if result.planar and g.k == 3:
+                _, _, plus_adj, minus_adj = gap_edge_classes(aug, refs, 2)
+                seen["radial gap-2 flag set"] += any(result.witness.left_flag[e] for e in plus_adj + minus_adj)
+                if len(last) > 2:
+                    seen["radial late"] += result.witness.cyclic[3] == (last[0], *last[:0:-1])
+    assert all(seen[case] for case in ("level nonplanar", "level late", "radial nonplanar",
+                                       "radial gap-2 flag set", "radial late")), seen
 
 
 def test_budget_is_checked_before_any_order_is_built():
