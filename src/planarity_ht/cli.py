@@ -7,12 +7,13 @@ Exit codes: 0 planar (or success), 1 non-planar (or crosscheck mismatch),
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import os
 import random
 import sys
 
 from . import corpus, iofmt, pipeline, render
-from .constraints import count_transitivity
 from .crosscheck import run_crosscheck
 from .drawing import LevelDrawing, RadialDrawing, check_drawing_covers
 from .graphs import InvalidGraphError, LevelGraph, require_valid
@@ -51,8 +52,7 @@ def cmd_check(args) -> int:
     }
     if args.full:
         # the full system's rows are the reduced ones; only its clauses are extra
-        ctx = pipeline.stage_context(g, args.mode)
-        payload["transitivity_clauses"] = count_transitivity(ctx.base, ctx.refs)
+        payload["transitivity_clauses"] = result.transitivity_clauses
     verdict = "planar" if result.planar else "not planar"
     text = f"{args.mode}: {verdict} ({result.variables} variables, {result.equations} equations)"
     if result.witness is not None:
@@ -120,17 +120,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    instances: list[LevelGraph] = []
     if args.corpus:
-        import glob
-        import os
-
         paths = sorted(glob.glob(os.path.join(args.corpus, "*.json")))
         if not paths:
             print(f"error: no .json graph files in {args.corpus}", file=sys.stderr)
             return EXIT_ERROR
-        for p in paths:
-            instances.append(_load_valid_graph(p))
+        instances = [_load_valid_graph(p) for p in paths]
     elif args.random is not None:
         rng = random.Random(args.seed)
         k, w = args.max_size
@@ -223,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=_count, metavar="N", help="generate N random instances")
     p.add_argument("--max-size", type=_size_pair, default=(3, 3), metavar="K,W")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=20_000)
+    p.add_argument("--cap", type=_count, default=20_000)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_crosscheck)
     return parser

@@ -7,17 +7,19 @@ reference edge.  Both come in a reduced flavour that holds only the XOR
 equations, which is what gets solved, and a full flavour that adds the
 transitivity clauses on top.
 
-Each mode numbers its variables once (`pair_numbering`, `triple_numbering`);
-the builders emit their equations as integer rows and their clauses as
-integer tuples over that numbering.  A system holds its variable count, not
-its variables: the variable objects are spelled only when something reads
-them, to print equations and clauses or to name violations.
+Each reduced builder numbers its variables once and emits its equations as
+integer rows over that numbering; the system it returns carries the
+numbering (`number`, and in radial mode the ordered `flag` map), which the
+full builders reuse for their clauses and the lifts read.  A system holds
+its variable count, not its variables: the variable objects are spelled
+only when something reads them, to print equations and clauses or to name
+violations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -101,13 +103,17 @@ class ConstraintSystem:
     indices 0..n-1, checked here once.  A row (indices, parity) states that
     the indexed variables sum to the parity; a clause (a, b, head, negated)
     that a and b together force the head, or its negation when negated.
-    `spell` yields the variable objects in index order."""
+    `spell` yields the variable objects in index order; `number(u, w)` or
+    `number(a, u, v)` is the index of a pair or anchored triple, and `flag`
+    maps each flagged edge, in index order, to its left flag's index."""
 
     n: int
     spell: Callable[[], Iterable[BoolVar]]
     rows: list[Row]
     clauses: list[Clause]
     meta: str
+    number: Callable[..., int] | None = None
+    flag: dict[Edge, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -203,17 +209,17 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
                     for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
     return ConstraintSystem(sum(len(vs) * (len(vs) - 1) for vs in g.by_level.values()),
                             lambda: (PairVar(u, w) for vs in g.by_level.values() for u, w in permutations(vs, 2)),
-                            rows, [], "level-reduced")
+                            rows, [], "level-reduced", number)
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
     """The reduced level system plus its transitivity clauses."""
     reduced = build_level_reduced(g)
-    number = pair_numbering(g)
+    number = reduced.number
     clauses = [(number(u, w), number(w, y), number(u, y), False)
                for vs in g.by_level.values()
                for u, w, y in permutations(vs, 3)]
-    return ConstraintSystem(reduced.n, reduced.spell, reduced.rows, clauses, "level-full")
+    return replace(reduced, clauses=clauses, meta="level-full")
 
 
 def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
@@ -324,7 +330,10 @@ def reference_set_variants(g: LevelGraph) -> list[tuple[ReferenceSets, LevelGrap
 # Radial systems
 
 
-def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, list[Edge], list[Edge], list[Edge]]:
+GapClasses = tuple[Edge, list[Edge], list[Edge], list[Edge]]
+
+
+def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> GapClasses:
     """Split gap i's edges into (reference edge, plain, plus-adjacent, minus-adjacent)."""
     eps = refs.reference_edge(i)
     plain: list[Edge] = []
@@ -342,7 +351,7 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> tuple[Edge, 
     return eps, plain, plus_adj, minus_adj
 
 
-def gap_flagged_edges(classes: tuple[Edge, list[Edge], list[Edge], list[Edge]]) -> list[Edge]:
+def gap_flagged_edges(classes: GapClasses) -> list[Edge]:
     """A gap's edges that carry a left flag, from its `gap_edge_classes`: plus-adjacent before minus-adjacent."""
     _, _, plus_adj, minus_adj = classes
     return plus_adj + minus_adj
@@ -357,7 +366,9 @@ TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
 
 
 def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, int]:
-    """The index of TripleVar(a, u, v), and the number of triples."""
+    """The index of TripleVar(a, u, v), and the number of triples.  Levels in
+    ascending order, each level's anchors in `ReferenceSets.anchors` order,
+    the ordered pairs of the other vertices in `permutations` order."""
     pos: dict[VertexId, int] = {}
     block: dict[VertexId, tuple[int, int, int]] = {}  # anchor: first index, position, stride
     count = 0
@@ -378,24 +389,15 @@ def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, in
     return number, count
 
 
-def triple_numbering(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, dict[Edge, int]]:
-    """The index of TripleVar(a, u, v) in the radial systems of g, and of
-    FlagVar(*e) by edge e.  Triples come first: levels in ascending order,
-    each level's anchors in `ReferenceSets.anchors` order, the ordered pairs
-    of the other vertices in `permutations` order.  Then the flags, gap by
-    gap, plus-adjacent edges before minus-adjacent ones."""
-    number, count = _triple_blocks(g, refs)
-    return number, {e: count + n for n, e in enumerate(flagged_edges(g, refs))}
-
-
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
-    """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs."""
+    """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs.
+    The flags are numbered after the triples, in `flagged_edges` order."""
     require_valid(g, proper=True)
     problems = validate_reference_sets(g, refs)
     if problems:
         raise ValueError("invalid reference sets: " + "; ".join(problems))
     number, triples = _triple_blocks(g, refs)
-    flagged: list[Edge] = []
+    flag: dict[Edge, int] = {}
     rows: list[Row] = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
@@ -409,12 +411,9 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
                         for u, v in permutations(others, 2))
             rows.extend(((number(am, v, ap), number(ap, am, v)), 0) for v in others)
     for i in range(1, g.k):
-        eps, plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        ap, am_next = eps
-        flag: dict[Edge, int] = {}
-        for e in plus_adj + minus_adj:
-            flag[e] = triples + len(flagged)
-            flagged.append(e)
+        classes = (ap, am_next), plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
+        for e in gap_flagged_edges(classes):
+            flag[e] = triples + len(flag)
         # a proper gap's edges are independent when both endpoints differ
         rows.extend(((number(ap, u, w), number(am_next, v, x)), 0)
                     for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x)
@@ -427,9 +426,9 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     def spell() -> Iterable[BoolVar]:
         yield from (TripleVar(a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
                     for u, v in permutations([x for x in vs if x != a], 2))
-        yield from (FlagVar(*e) for e in flagged)
+        yield from (FlagVar(*e) for e in flag)
 
-    return ConstraintSystem(triples + len(flagged), spell, rows, [], "radial-reduced")
+    return ConstraintSystem(triples + len(flag), spell, rows, [], "radial-reduced", number, flag)
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -440,9 +439,9 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
     to a linearization of the circle.
     """
     reduced = build_radial_reduced(g, refs)
-    number, _ = _triple_blocks(g, refs)
+    number = reduced.number
     clauses = [(number(a, u, v), number(a, v, w), number(a, w, u), True)
                for i in range(1, g.k + 1)
                for a in refs.anchors(i)
                for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)]
-    return ConstraintSystem(reduced.n, reduced.spell, reduced.rows, clauses, "radial-full")
+    return replace(reduced, clauses=clauses, meta="radial-full")

@@ -10,7 +10,8 @@ sweep stays cheap.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
+from math import factorial
 from typing import Iterator
 
 from .graphs import Edge, LevelGraph, VertexId
@@ -53,48 +54,37 @@ def _gap_tables(n1: int, n2: int) -> dict[tuple[int, int], list[int]]:
     return tables
 
 
-def _size_vectors(max_levels: int, max_width: int) -> Iterator[tuple[int, ...]]:
-    for k in range(1, max_levels + 1):
-        yield from product(range(1, max_width + 1), repeat=k)
-
-
 def exhaustive_proper_graphs(max_levels: int = 3, max_width: int = 3,
                              cap: int = 20_000) -> Iterator[LevelGraph]:
-    """All proper level graphs within the bounds, deduplicated, capped."""
-    emitted = 0
-    for sizes in _size_vectors(max_levels, max_width):
-        k = len(sizes)
-        if k == 1:
-            yield graph_from_masks(sizes, ())
-            emitted += 1
-            if emitted >= cap:
-                return
-            continue
-        gap_bits = [sizes[g] * sizes[g + 1] for g in range(k - 1)]
-        tables = [_gap_tables(sizes[g], sizes[g + 1]) for g in range(k - 1)]
-        perm_counts = [len(list(permutations(range(n)))) for n in sizes]
-        combos = list(product(*(range(c) for c in perm_counts)))
-        total = 1 << sum(gap_bits)
-        seen = bytearray(total)
-        for joint in range(total):
-            if seen[joint]:
-                continue
-            masks = []
-            rest = joint
-            for b in reversed(gap_bits):
-                masks.append(rest & ((1 << b) - 1))
-                rest >>= b
-            masks.reverse()
-            yield graph_from_masks(sizes, tuple(masks))
-            emitted += 1
-            if emitted >= cap:
-                return
-            for combo in combos:
-                image = 0
-                for g in range(k - 1):
-                    image = image << gap_bits[g] | tables[g][(combo[g], combo[g + 1])][masks[g]]
-                seen[image] = 1
-    return
+    """All proper level graphs within the bounds, deduplicated; the first `cap` of them."""
+    return islice(_class_representatives(max_levels, max_width), max(cap, 0))
+
+
+def _class_representatives(max_levels: int, max_width: int) -> Iterator[LevelGraph]:
+    """One graph per isomorphism class, size vector by size vector."""
+    for k in range(1, max_levels + 1):
+        for sizes in product(range(1, max_width + 1), repeat=k):
+            gap_bits = [sizes[g] * sizes[g + 1] for g in range(k - 1)]
+            tables = [_gap_tables(sizes[g], sizes[g + 1]) for g in range(k - 1)]
+            # relabelings per level; one level has no edges to relabel
+            combos = list(product(*(range(factorial(n)) for n in sizes))) if k > 1 else []
+            total = 1 << sum(gap_bits)
+            seen = bytearray(total)
+            for joint in range(total):
+                if seen[joint]:
+                    continue
+                masks = []
+                rest = joint
+                for b in reversed(gap_bits):
+                    masks.append(rest & ((1 << b) - 1))
+                    rest >>= b
+                masks.reverse()
+                yield graph_from_masks(sizes, tuple(masks))
+                for combo in combos:
+                    image = 0
+                    for g in range(k - 1):
+                        image = image << gap_bits[g] | tables[g][(combo[g], combo[g + 1])][masks[g]]
+                    seen[image] = 1
 
 
 def random_proper_graph(rng: random.Random, max_levels: int = 4, max_width: int = 4,

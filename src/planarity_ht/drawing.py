@@ -23,6 +23,7 @@ from .constraints import (
     BoolVar,
     ConstraintSystem,
     FlagVar,
+    GapClasses,
     PairVar,
     ReferenceSets,
     TripleNumber,
@@ -33,8 +34,7 @@ from .constraints import (
     evaluate,
     flagged_edges,
     gap_edge_classes,
-    pair_numbering,
-    triple_numbering,
+    gap_flagged_edges,
     validate_reference_sets,
 )
 from .graphs import Edge, LevelGraph, VertexId, independent
@@ -187,14 +187,18 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     reference-adjacent edge crosses a plain edge when its flag disagrees with
     the plain edge's position relative to the adjacent edge's free endpoint.
     """
-    classes = _, _, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-    for e in plus_adj + minus_adj:
+    return _flagged_gap_pairs_radial(d, i, gap_edge_classes(g, refs, i))
+
+
+def _flagged_gap_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
+    """`_gap_crossing_pairs_radial`, once the drawing flags each reference-adjacent edge of the gap."""
+    for e in gap_flagged_edges(classes):
         if e not in d.left_flag:
             raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
     return _gap_crossing_pairs_radial(d, i, classes)
 
 
-def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes) -> list[tuple[Edge, Edge]]:
+def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
     """`gap_crossing_pairs_radial` on gap i's `gap_edge_classes`, for a drawing
     that flags every reference-adjacent edge."""
     eps, plain, plus_adj, minus_adj = classes
@@ -285,9 +289,14 @@ class RadialContext(LevelContext):
         return plus_refs
 
     @cached_property
+    def plus_gap_classes(self) -> dict[int, GapClasses]:
+        """The `gap_edge_classes` of each gap of the subdivision."""
+        return {i: gap_edge_classes(self.pg.graph, self.plus_refs, i) for i in range(1, self.pg.graph.k)}
+
+    @cached_property
     def plus_flagged(self) -> tuple[Edge, ...]:
         """The subdivision's edges that carry a left flag, in `flagged_edges` order."""
-        return tuple(flagged_edges(self.pg.graph, self.plus_refs))
+        return tuple(e for classes in self.plus_gap_classes.values() for e in gap_flagged_edges(classes))
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -307,7 +316,9 @@ def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
 
 
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
-    return count_crossings_radial(d, ctx.pg.graph, ctx.plus_refs, aggregate=ctx.segment_origin)
+    classes = ctx.plus_gap_classes
+    return _count_crossings(d.cyclic, ctx.pg.graph, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]),
+                            ctx.segment_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +350,26 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
     _require_hanani_tutte(star_report_level(d, ctx))
     star_level = sf.star.level
     phi_plus: Assignment = {}
-    for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
-        for x, y in permutations(vs, 2):
-            if x in sf.owner or y in sf.owner:
-                val = psi[PairVar(x, y)]
+    for var in ctx.plus_system.variables:
+        if var.u in sf.owner or var.w in sf.owner:
+            val = psi[var]
+        else:
+            e1, e2 = pg.prov.vertex_origin[var.u], pg.prov.vertex_origin[var.w]
+            if independent(e1, e2):
+                lv = max(star_level[e1[0]], star_level[e2[0]])
+            elif e1[0] == e2[0]:
+                lv = min(star_level[e1[1]], star_level[e2[1]])
+            elif e1[1] == e2[1]:
+                lv = max(star_level[e1[0]], star_level[e2[0]])
             else:
-                e1, e2 = pg.prov.vertex_origin[x], pg.prov.vertex_origin[y]
-                if independent(e1, e2):
-                    lv = max(star_level[e1[0]], star_level[e2[0]])
-                elif e1[0] == e2[0]:
-                    lv = min(star_level[e1[1]], star_level[e2[1]])
-                elif e1[1] == e2[1]:
-                    lv = max(star_level[e1[0]], star_level[e2[0]])
-                else:
-                    raise AssertionError(f"edges {e1}, {e2} share a level but meet head to tail")
-                val = psi[PairVar(pg.point_at(e1, lv), pg.point_at(e2, lv))]
-            phi_plus[PairVar(x, y)] = val
+                raise AssertionError(f"edges {e1}, {e2} share a level but meet head to tail")
+            val = psi[PairVar(pg.point_at(e1, lv), pg.point_at(e2, lv))]
+        phi_plus[var] = val
     phi: Assignment = {}
-    for i in range(1, ctx.base.k + 1):
-        for u, w in permutations(ctx.base.on_level(i), 2):
-            su, sw = sf.stretch[u], sf.stretch[w]
-            lv = max(star_level[su[0]], star_level[sw[0]])
-            phi[PairVar(u, w)] = phi_plus[PairVar(pg.point_at(su, lv), pg.point_at(sw, lv))]
+    for var in ctx.system.variables:
+        su, sw = sf.stretch[var.u], sf.stretch[var.w]
+        lv = max(star_level[su[0]], star_level[sw[0]])
+        phi[var] = phi_plus[PairVar(pg.point_at(su, lv), pg.point_at(sw, lv))]
     require_satisfying(ctx.plus_system, phi_plus)
     require_satisfying(ctx.system, phi)
     return phi_plus, phi
@@ -401,7 +409,7 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
     """
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
-    number = pair_numbering(ctx.base)
+    number = ctx.system.number
     level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
 
     def bit(var: BoolVar) -> bool:
@@ -456,7 +464,7 @@ def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
 def _psi_gap_order(bits: list[bool], number: TripleNumber, flag: dict[Edge, int], refs: ReferenceSets,
                    i: int, e: Edge, f: Edge) -> bool:
     """Order of two distinct non-reference gap edges around the reference edge,
-    read from the bits of a radial system numbered by `triple_numbering`.
+    read from the bits of a radial system by its `number` and `flag`.
 
     Several clauses of the defining case split may apply at once; they must
     agree for a satisfying assignment, so any disagreement is a hard error.
@@ -485,7 +493,7 @@ def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignm
     `solve_reduced` returns it, to its subdivision."""
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
-    number, flag = triple_numbering(ctx.base, ctx.refs)
+    number, flag = ctx.system.number, ctx.system.flag
     level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
     flag_bits = {seg: bits[flag[origin[seg[0]], origin[seg[1]]]] for seg in ctx.plus_flagged}
     anchors = ctx.plus_refs.anchors
@@ -552,8 +560,8 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     origin_seg = ctx.segment_origin
     # crossings of each star edge pair, bucketed by the gap's lower level
     by_gap: dict[tuple[Edge, Edge], dict[int, int]] = {}
-    for j in range(1, pg.graph.k):
-        for s1, s2 in gap_crossing_pairs_radial(d, pg.graph, ctx.plus_refs, j):
+    for j, classes in ctx.plus_gap_classes.items():
+        for s1, s2 in _gap_crossing_pairs_radial(d, j, classes):
             e1, e2 = origin_seg[s1], origin_seg[s2]
             if e1 == e2:
                 continue
@@ -569,17 +577,15 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
         phantom = 1 if e1[0] == e2[0] and total % 2 else 0
         return below + phantom
 
+    edge_of, level = pg.prov.vertex_origin.get, pg.graph.level
     phi: Assignment = {}
-    for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
-        for x in ctx.plus_refs.anchors(j):
-            ex = pg.prov.vertex_origin.get(x)
-            for y, z in permutations([v for v in vs if v != x], 2):
-                ey, ez = pg.prov.vertex_origin.get(y), pg.prov.vertex_origin.get(z)
-                psi = d.clockwise(j, x, y, z)
-                parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
-                phi[TripleVar(x, y, z)] = psi != bool(parity)
-    for seg in ctx.plus_flagged:
-        phi[FlagVar(*seg)] = d.left_flag[seg]
+    for var in ctx.plus_system.variables:
+        if type(var) is FlagVar:
+            phi[var] = d.left_flag[var.edge]
+            continue
+        x, y, z, j = var.anchor, var.u, var.v, level[var.anchor]
+        ex, ey, ez = edge_of(x), edge_of(y), edge_of(z)
+        parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
+        phi[var] = d.clockwise(j, x, y, z) != bool(parity)
     require_satisfying(ctx.plus_system, phi)
     return phi

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 VertexId = str
 Edge = tuple[VertexId, VertexId]
@@ -179,13 +180,7 @@ class CriticalPair:
 def critical_pairs(g: LevelGraph) -> list[CriticalPair]:
     """Every unordered independent edge pair with overlapping spans, listed once."""
     require_valid(g)
-    edges = sorted(g.edges)
-    out = []
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if is_critical(g, e, f):
-                out.append(CriticalPair(e, f))
-    return out
+    return [CriticalPair(e, f) for e, f in combinations(sorted(g.edges), 2) if is_critical(g, e, f)]
 
 
 @dataclass(frozen=True)

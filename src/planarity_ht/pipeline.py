@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import xorsat
-from .constraints import ConstraintSystem, build_level_full, build_radial_full, choose_reference_sets
+from .constraints import (
+    ConstraintSystem,
+    build_level_full,
+    build_radial_full,
+    choose_reference_sets,
+    count_transitivity,
+)
 from .drawing import (
     CrossingReport,
     LevelContext,
@@ -50,12 +56,13 @@ def solve_reduced(system: ConstraintSystem) -> list[bool] | None:
 @dataclass
 class CheckResult:
     """One decision; variables and equations count the reduced system of the
-    properized input, the system that decided."""
+    properized input, the system that decided, transitivity_clauses its full system's clauses."""
 
     mode: str
     planar: bool
     variables: int
     equations: int
+    transitivity_clauses: int
     witness: LevelDrawing | RadialDrawing | None = None
     witness_report: CrossingReport | None = None
 
@@ -75,7 +82,8 @@ def stage_context(g: LevelGraph, mode: str) -> LevelContext:
 def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
     ctx = stage_context(g, mode)
     phi = solve_reduced(ctx.system)
-    result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.rows))
+    result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.rows),
+                         count_transitivity(ctx.base, ctx.refs))
     if phi is not None and witness:
         result.witness = realize(lift(phi, ctx), ctx)
         result.witness_report = report = report_fn(result.witness, ctx)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import planarity_ht
+from planarity_ht import pipeline
 from planarity_ht.cli import main
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.iofmt import graph_to_json
@@ -128,7 +129,7 @@ def test_check_radial_empty_level_exit_2(tmp_path):
     assert main(["check", "radial", str(p)]) == 2
 
 
-def test_check_full_reports_transitivity(tmp_path, capsys):
+def test_check_full_reports_transitivity(tmp_path, monkeypatch, capsys):
     # K3,3 on two levels: the input's full system has 3! clauses per level,
     # 2 * 3 consistency rows and 18 independent edge pairs
     doc = {"levels": 2, "vertices": [{"id": f"{s}{i}", "level": lv} for s, lv in (("a", 1), ("b", 2))
@@ -136,11 +137,23 @@ def test_check_full_reports_transitivity(tmp_path, capsys):
            "edges": [[f"a{i}", f"b{j}"] for i in range(3) for j in range(3)]}
     p = tmp_path / "k33.json"
     p.write_text(json.dumps(doc))
+    properized = []
+
+    def counted(g, _properize=pipeline.properize):
+        properized.append(g)
+        return _properize(g)
+
+    monkeypatch.setattr(pipeline, "properize", counted)
     assert main(["--json", "check", "level", str(p), "--full"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["system"] == "full"
     assert payload["transitivity_clauses"] == 12
     assert (payload["variables"], payload["equations"]) == (12, 24)
+    # an anchor's clauses chain three other vertices of its level, and K3,3 has two
+    assert main(["--json", "check", "radial", str(p), "--full"]) == 1
+    assert json.loads(capsys.readouterr().out)["transitivity_clauses"] == 0
+    # the clauses are counted on the stage context the decision built
+    assert len(properized) == 2
 
 
 def test_render_mismatch_exit_2(path_file, tmp_path, k22_file):
@@ -161,6 +174,7 @@ def test_crosscheck_random_exit_0(capsys):
     (["--random", "3", "--max-size", "3,0"], "--max-size"),
     (["--max-size", "0,0"], "--max-size"),
     (["--random", "-2"], "--random"),
+    (["--max-size", "2,2", "--cap", "-3"], "--cap"),
 ])
 def test_crosscheck_refuses_empty_sizes_and_negative_counts(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -173,6 +187,11 @@ def test_crosscheck_refuses_empty_sizes_and_negative_counts(argv, option, capsys
 
 def test_crosscheck_random_zero_checks_no_instance(capsys):
     assert main(["--json", "crosscheck", "--random", "0", "--max-size", "2,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 0
+
+
+def test_crosscheck_cap_zero_checks_no_instance(capsys):
+    assert main(["--json", "crosscheck", "--max-size", "2,2", "--cap", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["instances"] == 0
 
 

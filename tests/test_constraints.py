@@ -21,10 +21,9 @@ from planarity_ht.constraints import (
     choose_reference_sets,
     count_transitivity,
     evaluate,
+    flagged_edges,
     gap_edge_classes,
-    pair_numbering,
     reference_set_variants,
-    triple_numbering,
     validate_reference_sets,
 )
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
@@ -224,7 +223,7 @@ def test_flip_one_bit_breaks_consistency():
     g = LevelGraph(1, {"a": 1, "b": 1}, ())
     s = build_level_reduced(g)
     a = solve_reduced(s)
-    ab = pair_numbering(g)("a", "b")
+    ab = s.number("a", "b")
     a[ab] = not a[ab]
     bad = evaluate(s, a)
     assert len(bad) == 1 and bad[0].parity == 1
@@ -335,8 +334,8 @@ def _radial_equations(g: LevelGraph, refs: ReferenceSets) -> list[XorEquation]:
 @settings(max_examples=150, deadline=None)
 @given(proper_graphs_with_empty_levels())
 def test_numbering_matches_the_variable_order(g):
-    pair = pair_numbering(g)
     s = build_level_reduced(g)
+    pair = s.number
     for i, v in enumerate(s.variables):
         assert pair(v.u, v.w) == i
     expect = _level_equations(g)
@@ -345,15 +344,15 @@ def test_numbering_matches_the_variable_order(g):
     if any(not g.on_level(i) for i in range(1, g.k + 1)):
         return  # radial reference sets need every level nonempty
     refs, aug = choose_reference_sets(g)
-    triple, flags = triple_numbering(aug, refs)
     s = build_radial_reduced(aug, refs)
+    triple, flags = s.number, s.flag
 
     def number(v):
         return triple(v.anchor, v.u, v.v) if isinstance(v, TripleVar) else flags[v.edge]
 
     for i, v in enumerate(s.variables):
         assert number(v) == i
-    assert list(flags) == [v.edge for v in s.variables if isinstance(v, FlagVar)]
+    assert list(flags) == [v.edge for v in s.variables if isinstance(v, FlagVar)] == flagged_edges(aug, refs)
     expect = _radial_equations(aug, refs)
     assert s.xors == expect
     assert s.rows == [(tuple(map(number, eq.vars)), eq.parity) for eq in expect]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -144,6 +145,27 @@ def test_reference_edge_never_listed_as_crossing():
         for e, f in gap_crossing_pairs_radial(d, aug, refs, 1):
             assert eps not in (e, f)
             assert independent(e, f)
+
+
+def _lacks_flag(e) -> str:
+    return re.escape(f"drawing lacks a left flag for reference-adjacent edge {e}")
+
+
+def test_a_radial_drawing_missing_a_left_flag_is_refused():
+    aug, refs = _radial_fixture()
+    d = RadialDrawing({1: ("a", "u", "w"), 2: ("v", "y", "x")}, {("a", "x"): False, ("u", "v"): True})
+    count_crossings_radial(d, aug, refs)  # every flag present: no error
+    del d.left_flag[("u", "v")]
+    with pytest.raises(ValueError, match=_lacks_flag(("u", "v"))):
+        count_crossings_radial(d, aug, refs)
+    # a witness of the subdivision G+, checked against the context's gap classes
+    ctx = make_radial_context(aug, refs)
+    witness = drawing_from_assignment_radial(lift_assignment_radial(solve_reduced(ctx.system), ctx), ctx)
+    assert star_report_radial(witness, ctx).ht_violations == []
+    last = list(witness.left_flag)[-1]
+    del witness.left_flag[last]
+    with pytest.raises(ValueError, match=_lacks_flag(last)):
+        star_report_radial(witness, ctx)
 
 
 def test_radial_k22_oracle_witness_counts_zero(k22):

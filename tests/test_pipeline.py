@@ -167,6 +167,39 @@ def test_witness_check_builds_no_equation_objects(monkeypatch):
     assert check_radial(g, witness=True).witness is not None
 
 
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of a constraints function, patched wherever it is looked up."""
+    calls = [0]
+
+    def counted(*args, _fn=getattr(constraints, name)):
+        calls[0] += 1
+        return _fn(*args)
+
+    for module in (constraints, drawing):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_witness_check_derives_each_table_once(monkeypatch):
+    # G's system carries its numbering to the full builders and the lifts, and
+    # the radial context splits each gap of G+ once for all its readers
+    g = _staircase(4, 3)
+    ctx = stage_context(g, "radial")
+    classes = _count_calls(monkeypatch, "gap_edge_classes")
+    assert check_radial(g, witness=True).witness is not None
+    assert classes[0] == (ctx.base.k - 1) + (ctx.pg.graph.k - 1)
+    for name, check, build_full in (("pair_numbering", check_level, lambda: constraints.build_level_full(g)),
+                                    ("_triple_blocks", check_radial,
+                                     lambda: constraints.build_radial_full(ctx.base, ctx.refs))):
+        calls = _count_calls(monkeypatch, name)
+        assert check(g, witness=True).witness is not None
+        assert calls[0] == 1
+        calls[0] = 0
+        build_full()
+        assert calls[0] == 1
+
+
 def test_checks_create_no_variable_object_of_the_input_system(monkeypatch):
     # a system holds its variable count and spells its variables only on demand
     def refuse(*args):
