@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="decide planarity by exhaustive enumeration")
     p.add_argument("mode", choices=["level", "radial"])
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_count, default=None,
                    help=f"max states to enumerate (default {DEFAULT_BUDGET}, "
                         f"override with {BUDGET_ENV_VAR})")
     p.set_defaults(func=cmd_oracle)
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_size_pair, default=(3, 3), metavar="K,W")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=_count, default=20_000)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=cmd_crosscheck)
     return parser
 

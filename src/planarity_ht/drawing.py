@@ -7,12 +7,19 @@ two-layer model: within one gap a pair of independent edges crosses at most
 once, adjacent edges never cross, and a reference edge is never crossed.
 
 The conversion operations translate between satisfying assignments of the
-reduced constraint systems and drawings of the subdivided star form, in both
-directions and in both the level and the radial setting.
+reduced constraint systems and drawings of the subdivided star form G+, in
+both directions and in both the level and the radial setting.  From a
+drawing back to an assignment is one rule for both modes: each variable of
+G+ is read off the drawing and corrected by the parity of the crossings the
+star edges through its points make below its sublevel.  The modes differ
+only in the reading (a pair's left/right order, a triple's clockwise order)
+and in the per-gap crossing rule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -113,7 +120,7 @@ def check_drawing_covers(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph)
 
 # ---------------------------------------------------------------------------
 # Crossing model: one rule per gap and mode, shared by counting, verification,
-# the oracles and rendering
+# the back-conversion, the oracles and rendering
 
 
 @dataclass
@@ -137,29 +144,36 @@ def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge,
     return [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent(*pair)]
 
 
-def _require_hanani_tutte(report: CrossingReport) -> None:
-    if report.ht_violations:
-        pair = report.ht_violations[0]
-        raise NotHananiTutteError(pair, report.count(*pair))
+def _gap_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
+                   origin: dict[Edge, Edge] | None = None) -> dict[tuple[Edge, Edge], list[int]]:
+    """The drawing's crossings, listed once: the gaps each crossing pair
+    crosses in, ascending, one entry per crossing.
 
-
-def _count_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
-                     aggregate: dict[Edge, Edge] | None) -> CrossingReport:
-    """Per-pair crossing counts over every gap; `gap_pairs(i)` lists gap i's
-    crossing segment pairs, and `aggregate` rolls them up to pre-image edges."""
+    `gap_pairs(i)` lists gap i's crossing segment pairs; `origin`, when
+    given, maps each segment to the star edge it subdivides, so that the
+    pairs are star edge pairs.
+    """
     problems = check_drawing_covers(orders, g)
     if problems:
         raise ValueError("; ".join(problems))
-    per_pair: dict[tuple[Edge, Edge], int] = {}
+    by_pair: defaultdict[tuple[Edge, Edge], list[int]] = defaultdict(list)
     for i in range(1, g.k):
         for e, f in gap_pairs(i):
-            if aggregate is not None:
-                e, f = aggregate[e], aggregate[f]
-                if e == f:
-                    continue
-            key = _pair_key(e, f)
-            per_pair[key] = per_pair.get(key, 0) + 1
+            if origin is not None:
+                e, f = origin[e], origin[f]
+            by_pair[_pair_key(e, f)].append(i)
+    return by_pair
+
+
+def _report(by_pair: dict[tuple[Edge, Edge], list[int]]) -> CrossingReport:
+    per_pair = {pair: len(gaps) for pair, gaps in by_pair.items()}
     return CrossingReport(per_pair, _odd_independent(per_pair), planar=not per_pair)
+
+
+def _count_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
+                     origin: dict[Edge, Edge] | None = None) -> CrossingReport:
+    """Per-pair crossing counts over every gap, as `_gap_crossings` lists them."""
+    return _report(_gap_crossings(orders, g, gap_pairs, origin))
 
 
 def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> list[tuple[Edge, Edge]]:
@@ -220,15 +234,12 @@ def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) ->
     return out
 
 
-def count_crossings_level(d: LevelDrawing, g: LevelGraph,
-                          aggregate: dict[Edge, Edge] | None = None) -> CrossingReport:
-    """Per-pair crossing counts; with `aggregate`, counts roll up to pre-image edges."""
-    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i), aggregate)
+def count_crossings_level(d: LevelDrawing, g: LevelGraph) -> CrossingReport:
+    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i))
 
 
-def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets,
-                           aggregate: dict[Edge, Edge] | None = None) -> CrossingReport:
-    return _count_crossings(d.cyclic, g, lambda i: gap_crossing_pairs_radial(d, g, refs, i), aggregate)
+def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets) -> CrossingReport:
+    return _count_crossings(d.cyclic, g, lambda i: gap_crossing_pairs_radial(d, g, refs, i))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +323,57 @@ def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
 
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
-    return count_crossings_level(d, ctx.pg.graph, aggregate=ctx.segment_origin)
+    g = ctx.pg.graph
+    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i), ctx.segment_origin)
 
 
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
     classes = ctx.plus_gap_classes
     return _count_crossings(d.cyclic, ctx.pg.graph, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]),
                             ctx.segment_origin)
+
+
+def _points(var: BoolVar) -> tuple[VertexId, ...]:
+    """The sublevel points a variable of G+ reads: two for a pair, three for a triple, none for a flag."""
+    if type(var) is PairVar:
+        return var.u, var.w
+    if type(var) is TripleVar:
+        return var.anchor, var.u, var.v
+    return ()
+
+
+def _assignment_from_drawing(ctx: LevelContext, orders: dict[int, tuple[VertexId, ...]], gap_pairs,
+                             read: Callable[[BoolVar], bool]) -> Assignment:
+    """The back-conversion rule of both modes: a Hanani-Tutte drawing of G+,
+    its raw reading corrected by crossing parity.
+
+    Each variable of G+ takes its raw value `read(var)` off the drawing, XOR
+    the sum of pcr(e, f, j) over each pair of its points on sublevel j.  e
+    and f are the star edges the two points subdivide; pcr counts their
+    crossings in the gaps below j, plus one when e and f share their tail and
+    cross an odd number of times in total.  A bot or top copy subdivides no
+    star edge and adds nothing, and a flag has no points.  `gap_pairs(i)`
+    lists gap i's crossing segment pairs; the crossings are listed once, and
+    an independent star edge pair crossing an odd number of times is refused.
+    """
+    by_pair = _gap_crossings(orders, ctx.pg.graph, gap_pairs, ctx.segment_origin)
+    report = _report(by_pair)
+    if report.ht_violations:
+        pair = report.ht_violations[0]
+        raise NotHananiTutteError(pair, report.count(*pair))
+
+    def pcr(e: Edge | None, f: Edge | None, j: int) -> int:
+        if e is None or f is None:
+            return 0
+        gaps = by_pair.get(_pair_key(e, f), ())
+        return bisect_left(gaps, j) + (e[0] == f[0] and len(gaps) % 2)
+
+    edge_of, level = ctx.pg.prov.vertex_origin.get, ctx.pg.graph.level
+    phi: Assignment = {}
+    for var in ctx.plus_system.variables:
+        flips = sum(pcr(edge_of(p), edge_of(q), level[p]) for p, q in combinations(_points(var), 2))
+        phi[var] = read(var) != bool(flips % 2)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -336,35 +391,18 @@ def induced_pair_assignment(d: LevelDrawing) -> Assignment:
 
 
 def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[Assignment, Assignment]:
-    """Repair a Hanani-Tutte drawing's induced assignment into satisfying ones.
+    """A satisfying assignment of the subdivision G+, and its projection to
+    the input, from a Hanani-Tutte level drawing of G+.
 
-    The drawing's raw assignment need not satisfy the planarity equations.
-    Every pair of subdivision vertices instead copies the raw value at the
-    pair's limits: independent edge pairs copy at the bottom of their shared
-    window, edges sharing a tail copy at their heads' window, edges sharing a
-    head at their tails'.  The result satisfies the subdivision's reduced
-    system and projects through the stretch edges to one for the input graph.
+    The raw value of a pair "u left of w" is read off the drawing and
+    corrected by crossing parity as `_assignment_from_drawing` states.  The
+    result projects through the stretch edges to the input graph.
     """
     pg, sf = ctx.pg, ctx.star_form
-    psi = induced_pair_assignment(d)
-    _require_hanani_tutte(star_report_level(d, ctx))
+    pos = {v: p for order in d.orders.values() for p, v in enumerate(order)}
+    phi_plus = _assignment_from_drawing(ctx, d.orders, lambda i: gap_crossing_pairs_level(d, pg.graph, i),
+                                        lambda var: pos[var.u] < pos[var.w])
     star_level = sf.star.level
-    phi_plus: Assignment = {}
-    for var in ctx.plus_system.variables:
-        if var.u in sf.owner or var.w in sf.owner:
-            val = psi[var]
-        else:
-            e1, e2 = pg.prov.vertex_origin[var.u], pg.prov.vertex_origin[var.w]
-            if independent(e1, e2):
-                lv = max(star_level[e1[0]], star_level[e2[0]])
-            elif e1[0] == e2[0]:
-                lv = min(star_level[e1[1]], star_level[e2[1]])
-            elif e1[1] == e2[1]:
-                lv = max(star_level[e1[0]], star_level[e2[0]])
-            else:
-                raise AssertionError(f"edges {e1}, {e2} share a level but meet head to tail")
-            val = psi[PairVar(pg.point_at(e1, lv), pg.point_at(e2, lv))]
-        phi_plus[var] = val
     phi: Assignment = {}
     for var in ctx.system.variables:
         su, sw = sf.stretch[var.u], sf.stretch[var.w]
@@ -548,44 +586,20 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
 
 
 def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assignment:
-    """Extract a satisfying assignment from a radial Hanani-Tutte drawing.
+    """A satisfying assignment of the subdivision G+ from a radial
+    Hanani-Tutte drawing of G+.
 
-    Raw clockwise values are corrected by the parity of the crossings that
-    the involved subdivision paths accumulate below the level in question;
-    edges leaving a shared vertex with an odd total crossing count carry an
-    extra phantom crossing at that vertex so that every pair ends up even.
+    The raw value of a triple is its clockwise order on the drawing's circle,
+    of a flag the drawing's flag; triples are corrected by crossing parity as
+    `_assignment_from_drawing` states.
     """
-    pg = ctx.pg
-    _require_hanani_tutte(star_report_radial(d, ctx))
-    origin_seg = ctx.segment_origin
-    # crossings of each star edge pair, bucketed by the gap's lower level
-    by_gap: dict[tuple[Edge, Edge], dict[int, int]] = {}
-    for j, classes in ctx.plus_gap_classes.items():
-        for s1, s2 in _gap_crossing_pairs_radial(d, j, classes):
-            e1, e2 = origin_seg[s1], origin_seg[s2]
-            if e1 == e2:
-                continue
-            bucket = by_gap.setdefault(_pair_key(e1, e2), {})
-            bucket[j] = bucket.get(j, 0) + 1
+    classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
 
-    def pcr_prefix(e1: Edge | None, e2: Edge | None, j: int) -> int:
-        if e1 is None or e2 is None or e1 == e2:
-            return 0
-        gaps = by_gap.get(_pair_key(e1, e2), {})
-        total = sum(gaps.values())
-        below = sum(c for g_, c in gaps.items() if g_ + 1 <= j)
-        phantom = 1 if e1[0] == e2[0] and total % 2 else 0
-        return below + phantom
-
-    edge_of, level = pg.prov.vertex_origin.get, pg.graph.level
-    phi: Assignment = {}
-    for var in ctx.plus_system.variables:
+    def read(var: BoolVar) -> bool:
         if type(var) is FlagVar:
-            phi[var] = d.left_flag[var.edge]
-            continue
-        x, y, z, j = var.anchor, var.u, var.v, level[var.anchor]
-        ex, ey, ez = edge_of(x), edge_of(y), edge_of(z)
-        parity = (pcr_prefix(ex, ey, j) + pcr_prefix(ex, ez, j) + pcr_prefix(ey, ez, j)) % 2
-        phi[var] = d.clockwise(j, x, y, z) != bool(parity)
+            return d.left_flag[var.edge]
+        return d.clockwise(level[var.anchor], var.anchor, var.u, var.v)
+
+    phi = _assignment_from_drawing(ctx, d.cyclic, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]), read)
     require_satisfying(ctx.plus_system, phi)
     return phi

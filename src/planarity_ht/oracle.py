@@ -28,9 +28,12 @@ BUDGET_ENV_VAR = "PLANARITY_HT_BUDGET"
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     try:
-        return int(raw) if raw else DEFAULT_BUDGET
+        budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must not be negative, got {raw!r}")
+    return budget
 
 
 class BudgetExceededError(RuntimeError):

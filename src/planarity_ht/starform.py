@@ -40,7 +40,6 @@ def top_name(v: VertexId) -> VertexId:
 class StarForm:
     """The stretched graph plus all provenance needed to map back to the input."""
 
-    base: LevelGraph                      # the proper input graph
     star: LevelGraph                      # the stretched graph
     bot: dict[VertexId, VertexId]         # original vertex -> bottom copy
     top: dict[VertexId, VertexId]         # original vertex -> top copy
@@ -66,7 +65,7 @@ def _assemble(base: LevelGraph, total: int, level: dict[VertexId, int],
     owner = {c: v for v, c in bot.items()}
     owner.update({c: v for v, c in top.items()})
     star = LevelGraph(total, level, edges)
-    return StarForm(base, star, bot, top, owner, stretch, star_edge, edge_origin, level_origin, middle)
+    return StarForm(star, bot, top, owner, stretch, star_edge, edge_origin, level_origin, middle)
 
 
 def build_star_level(g: LevelGraph) -> StarForm:

@@ -122,6 +122,30 @@ def test_malformed_budget_env_var_fails_only_the_enumerations(k22_file, monkeypa
     assert "PLANARITY_HT_BUDGET" in capsys.readouterr().err
 
 
+def test_a_negative_budget_is_refused(k22_file, capsys):
+    for argv in (["oracle", "level", k22_file], ["crosscheck", "--max-size", "2,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "-5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --budget:" in err and "must not be negative" in err
+        # a budget of 0 is valid: it parses, and the enumeration exceeds it
+        assert main([*argv, "--budget", "0"]) == 3
+        assert "budget is 0" in capsys.readouterr().err
+
+
+def test_a_negative_budget_env_var_fails_only_the_enumerations(k22_file, monkeypatch, capsys):
+    monkeypatch.setenv("PLANARITY_HT_BUDGET", "-5")
+    assert main(["check", "radial", k22_file]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "level", k22_file]) == 2
+    assert "PLANARITY_HT_BUDGET must not be negative, got '-5'" in capsys.readouterr().err
+    assert main(["crosscheck", "--max-size", "2,2"]) == 2
+    assert "PLANARITY_HT_BUDGET must not be negative" in capsys.readouterr().err
+    monkeypatch.setenv("PLANARITY_HT_BUDGET", "0")
+    assert main(["oracle", "level", k22_file]) == 3
+
+
 def test_check_radial_empty_level_exit_2(tmp_path):
     doc = {"levels": 2, "vertices": [{"id": "a", "level": 1}], "edges": []}
     p = tmp_path / "gap.json"

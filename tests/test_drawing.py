@@ -18,6 +18,7 @@ from planarity_ht.corpus import (
     random_proper_graph,
     random_radial_drawing,
 )
+from planarity_ht import drawing
 from planarity_ht.drawing import (
     LevelDrawing,
     NotHananiTutteError,
@@ -269,8 +270,81 @@ def test_not_hanani_tutte_rejected():
     broken = LevelDrawing(orders)
     report = star_report_level(broken, ctx)
     assert report.count(az, by) == 1
-    with pytest.raises(NotHananiTutteError):
+    with pytest.raises(NotHananiTutteError) as exc:
         assignment_from_drawing_level(broken, ctx)
+    assert (exc.value.pair, exc.value.count) == ((min(az, by), max(az, by)), 1)
+
+
+def _repairs_copy_the_limits(d: LevelDrawing, ctx) -> int:
+    """The paper's limit characterization, kept as a reference: each repaired
+    pair x(p,q) of two star-edge points equals the raw order at the pair's
+    limit, the bottom of the window the two star edges share when they are
+    independent or share a head, its top when they share a tail.  A pair with
+    a bot or top copy keeps its raw order.  Returns how many pairs differ
+    from their raw order."""
+    phi_plus, _ = assignment_from_drawing_level(d, ctx)
+    psi = induced_pair_assignment(d)
+    pg, star_level = ctx.pg, ctx.star_form.star.level
+    repaired = 0
+    for var, value in phi_plus.items():
+        e, f = pg.prov.vertex_origin.get(var.u), pg.prov.vertex_origin.get(var.w)
+        if e is None or f is None:
+            assert value == psi[var]
+            continue
+        if e[0] == f[0]:
+            lv = min(star_level[e[1]], star_level[f[1]])
+        else:
+            lv = max(star_level[e[0]], star_level[f[0]])
+        assert value == psi[PairVar(pg.point_at(e, lv), pg.point_at(f, lv))], (var, e, f, lv)
+        repaired += value != psi[var]
+    return repaired
+
+
+def test_repaired_pairs_equal_the_raw_order_at_their_limits():
+    _, ctx, d, _, _ = _double_crossing_drawing()
+    assert _repairs_copy_the_limits(d, ctx) > 0
+    # level witnesses that carry crossings
+    rng = random.Random(13)
+    witnesses = repaired = 0
+    while witnesses < 6:
+        g = random_proper_graph(rng, max_levels=4, max_width=3)
+        ctx = make_level_context(g)
+        phi = solve_reduced(ctx.system)
+        if phi is None:
+            continue
+        d = drawing_from_assignment_level(lift_assignment_level(phi, ctx), ctx)
+        if star_report_level(d, ctx).planar:
+            continue
+        repaired += _repairs_copy_the_limits(d, ctx)
+        witnesses += 1
+    assert repaired > 0
+
+
+def _counting_gap_rule(monkeypatch, name: str, gap_arg: int) -> list[int]:
+    """Record the gap, argument `gap_arg`, of every call to the drawing module's crossing rule `name`."""
+    gaps: list[int] = []
+    rule = getattr(drawing, name)
+
+    def counted(*args):
+        gaps.append(args[gap_arg])
+        return rule(*args)
+
+    monkeypatch.setattr(drawing, name, counted)
+    return gaps
+
+
+def test_each_back_conversion_runs_each_gap_rule_once(monkeypatch):
+    _, ctx, d, _, _ = _double_crossing_drawing()
+    gaps = _counting_gap_rule(monkeypatch, "gap_crossing_pairs_level", 2)
+    assignment_from_drawing_level(d, ctx)
+    assert gaps == list(range(1, ctx.pg.graph.k))
+
+    aug, refs = _radial_fixture()
+    ctx = make_radial_context(aug, refs)
+    d = drawing_from_assignment_radial(lift_assignment_radial(solve_reduced(ctx.system), ctx), ctx)
+    gaps = _counting_gap_rule(monkeypatch, "_gap_crossing_pairs_radial", 1)
+    assignment_from_drawing_radial(d, ctx)
+    assert gaps == list(range(1, ctx.pg.graph.k))
 
 
 def test_lift_rejects_unsatisfying_input(k22):
