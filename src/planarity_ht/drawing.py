@@ -96,13 +96,9 @@ class RadialDrawing:
     def positions(self, i: int) -> dict[VertexId, int]:
         return {v: p for p, v in enumerate(self.cyclic[i])}
 
-    def clockwise(self, i: int, a: VertexId, u: VertexId, v: VertexId) -> bool:
-        pos = self.positions(i)
-        n = len(self.cyclic[i])
-        return (pos[u] - pos[a]) % n < (pos[v] - pos[a]) % n
-
     def cut_after(self, i: int, a: VertexId) -> dict[VertexId, int]:
-        """Linearize the circle starting at a; a gets position 0."""
+        """Linearize the circle starting at a; a gets position 0, and u precedes v
+        exactly when a, u, v are clockwise."""
         pos = self.positions(i)
         n = len(self.cyclic[i])
         return {v: (p - pos[a]) % n for v, p in pos.items()}
@@ -491,9 +487,10 @@ def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
         for a in refs.anchors(i):
+            cut = d.cut_after(i, a)
             others = [v for v in vs if v != a]
             for u, v in permutations(others, 2):
-                out[TripleVar(a, u, v)] = d.clockwise(i, a, u, v)
+                out[TripleVar(a, u, v)] = cut[u] < cut[v]
     for e in flagged_edges(g, refs):
         out[FlagVar(*e)] = d.left_flag[e]
     return out
@@ -594,11 +591,14 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     `_assignment_from_drawing` states.
     """
     classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
+    positions = {i: d.positions(i) for i in d.cyclic}
 
     def read(var: BoolVar) -> bool:
         if type(var) is FlagVar:
             return d.left_flag[var.edge]
-        return d.clockwise(level[var.anchor], var.anchor, var.u, var.v)
+        pos = positions[level[var.anchor]]
+        a, n = pos[var.anchor], len(pos)
+        return (pos[var.u] - a) % n < (pos[var.v] - a) % n
 
     phi = _assignment_from_drawing(ctx, d.cyclic, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]), read)
     require_satisfying(ctx.plus_system, phi)
