@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 planar (or success), 1 non-planar (or crosscheck mismatch),
-2 usage/validation error, 3 oracle budget exceeded.
+Exit codes: 0 planar (or success); 1 non-planar, or a crosscheck mismatch,
+a failed lift check or round trip included; 2 usage/validation error, a
+graph file with no level included; 3 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def _emit(args, payload: dict, text: str) -> None:
 def _load_valid_graph(path: str) -> LevelGraph:
     g = iofmt.load_graph(path)
     require_valid(g)
+    if g.k < 1:  # valid as a pipeline stage, not as an input
+        raise InvalidGraphError([f"level count must be positive, got {g.k}"])
     return g
 
 
@@ -120,6 +123,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    # a corpus directory is loaded whole, so a malformed file is refused
+    # before any instance runs; generated instances are drawn one at a time
     if args.corpus:
         paths = sorted(glob.glob(os.path.join(args.corpus, "*.json")))
         if not paths:
@@ -129,10 +134,10 @@ def cmd_crosscheck(args) -> int:
     elif args.random is not None:
         rng = random.Random(args.seed)
         k, w = args.max_size
-        instances = [corpus.random_proper_graph(rng, k, w) for _ in range(args.random)]
+        instances = (corpus.random_proper_graph(rng, k, w) for _ in range(args.random))
     else:
         k, w = args.max_size
-        instances = list(corpus.exhaustive_proper_graphs(k, w, cap=args.cap))
+        instances = corpus.exhaustive_proper_graphs(k, w, cap=args.cap)
     summary = run_crosscheck(instances, budget=args.budget)
     payload = {
         "command": "crosscheck",

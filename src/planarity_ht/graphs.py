@@ -79,7 +79,7 @@ class LevelGraph:
 def validate(g: LevelGraph) -> list[str]:
     """Return every invariant violation; an empty list means the graph is valid."""
     problems: list[str] = []
-    if g.k < 1:
+    if g.k < 1 and (g.level or g.k < 0):  # the star form of an empty graph has no levels
         problems.append(f"level count must be positive, got {g.k}")
     for v, lv in g.level.items():
         if not 1 <= lv <= g.k:

@@ -153,6 +153,32 @@ def test_check_radial_empty_level_exit_2(tmp_path):
     assert main(["check", "radial", str(p)]) == 2
 
 
+def test_a_graph_without_vertices_gets_an_empty_level_witness(tmp_path, capsys):
+    # its star form has no sublevels, so G+ is a graph with no levels
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"levels": 1, "vertices": [], "edges": []}))
+    witness = tmp_path / "w.json"
+    assert main(["--json", "check", "level", str(p), "--witness", str(witness)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["planar"] is True and payload["witness_crossings"] == 0
+    assert json.loads(witness.read_text())["orders"] == {}
+    assert main(["render", str(witness), str(p), "--out", str(tmp_path / "w.svg")]) == 0
+    assert main(["emit-constraints", "level", str(p), "--stage", "Gplus"]) == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"levels": 0, "vertices": [], "edges": []}, "level count must be positive, got 0"),
+    ({"levels": -2, "vertices": [], "edges": []}, "level count must be positive, got -2"),
+    ({"levels": 0, "vertices": [{"id": "a", "level": 1}], "edges": []},
+     "level count must be positive, got 0; vertex 'a' has level 1 outside 1..0"),
+])
+def test_a_file_without_levels_is_refused(tmp_path, capsys, doc, message):
+    p = tmp_path / "none.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", "level", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_full_reports_transitivity(tmp_path, monkeypatch, capsys):
     # K3,3 on two levels: the input's full system has 3! clauses per level,
     # 2 * 3 consistency rows and 18 independent edge pairs

@@ -24,6 +24,12 @@ def test_validate_single_vertex_ok():
     assert validate(g) == []
 
 
+def test_validate_allows_no_levels_only_without_vertices():
+    assert validate(LevelGraph(0, {}, ())) == []
+    assert validate(LevelGraph(-1, {}, ())) == ["level count must be positive, got -1"]
+    assert validate(LevelGraph(0, {"a": 1}, ()))[0] == "level count must be positive, got 0"
+
+
 def test_validate_reports_downward_edge():
     g = LevelGraph(2, {"u": 1, "v": 2}, (("v", "u"),))
     problems = validate(g)
