@@ -464,6 +464,15 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
     return LiftedAssignment(ctx, bit)
 
 
+def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...],
+            bit: Callable[[VertexId], bool]) -> tuple[VertexId, ...]:
+    """The placement rule of both realizers: lead, then the other vertices of
+    vs whose bit is unset, then pivot, then those whose bit is set, each side
+    in the order of vs."""
+    bits = {v: bit(v) for v in vs if v != pivot and v not in lead}
+    return (*lead, *(v for v, b in bits.items() if not b), pivot, *(v for v, b in bits.items() if b))
+
+
 def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
     pg = ctx.pg
@@ -472,8 +481,7 @@ def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelCo
         pivots = pg.star_vertices_on(j)
         assert len(pivots) == 1, f"level {j} of the plain subdivision must hold one stretched vertex"
         pivot = pivots[0]
-        right = {v: phi_plus[PairVar(pivot, v)] for v in pg.graph.on_level(j) if v != pivot}
-        orders[j] = (*(v for v, r in right.items() if not r), pivot, *(v for v, r in right.items() if r))
+        orders[j] = _around(pivot, pg.graph.on_level(j), (), lambda v: phi_plus[PairVar(pivot, v)])
     return LevelDrawing(orders)
 
 
@@ -566,18 +574,15 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
         vs = pg.graph.on_level(j)
         bm, bp = ctx.plus_refs.alpha_minus[j], ctx.plus_refs.alpha_plus[j]
         if bm != bp:
-            between = {v: phi_plus[TripleVar(bm, v, bp)] for v in vs if v not in (bm, bp)}
-            cyclic[j] = (bm, *(v for v, t in between.items() if t), bp,
-                         *(v for v, t in between.items() if not t))
+            # the vertices with t(bm, v, bp) set lie on the arc from bm to bp, before bp
+            cyclic[j] = _around(bp, vs, (bm,), lambda v: not phi_plus[TripleVar(bm, v, bp)])
         else:
             stars = pg.star_vertices_on(j)
             xi = stars[0] if stars else None
             if xi is None or xi == bm:
                 cyclic[j] = tuple(vs)
             else:
-                after = {v: phi_plus[TripleVar(bm, xi, v)] for v in vs if v not in (bm, xi)}
-                cyclic[j] = (bm, *(v for v, t in after.items() if not t), xi,
-                             *(v for v, t in after.items() if t))
+                cyclic[j] = _around(xi, vs, (bm,), lambda v: phi_plus[TripleVar(bm, xi, v)])
     left_flag = {seg: phi_plus[FlagVar(*seg)] for seg in ctx.plus_flagged}
     return RadialDrawing(cyclic, left_flag)
 

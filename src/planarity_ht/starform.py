@@ -6,11 +6,18 @@ top(v), incoming edges attach to bot(v) and outgoing edges to top(v).  The
 proper subdivision of the stretched graph is the stage on which assignments
 and drawings are converted back and forth.
 
-Two variants exist.  The plain one expands a level with n vertices into 2n
-sublevels.  The radial one gives the per-level anchor vertices special
-positions so that each level block has a *middle sublevel* crossed by all of
-its stretch edges; a block expands into 2n-1 sublevels when the level's two
-anchors differ and 2n+1 sublevels when they coincide.
+Two variants exist, laid out by one rule from three inputs per level: its
+vertex order, a top shift (0 or -1) and whether the first vertex's stretch edge
+spans the block.  The j-th of n vertices gets its bottom copy on sublevel j of
+the block and its top copy on sublevel n + shift + j; a spanning stretch edge
+ends on sublevel 2n + 1 instead.  The block has 2n + shift + spans sublevels.
+
+The plain variant orders each nonempty level by id, with shift 0 and no spanning
+edge, so a level with n vertices expands into 2n sublevels.  The radial variant
+orders each level from its minus anchor and gives the block a *middle sublevel*
+n + spans crossed by all of its stretch edges: when the level's two anchors
+differ, the plus anchor comes last and the shift is -1 (2n-1 sublevels); when
+they coincide, the anchor's stretch edge spans the block (2n+1 sublevels).
 """
 
 from __future__ import annotations
@@ -55,38 +62,44 @@ class StarForm:
         return sorted(j for j, orig in self.level_origin.items() if orig == i)
 
 
-def _assemble(base: LevelGraph, total: int, level: dict[VertexId, int],
-              bot: dict[VertexId, VertexId], top: dict[VertexId, VertexId],
-              level_origin: dict[int, int], middle: dict[int, int] | None) -> StarForm:
-    stretch = {v: (bot[v], top[v]) for v in base.level}
-    star_edge = {(u, v): (top[u], bot[v]) for u, v in base.edges}
+def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, bool]],
+            radial: bool) -> StarForm:
+    """Stretch g by the layout rule, one block per (level, order, top shift, spans)."""
+    level: dict[VertexId, int] = {}
+    bot: dict[VertexId, VertexId] = {}
+    top: dict[VertexId, VertexId] = {}
+    level_origin: dict[int, int] = {}
+    middle: dict[int, int] = {}
+    offset = 0
+    for i, order, shift, spans in blocks:
+        n = len(order)
+        for j, v in enumerate(order, start=1):
+            bot[v] = bot_name(v)
+            top[v] = top_name(v)
+            level[bot[v]] = offset + j
+            level[top[v]] = offset + n + shift + j
+        if spans:
+            level[top[order[0]]] = offset + 2 * n + 1
+        width = 2 * n + shift + spans
+        middle[i] = offset + n + spans
+        for s in range(1, width + 1):
+            level_origin[offset + s] = i
+        offset += width
+    stretch = {v: (bot[v], top[v]) for v in g.level}
+    star_edge = {(u, v): (top[u], bot[v]) for u, v in g.edges}
     edge_origin = {img: e for e, img in star_edge.items()}
     edges = tuple(sorted(stretch.values())) + tuple(sorted(star_edge.values()))
     owner = {c: v for v, c in bot.items()}
     owner.update({c: v for v, c in top.items()})
-    star = LevelGraph(total, level, edges)
-    return StarForm(star, bot, top, owner, stretch, star_edge, edge_origin, level_origin, middle)
+    star = LevelGraph(offset, level, edges)
+    return StarForm(star, bot, top, owner, stretch, star_edge, edge_origin, level_origin,
+                    middle if radial else None)
 
 
 def build_star_level(g: LevelGraph) -> StarForm:
     """Plain star form: level i with n vertices becomes 2n single-vertex sublevels."""
     require_valid(g, proper=True)
-    level: dict[VertexId, int] = {}
-    bot: dict[VertexId, VertexId] = {}
-    top: dict[VertexId, VertexId] = {}
-    level_origin: dict[int, int] = {}
-    offset = 0
-    for i, vs in g.by_level.items():
-        n = len(vs)
-        for j, v in enumerate(vs, start=1):
-            bot[v] = bot_name(v)
-            top[v] = top_name(v)
-            level[bot[v]] = offset + j
-            level[top[v]] = offset + n + j
-        for s in range(1, 2 * n + 1):
-            level_origin[offset + s] = i
-        offset += 2 * n
-    return _assemble(g, offset, level, bot, top, level_origin, None)
+    return _lay_out(g, [(i, vs, 0, False) for i, vs in g.by_level.items()], radial=False)
 
 
 def build_star_radial(g: LevelGraph, alpha_plus: dict[int, VertexId],
@@ -101,42 +114,15 @@ def build_star_radial(g: LevelGraph, alpha_plus: dict[int, VertexId],
     vertex, only subdivision points later on.
     """
     require_valid(g, proper=True)
-    level: dict[VertexId, int] = {}
-    bot: dict[VertexId, VertexId] = {}
-    top: dict[VertexId, VertexId] = {}
-    level_origin: dict[int, int] = {}
-    middle: dict[int, int] = {}
-    offset = 0
+    blocks = []
     for i in range(1, g.k + 1):
         vs = g.on_level(i)
-        n = len(vs)
-        if n == 0:
+        if not vs:
             raise ValueError(f"radial star form needs a nonempty level, level {i} is empty")
         ap, am = alpha_plus[i], alpha_minus[i]
-        rest = sorted(v for v in vs if v not in (ap, am))
-        for v in vs:
-            bot[v] = bot_name(v)
-            top[v] = top_name(v)
-        if ap != am:
-            order = [am, *rest, ap]
-            for j, v in enumerate(order, start=1):
-                level[bot[v]] = offset + j
-                level[top[v]] = offset + n - 1 + j
-            width = 2 * n - 1
-            middle[i] = offset + n
-        else:
-            order = [am, *rest]
-            level[bot[order[0]]] = offset + 1
-            level[top[order[0]]] = offset + 2 * n + 1
-            for j, v in enumerate(order[1:], start=2):
-                level[bot[v]] = offset + j
-                level[top[v]] = offset + n + j
-            width = 2 * n + 1
-            middle[i] = offset + n + 1
-        for s in range(1, width + 1):
-            level_origin[offset + s] = i
-        offset += width
-    return _assemble(g, offset, level, bot, top, level_origin, middle)
+        rest = [v for v in vs if v not in (ap, am)]
+        blocks.append((i, (am, *rest, ap), -1, False) if ap != am else (i, (am, *rest), 0, True))
+    return _lay_out(g, blocks, radial=True)
 
 
 @dataclass(frozen=True)

@@ -180,3 +180,70 @@ def test_star_vertices_on_is_the_owner_filtered_plus_level(mode):
         pg = build_plus(sf)
         for j in range(pg.graph.k + 2):
             assert pg.star_vertices_on(j) == tuple(v for v in pg.graph.on_level(j) if v in sf.owner)
+
+
+def _expected_layout(g, refs):
+    """Each copy's sublevel, `level_origin` and `middle`, by the rules the builders' docstrings state.
+
+    Plain form (refs None): occupied levels ascending, vertices by id; the j-th
+    of n gets its bottom copy on offset + j and its top copy on offset + n + j.
+    Radial form, anchors differ: order [am, *rest, ap], top copies one sublevel
+    lower, middle offset + n.  Anchors coincide: order [am, *rest], as the plain
+    form except the anchor's top copy on offset + 2n + 1, middle offset + n + 1.
+    """
+    level, level_origin, middle = {}, {}, {}
+    offset = 0
+    for i in sorted(set(g.level.values())):
+        vs = sorted(v for v, lv in g.level.items() if lv == i)
+        n = len(vs)
+        if refs is None:
+            order, top_from, width, spanning = vs, offset + n, 2 * n, None
+        else:
+            ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
+            rest = [v for v in vs if v not in (ap, am)]
+            if ap != am:
+                order, top_from, width, spanning = [am, *rest, ap], offset + n - 1, 2 * n - 1, None
+                middle[i] = offset + n
+            else:
+                order, top_from, width, spanning = [am, *rest], offset + n, 2 * n + 1, am
+                middle[i] = offset + n + 1
+        for j, v in enumerate(order, start=1):
+            level[f"{v}~bot"] = offset + j
+            level[f"{v}~top"] = top_from + j
+        if spanning is not None:
+            level[f"{spanning}~top"] = offset + 2 * n + 1
+        for s in range(offset + 1, offset + width + 1):
+            level_origin[s] = i
+        offset += width
+    return level, level_origin, (None if refs is None else middle)
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_every_copy_sits_where_the_layout_rule_puts_it(mode):
+    rng = random.Random(11)
+    sample = [random_proper_graph(rng, 5, 5) for _ in range(60)]
+    for g in [*exhaustive_proper_graphs(3, 3), *sample]:
+        if mode == "level":
+            refs, base = None, g
+            sf = build_star_level(g)
+        else:
+            refs, base = choose_reference_sets(g)
+            sf = build_star_radial(base, refs.alpha_plus, refs.alpha_minus)
+        level, level_origin, middle = _expected_layout(base, refs)
+        assert sf.star.level == level
+        assert sf.level_origin == level_origin
+        assert sf.middle == middle
+        assert sf.star.k == len(level_origin)
+
+
+def test_radial_star_form_refuses_an_empty_level_before_reading_its_anchors():
+    g = LevelGraph(3, {"a": 1, "b": 3}, ())
+    with pytest.raises(ValueError, match=r"^radial star form needs a nonempty level, level 2 is empty$"):
+        build_star_radial(g, {1: "a", 3: "b"}, {1: "a", 3: "b"})
+
+
+def test_plain_star_form_gives_an_empty_level_no_sublevels():
+    sf = build_star_level(LevelGraph(3, {"a": 1, "b": 3}, ()))
+    assert sf.star.k == 4
+    assert sf.level_origin == {1: 1, 2: 1, 3: 3, 4: 3}
+    assert sf.block(2) == []
