@@ -8,12 +8,20 @@ once, adjacent edges never cross, and a reference edge is never crossed.
 
 The conversion operations translate between satisfying assignments of the
 reduced constraint systems and drawings of the subdivided star form G+, in
-both directions and in both the level and the radial setting.  From a
-drawing back to an assignment is one rule for both modes: each variable of
-G+ is read off the drawing and corrected by the parity of the crossings the
-star edges through its points make below its sublevel.  The modes differ
-only in the reading (a pair's left/right order, a triple's clockwise order)
-and in the per-gap crossing rule.
+both directions and in both the level and the radial setting.  The lift of
+an input solution to G+ answers point reads, a bit by the G+ points a
+variable names, and the realizers read through them without building
+variable objects.  From a drawing back to an assignment is one rule for both
+modes: each variable of G+ is read off the drawing and corrected by the
+parity of the crossings the star edges through its points make below its
+sublevel.  The modes differ only in the reading (a pair's left/right order,
+a triple's clockwise order) and in the per-gap crossing rule.
+
+Counting, verification, the back-conversion and rendering read a whole
+drawing through one view made for that call: every vertex's position is
+computed once, with the check that the drawing orders each level exactly
+once, and each cut is derived from that table.  Nothing is cached on a
+drawing.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
 
 from .constraints import (
@@ -114,6 +122,40 @@ def check_drawing_covers(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph)
     return problems
 
 
+class _Positions:
+    """A drawing of g as the per-gap crossing rules read it, for one call.
+
+    Every vertex's position on its level is computed once, when the view is
+    made, into one table; `positions(i)` is that table, which a rule indexes
+    by level i's vertices, and each cut is derived from it.  The table lives
+    only as long as the view: the drawing itself keeps nothing.
+
+    A drawing that does not order each level of g exactly once is refused
+    with a ValueError listing `check_drawing_covers`'s problems.  For a
+    valid g, it orders each level exactly once precisely when it lists no
+    vertex twice and lists every vertex of g, each on its own level, and no
+    other vertex.
+    """
+
+    def __init__(self, orders: dict[int, tuple[VertexId, ...]], g: LevelGraph,
+                 left_flag: dict[Edge, bool] | None = None):
+        self.orders = {i: orders.get(i, ()) for i in range(1, g.k + 1)}
+        drawn = {v: i for i, order in self.orders.items() for v in order}
+        if len(drawn) != sum(map(len, self.orders.values())) or drawn != g.level:
+            raise ValueError("; ".join(check_drawing_covers(orders, g)))
+        self.at = {v: p for order in self.orders.values() for p, v in enumerate(order)}
+        self.left_flag = left_flag
+
+    def positions(self, i: int) -> dict[VertexId, int]:
+        return self.at
+
+    def cut_after(self, i: int, a: VertexId) -> dict[VertexId, int]:
+        """`RadialDrawing.cut_after`, read from the table."""
+        at, order = self.at, self.orders[i]
+        n, start = len(order), at[a]
+        return {v: (at[v] - start) % n for v in order}
+
+
 # ---------------------------------------------------------------------------
 # Crossing model: one rule per gap and mode, shared by counting, verification,
 # the back-conversion, the oracles and rendering
@@ -140,18 +182,15 @@ def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge,
     return [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent(*pair)]
 
 
-def _gap_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
+def _gap_crossings(g: LevelGraph, gap_pairs,
                    origin: dict[Edge, Edge] | None = None) -> dict[tuple[Edge, Edge], list[int]]:
     """The drawing's crossings, listed once: the gaps each crossing pair
     crosses in, ascending, one entry per crossing.
 
-    `gap_pairs(i)` lists gap i's crossing segment pairs; `origin`, when
-    given, maps each segment to the star edge it subdivides, so that the
-    pairs are star edge pairs.
+    `gap_pairs(i)` lists gap i's crossing segment pairs of a drawing of g;
+    `origin`, when given, maps each segment to the star edge it subdivides,
+    so that the pairs are star edge pairs.
     """
-    problems = check_drawing_covers(orders, g)
-    if problems:
-        raise ValueError("; ".join(problems))
     by_pair: defaultdict[tuple[Edge, Edge], list[int]] = defaultdict(list)
     for i in range(1, g.k):
         for e, f in gap_pairs(i):
@@ -166,10 +205,9 @@ def _report(by_pair: dict[tuple[Edge, Edge], list[int]]) -> CrossingReport:
     return CrossingReport(per_pair, _odd_independent(per_pair), planar=not per_pair)
 
 
-def _count_crossings(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph, gap_pairs,
-                     origin: dict[Edge, Edge] | None = None) -> CrossingReport:
+def _count_crossings(g: LevelGraph, gap_pairs, origin: dict[Edge, Edge] | None = None) -> CrossingReport:
     """Per-pair crossing counts over every gap, as `_gap_crossings` lists them."""
-    return _report(_gap_crossings(orders, g, gap_pairs, origin))
+    return _report(_gap_crossings(g, gap_pairs, origin))
 
 
 def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> list[tuple[Edge, Edge]]:
@@ -231,11 +269,13 @@ def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) ->
 
 
 def count_crossings_level(d: LevelDrawing, g: LevelGraph) -> CrossingReport:
-    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i))
+    view = _Positions(d.orders, g)
+    return _count_crossings(g, lambda i: gap_crossing_pairs_level(view, g, i))
 
 
 def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets) -> CrossingReport:
-    return _count_crossings(d.cyclic, g, lambda i: gap_crossing_pairs_radial(d, g, refs, i))
+    view = _Positions(d.cyclic, g, d.left_flag)
+    return _count_crossings(g, lambda i: gap_crossing_pairs_radial(view, g, refs, i))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +360,14 @@ def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
     g = ctx.pg.graph
-    return _count_crossings(d.orders, g, lambda i: gap_crossing_pairs_level(d, g, i), ctx.segment_origin)
+    view = _Positions(d.orders, g)
+    return _count_crossings(g, lambda i: gap_crossing_pairs_level(view, g, i), ctx.segment_origin)
 
 
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
-    classes = ctx.plus_gap_classes
-    return _count_crossings(d.cyclic, ctx.pg.graph, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]),
-                            ctx.segment_origin)
+    g, classes = ctx.pg.graph, ctx.plus_gap_classes
+    view = _Positions(d.cyclic, g, d.left_flag)
+    return _count_crossings(g, lambda i: _flagged_gap_pairs_radial(view, i, classes[i]), ctx.segment_origin)
 
 
 def _points(var: BoolVar) -> tuple[VertexId, ...]:
@@ -338,8 +379,7 @@ def _points(var: BoolVar) -> tuple[VertexId, ...]:
     return ()
 
 
-def _assignment_from_drawing(ctx: LevelContext, orders: dict[int, tuple[VertexId, ...]], gap_pairs,
-                             read: Callable[[BoolVar], bool]) -> Assignment:
+def _assignment_from_drawing(ctx: LevelContext, gap_pairs, read: Callable[[BoolVar], bool]) -> Assignment:
     """The back-conversion rule of both modes: a Hanani-Tutte drawing of G+,
     its raw reading corrected by crossing parity.
 
@@ -352,7 +392,7 @@ def _assignment_from_drawing(ctx: LevelContext, orders: dict[int, tuple[VertexId
     lists gap i's crossing segment pairs; the crossings are listed once, and
     an independent star edge pair crossing an odd number of times is refused.
     """
-    by_pair = _gap_crossings(orders, ctx.pg.graph, gap_pairs, ctx.segment_origin)
+    by_pair = _gap_crossings(ctx.pg.graph, gap_pairs, ctx.segment_origin)
     report = _report(by_pair)
     if report.ht_violations:
         pair = report.ht_violations[0]
@@ -395,9 +435,10 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
     result projects through the stretch edges to the input graph.
     """
     pg, sf = ctx.pg, ctx.star_form
-    pos = {v: p for order in d.orders.values() for p, v in enumerate(order)}
-    phi_plus = _assignment_from_drawing(ctx, d.orders, lambda i: gap_crossing_pairs_level(d, pg.graph, i),
-                                        lambda var: pos[var.u] < pos[var.w])
+    view = _Positions(d.orders, pg.graph)
+    at = view.at
+    phi_plus = _assignment_from_drawing(ctx, lambda i: gap_crossing_pairs_level(view, pg.graph, i),
+                                        lambda var: at[var.u] < at[var.w])
     star_level = sf.star.level
     phi: Assignment = {}
     for var in ctx.system.variables:
@@ -412,19 +453,36 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[A
 class LiftedAssignment(Mapping):
     """A satisfying assignment of the subdivision G+, computed bit by bit.
 
-    `bit(var)` derives one variable's value from the input's solution and
-    raises KeyError for anything that is no variable of G+'s systems.  The
+    The lift's rule is exposed as point reads, which take the sublevel
+    points a variable names and neither build nor check a variable object:
+    `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` (a table of
+    precomputed bits) in radial mode.  The realizers read through them.
+    Looking a variable up checks that it is a variable of G+'s systems,
+    raising KeyError otherwise, and delegates to the read of its kind.  The
     keys are `ctx.plus_system.variables`, so only a caller that iterates the
     mapping or takes its length builds G+'s reduced system and spells its
     variables.
     """
 
-    def __init__(self, ctx: LevelContext, bit: Callable[[BoolVar], bool]):
+    def __init__(self, ctx: LevelContext, *, pair: Callable[[VertexId, VertexId], bool] | None = None,
+                 triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None,
+                 flag: Callable[[Edge], bool] | None = None):
         self._ctx = ctx
-        self._bit = bit
+        self.pair, self.triple, self.flag = pair, triple, flag
 
     def __getitem__(self, var: BoolVar) -> bool:
-        return self._bit(var)
+        level = self._ctx.pg.graph.level
+        if type(var) is PairVar and self.pair is not None:
+            if var.u != var.w and level.get(var.u, 0) == level.get(var.w):
+                return self.pair(var.u, var.w)
+        elif type(var) is TripleVar and self.triple is not None:
+            j = level.get(var.anchor)
+            if (j is not None and var.anchor in self._ctx.plus_refs.anchors(j) and level.get(var.u) == j
+                    and level.get(var.v) == j and len({var.anchor, var.u, var.v}) == 3):
+                return self.triple(var.anchor, var.u, var.v)
+        elif type(var) is FlagVar and self.flag is not None:
+            return self.flag(var.edge)
+        raise KeyError(var)
 
     def __iter__(self) -> Iterator[BoolVar]:
         return iter(self._ctx.plus_system.variables)
@@ -444,12 +502,9 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
     number = ctx.system.number
-    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
+    origin, edge_of, edge_origin = pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
 
-    def bit(var: BoolVar) -> bool:
-        if type(var) is not PairVar or var.u == var.w or level.get(var.u, 0) != level.get(var.w):
-            raise KeyError(var)
-        x, y = var.u, var.w
+    def pair(x: VertexId, y: VertexId) -> bool:
         a, b = origin[x], origin[y]
         if a != b:
             return bits[number(a, b)]
@@ -461,7 +516,29 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
         assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
         return bits[number(e1[0], e2[0])]
 
-    return LiftedAssignment(ctx, bit)
+    return LiftedAssignment(ctx, pair=pair)
+
+
+class _VariableReads:
+    """The point reads of an assignment that is a plain mapping: each read
+    builds its variable and looks it up."""
+
+    def __init__(self, phi: Mapping[BoolVar, bool]):
+        self._phi = phi
+
+    def pair(self, x: VertexId, y: VertexId) -> bool:
+        return self._phi[PairVar(x, y)]
+
+    def triple(self, a: VertexId, u: VertexId, v: VertexId) -> bool:
+        return self._phi[TripleVar(a, u, v)]
+
+    def flag(self, e: Edge) -> bool:
+        return self._phi[FlagVar(*e)]
+
+
+def _point_reads(phi: Mapping[BoolVar, bool]) -> LiftedAssignment | _VariableReads:
+    """The one reader of both realizers: a lift's own point reads, or the variable-building wrapper."""
+    return phi if isinstance(phi, LiftedAssignment) else _VariableReads(phi)
 
 
 def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...],
@@ -469,19 +546,22 @@ def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...
     """The placement rule of both realizers: lead, then the other vertices of
     vs whose bit is unset, then pivot, then those whose bit is set, each side
     in the order of vs."""
-    bits = {v: bit(v) for v in vs if v != pivot and v not in lead}
-    return (*lead, *(v for v, b in bits.items() if not b), pivot, *(v for v, b in bits.items() if b))
+    unset: list[VertexId] = []
+    is_set: list[VertexId] = []
+    for v in vs:
+        if v != pivot and v not in lead:
+            (is_set if bit(v) else unset).append(v)
+    return (*lead, *unset, pivot, *is_set)
 
 
 def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
-    pg = ctx.pg
+    pg, pair = ctx.pg, _point_reads(phi_plus).pair
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         pivots = pg.star_vertices_on(j)
         assert len(pivots) == 1, f"level {j} of the plain subdivision must hold one stretched vertex"
-        pivot = pivots[0]
-        orders[j] = _around(pivot, pg.graph.on_level(j), (), lambda v: phi_plus[PairVar(pivot, v)])
+        orders[j] = _around(pivots[0], pg.graph.on_level(j), (), partial(pair, pivots[0]))
     return LevelDrawing(orders)
 
 
@@ -537,28 +617,19 @@ def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignm
     pg = ctx.pg
     bits = require_satisfying(ctx.system, phi)
     number, flag = ctx.system.number, ctx.system.flag
-    level, origin, edge_of, edge_origin = pg.graph.level, pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
+    origin, edge_of, edge_origin = pg.origin, pg.prov.vertex_origin, ctx.star_form.edge_origin
     flag_bits = {seg: bits[flag[origin[seg[0]], origin[seg[1]]]] for seg in ctx.plus_flagged}
-    anchors = ctx.plus_refs.anchors
 
-    def bit(var: BoolVar) -> bool:
-        if type(var) is FlagVar:
-            return flag_bits[var.edge]
-        if type(var) is not TripleVar:
-            raise KeyError(var)
-        j = level.get(var.anchor)
-        if (j is None or var.anchor not in anchors(j) or level.get(var.u) != j or level.get(var.v) != j
-                or len({var.anchor, var.u, var.v}) != 3):
-            raise KeyError(var)
-        ox, oy, oz = origin[var.anchor], origin[var.u], origin[var.v]
+    def triple(a: VertexId, u: VertexId, v: VertexId) -> bool:
+        ox, oy, oz = origin[a], origin[u], origin[v]
         if len({ox, oy, oz}) == 3:
             return bits[number(ox, oy, oz)]
         assert oy == oz and ox != oy, "origin collision must pair two subdivision points"
-        e = edge_origin[edge_of[var.u]]
-        f = edge_origin[edge_of[var.v]]
+        e = edge_origin[edge_of[u]]
+        f = edge_origin[edge_of[v]]
         return _psi_gap_order(bits, number, flag, ctx.refs, ctx.base.level[e[0]], e, f)
 
-    return LiftedAssignment(ctx, bit)
+    return LiftedAssignment(ctx, triple=triple, flag=flag_bits.__getitem__)
 
 
 def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: RadialContext) -> RadialDrawing:
@@ -568,22 +639,23 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
     vertex picks its arc; elsewhere the lone stretched vertex is placed
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
-    pg = ctx.pg
+    pg, reads = ctx.pg, _point_reads(phi_plus)
+    triple = reads.triple
     cyclic: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
         bm, bp = ctx.plus_refs.alpha_minus[j], ctx.plus_refs.alpha_plus[j]
         if bm != bp:
             # the vertices with t(bm, v, bp) set lie on the arc from bm to bp, before bp
-            cyclic[j] = _around(bp, vs, (bm,), lambda v: not phi_plus[TripleVar(bm, v, bp)])
+            cyclic[j] = _around(bp, vs, (bm,), lambda v: not triple(bm, v, bp))
         else:
             stars = pg.star_vertices_on(j)
             xi = stars[0] if stars else None
             if xi is None or xi == bm:
                 cyclic[j] = tuple(vs)
             else:
-                cyclic[j] = _around(xi, vs, (bm,), lambda v: phi_plus[TripleVar(bm, xi, v)])
-    left_flag = {seg: phi_plus[FlagVar(*seg)] for seg in ctx.plus_flagged}
+                cyclic[j] = _around(xi, vs, (bm,), partial(triple, bm, xi))
+    left_flag = {seg: reads.flag(seg) for seg in ctx.plus_flagged}
     return RadialDrawing(cyclic, left_flag)
 
 
@@ -596,15 +668,15 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     `_assignment_from_drawing` states.
     """
     classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
-    positions = {i: d.positions(i) for i in d.cyclic}
+    view = _Positions(d.cyclic, ctx.pg.graph, d.left_flag)
+    at = view.at
 
     def read(var: BoolVar) -> bool:
         if type(var) is FlagVar:
             return d.left_flag[var.edge]
-        pos = positions[level[var.anchor]]
-        a, n = pos[var.anchor], len(pos)
-        return (pos[var.u] - a) % n < (pos[var.v] - a) % n
+        a, n = at[var.anchor], len(view.orders[level[var.anchor]])
+        return (at[var.u] - a) % n < (at[var.v] - a) % n
 
-    phi = _assignment_from_drawing(ctx, d.cyclic, lambda i: _flagged_gap_pairs_radial(d, i, classes[i]), read)
+    phi = _assignment_from_drawing(ctx, lambda i: _flagged_gap_pairs_radial(view, i, classes[i]), read)
     require_satisfying(ctx.plus_system, phi)
     return phi

@@ -15,6 +15,7 @@ from .constraints import ReferenceSets
 from .drawing import (
     LevelDrawing,
     RadialDrawing,
+    _Positions,
     gap_crossing_pairs_level,
     gap_crossing_pairs_radial,
 )
@@ -72,30 +73,30 @@ def _render(g: LevelGraph, width: float, height: float, backdrop: list[str], pt,
 def render_level_svg(g: LevelGraph, d: LevelDrawing) -> str:
     width = LEVEL_STEP * (max((len(o) for o in d.orders.values()), default=1) + 1)
     height = LEVEL_STEP * (g.k + 1)
+    view = _Positions(d.orders, g)
 
     def pt(v: VertexId) -> tuple[float, float]:
         i = g.level[v]
-        pos = d.orders[i].index(v)
-        return (LEVEL_STEP * (pos + 1), LEVEL_STEP * (g.k - i + 1))
+        return (LEVEL_STEP * (view.at[v] + 1), LEVEL_STEP * (g.k - i + 1))
 
     lines = [f'<line class="level" x1="0" y1="{y}" x2="{width}" y2="{y}" stroke="#ccc"/>'
              for y in range(LEVEL_STEP * g.k, 0, -LEVEL_STEP)]
-    return _render(g, width, height, lines, pt, lambda i: gap_crossing_pairs_level(d, g, i))
+    return _render(g, width, height, lines, pt, lambda i: gap_crossing_pairs_level(view, g, i))
 
 
 def render_radial_svg(g: LevelGraph, d: RadialDrawing, refs: ReferenceSets) -> str:
     size = 2 * RADIAL_STEP * (g.k + 1)
     c = size / 2
+    view = _Positions(d.cyclic, g, d.left_flag)
 
     def pt(v: VertexId) -> tuple[float, float]:
         i = g.level[v]
-        order = d.cyclic[i]
-        theta = 2 * math.pi * order.index(v) / len(order)
+        theta = 2 * math.pi * view.at[v] / len(view.orders[i])
         return (c + RADIAL_STEP * i * math.cos(theta), c + RADIAL_STEP * i * math.sin(theta))
 
     circles = [f'<circle class="level" cx="{c}" cy="{c}" r="{RADIAL_STEP * i}" fill="none" stroke="#ccc"/>'
                for i in range(1, g.k + 1)]
-    return _render(g, size, size, circles, pt, lambda i: gap_crossing_pairs_radial(d, g, refs, i))
+    return _render(g, size, size, circles, pt, lambda i: gap_crossing_pairs_radial(view, g, refs, i))
 
 
 def count_markers(svg: str) -> int:

@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
 from planarity_ht.constraints import (
+    FlagVar,
     PairVar,
+    TripleVar,
     build_level_reduced,
     build_radial_reduced,
     choose_reference_sets,
     evaluate,
 )
 from planarity_ht.corpus import (
+    exhaustive_proper_graphs,
     random_level_drawing,
     random_proper_graph,
     random_radial_drawing,
@@ -29,6 +32,7 @@ from planarity_ht.drawing import (
     count_crossings_radial,
     drawing_from_assignment_level,
     drawing_from_assignment_radial,
+    gap_crossing_pairs_level,
     gap_crossing_pairs_radial,
     induced_pair_assignment,
     induced_radial_assignment,
@@ -40,7 +44,7 @@ from planarity_ht.drawing import (
     star_report_radial,
 )
 from planarity_ht.graphs import LevelGraph, critical_pairs, independent, limits
-from planarity_ht.pipeline import solve_reduced
+from planarity_ht.pipeline import solve_reduced, stage_context
 
 
 def test_parallel_edges_do_not_cross():
@@ -506,3 +510,171 @@ def test_three_paths_order_agreement_iff_even_pairwise_crossings():
             assert same == (total % 2 == 0)
             checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# Whole drawings read through one position table; the realizers' point reads
+
+MODES = {"level": (lift_assignment_level, drawing_from_assignment_level, star_report_level),
+         "radial": (lift_assignment_radial, drawing_from_assignment_radial, star_report_radial)}
+
+
+def _corpus_witnesses(step: int = 1):
+    """(mode, stage context, lift, witness) for every `step`-th graph of the
+    exhaustive 3x3 corpus, in each mode it is planar in."""
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, step):
+        for mode, (lift, realize, _) in MODES.items():
+            ctx = stage_context(g, mode)
+            phi = solve_reduced(ctx.system)
+            if phi is not None:
+                lifted = lift(phi, ctx)
+                yield mode, ctx, lifted, realize(lifted, ctx)
+
+
+def _reference_count(d, g: LevelGraph, rule, origin=None):
+    """The crossing count of the per-gap rule reading the drawing itself,
+    after a cover check that sorts each level's order."""
+    orders = d.orders if isinstance(d, LevelDrawing) else d.cyclic
+    problems = [f"level {i} order is not a permutation of the level's vertices"
+                for i in range(1, g.k + 1) if sorted(orders.get(i, ())) != list(g.on_level(i))]
+    if problems:
+        raise ValueError("; ".join(problems))
+    return drawing._count_crossings(g, lambda i: rule(d, i), origin)
+
+
+def _reference_star_report(d, ctx):
+    g = ctx.pg.graph
+    if isinstance(d, LevelDrawing):
+        return _reference_count(d, g, lambda d, i: gap_crossing_pairs_level(d, g, i), ctx.segment_origin)
+    classes = ctx.plus_gap_classes
+    return _reference_count(d, g, lambda d, i: drawing._flagged_gap_pairs_radial(d, i, classes[i]),
+                            ctx.segment_origin)
+
+
+def _outcome(count, *args):
+    """A report as its pair counts in listing order, its violations and its
+    planarity, or the refusal's message."""
+    try:
+        report = count(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return list(report.per_pair.items()), report.ht_violations, report.planar
+
+
+def _with(d, orders=None, flags=None):
+    """d with its orders and, in radial mode, its flags replaced."""
+    if isinstance(d, LevelDrawing):
+        return LevelDrawing(d.orders if orders is None else orders)
+    return RadialDrawing(d.cyclic if orders is None else orders, d.left_flag if flags is None else flags)
+
+
+def _corrupted(rng: random.Random, d):
+    """Copies of d with crossings added (a level shuffled, in radial mode some
+    flags flipped), and copies that no longer draw the graph: a level, a
+    vertex or a flag missing, a vertex listed twice, two vertices swapped
+    across levels."""
+    orders = d.orders if isinstance(d, LevelDrawing) else d.cyclic
+    flags = getattr(d, "left_flag", {})
+    wide = [i for i, order in orders.items() if len(order) > 1]
+    i = rng.choice(wide)
+    shuffled = list(orders[i])
+    rng.shuffle(shuffled)
+    crossing = [_with(d, {**orders, i: tuple(shuffled)})]
+    if flags:
+        crossing.append(_with(d, flags={e: b != (rng.random() < 0.3) for e, b in flags.items()}))
+    j, k = rng.sample(sorted(orders), 2)
+    refused = [
+        _with(d, {lv: order for lv, order in orders.items() if lv != j}),
+        _with(d, {**orders, j: orders[j][1:]}),
+        _with(d, {**orders, j: orders[j] + orders[j][:1]}),
+        _with(d, {**orders, j: (orders[k][0], *orders[j][1:]), k: (orders[j][0], *orders[k][1:])}),
+    ]
+    if flags:
+        dropped = rng.choice(sorted(flags))
+        refused.append(_with(d, flags={e: b for e, b in flags.items() if e != dropped}))
+    return crossing, refused
+
+
+def test_verification_equals_the_per_gap_rules_reading_the_drawing():
+    """`star_report_*` reads one position table per drawing; it must report
+    what the per-gap rules report reading the drawing itself, refusals included."""
+    rng = random.Random(53)
+    witnesses = crossing = violated = refused = 0
+    for mode, ctx, _, d in _corpus_witnesses():
+        report = MODES[mode][2]
+        assert _outcome(report, d, ctx) == _outcome(_reference_star_report, d, ctx)
+        witnesses += 1
+        if witnesses % 20 or ctx.pg.graph.k < 2 or max(ctx.pg.graph.widths()) < 2:
+            continue
+        bent, broken = _corrupted(rng, d)
+        for c in bent:
+            outcome = _outcome(report, c, ctx)
+            assert outcome == _outcome(_reference_star_report, c, ctx)
+            crossing += 1
+            violated += bool(outcome[1])
+        for c in broken:
+            outcome = _outcome(report, c, ctx)
+            assert outcome.startswith("ValueError")
+            assert outcome == _outcome(_reference_star_report, c, ctx)
+            refused += 1
+    assert witnesses > 7000 and crossing > 500 and refused > 1500
+    assert 0 < violated < crossing
+
+
+def test_counting_equals_the_per_gap_rules_reading_the_drawing():
+    """`count_crossings_*` read drawings of the input through the same view."""
+    rng = random.Random(59)
+    for _ in range(150):
+        g = random_proper_graph(rng, max_levels=4, max_width=4, edge_density=0.6)
+        refs, aug = choose_reference_sets(g)
+        cases = [(random_level_drawing(rng, g), g, lambda d: count_crossings_level(d, g),
+                  lambda d, i: gap_crossing_pairs_level(d, g, i)),
+                 (random_radial_drawing(rng, aug, refs), aug, lambda d: count_crossings_radial(d, aug, refs),
+                  lambda d, i: gap_crossing_pairs_radial(d, aug, refs, i))]
+        for d, h, count, rule in cases:
+            bent, broken = _corrupted(rng, d) if h.k > 1 and max(h.widths()) > 1 else ([], [])
+            for c in (d, *bent, *broken):
+                assert _outcome(count, c) == _outcome(_reference_count, c, h, rule)
+
+
+def test_realizers_read_a_lift_and_a_plain_mapping_alike():
+    """A lifted assignment is realized through its point reads, any other
+    mapping through variable objects; both must give the same drawing."""
+    drawn = {"level": 0, "radial": 0}
+    for mode, ctx, lifted, d in _corpus_witnesses(step=15):
+        plain = {v: lifted[v] for v in ctx.plus_system.variables}
+        assert MODES[mode][1](plain, ctx) == d
+        drawn[mode] += 1
+    assert min(drawn.values()) > 100
+
+
+def test_a_lift_refuses_every_key_that_is_no_variable():
+    g = LevelGraph(2, {"a": 1, "b": 1, "c": 1, "x": 2, "y": 2}, (("a", "x"), ("b", "y"), ("c", "y")))
+    ctx = make_level_context(g)
+    lifted = lift_assignment_level(solve_reduced(ctx.system), ctx)
+    level = ctx.pg.graph.level
+    x, y = next(vs for vs in ctx.pg.graph.by_level.values() if len(vs) > 1)[:2]
+    z = next(v for v in level if level[v] != level[x])
+    assert lifted[PairVar(x, y)] in (False, True)
+    for key in (PairVar(x, x), PairVar(x, z), PairVar(x, "nowhere"), TripleVar(x, y, x), FlagVar(x, z), "a"):
+        with pytest.raises(KeyError):
+            lifted[key]
+        assert key not in lifted
+
+    aug, refs = _radial_fixture()
+    ctx = make_radial_context(aug, refs)
+    lifted = lift_assignment_radial(solve_reduced(ctx.system), ctx)
+    pg = ctx.pg.graph
+    j = next(i for i in range(1, pg.k + 1) if len(pg.on_level(i)) >= 3)
+    a = ctx.plus_refs.anchors(j)[0]
+    outsider = next(w for w in pg.on_level(j) if w not in ctx.plus_refs.anchors(j))
+    u = next(w for w in pg.on_level(j) if w not in (a, outsider))
+    other = next(w for w in pg.level if pg.level[w] != j)
+    flagged = ctx.plus_flagged[0]
+    assert lifted[TripleVar(a, u, outsider)] in (False, True) and lifted[FlagVar(*flagged)] in (False, True)
+    unflagged = next(e for e in pg.edges if e not in ctx.plus_flagged)
+    for key in (TripleVar(a, u, u), TripleVar(a, a, u), TripleVar(a, u, other), TripleVar(outsider, a, u),
+                TripleVar("nowhere", u, a), PairVar(u, a), FlagVar(*unflagged), "a"):
+        with pytest.raises(KeyError):
+            lifted[key]
+        assert key not in lifted
