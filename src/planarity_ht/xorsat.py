@@ -3,7 +3,10 @@
 `solve` contracts every two-variable row in a parity union-find and runs
 Gauss-Jordan elimination (`eliminate`) only on the rows that are left, over
 one column per union-find class.  Elimination rows are bitmask integers, so
-it works on machine words regardless of variable count.  Everything is
+it works on machine words regardless of variable count.  Each row becomes a
+mask when elimination reaches it, and only the pivot rows keep the history
+of original rows an unsat certificate needs; `rank` counts the pivots of the
+same elimination on the homogeneous system.  Everything is
 deterministic: pivots are chosen in ascending variable order and free
 variables default to 0, and `solve` returns the same assignment and free
 variables as `eliminate` on the whole system.
@@ -49,26 +52,20 @@ class Unsat:
 SolveResult = Sat | Unsat
 
 
-def _masks(sys: XorSystem) -> list[tuple[int, int, int]]:
-    # (coefficient mask, parity, history mask over original row indices)
-    out = []
-    for r, (idx, parity) in enumerate(sys.rows):
-        mask = 0
-        for i in idx:
-            mask ^= 1 << i  # repeated indices cancel over GF(2)
-        out.append((mask, parity, 1 << r))
-    return out
-
-
 def eliminate(sys: XorSystem) -> SolveResult:
     """Gauss-Jordan elimination; returns one satisfying assignment or an unsat certificate.
 
     `solve` runs it on the rows its union-find leaves over; on a whole system
     it is the reference that `solve` must match.
     """
-    rows = _masks(sys)
-    pivot_rows: list[tuple[int, int, int, int]] = []  # (pivot col, mask, parity, history)
-    for mask, parity, hist in rows:
+    # (pivot col, mask, parity, history mask over original row indices); each
+    # pivot row is 0 in every other pivot column, so their order is immaterial
+    pivot_rows: list[tuple[int, int, int, int]] = []
+    for r, (idx, parity) in enumerate(sys.rows):
+        mask = 0
+        for i in idx:
+            mask ^= 1 << i  # repeated indices cancel over GF(2)
+        hist = 1 << r
         for col, pmask, pparity, phist in pivot_rows:
             if mask >> col & 1:
                 mask ^= pmask
@@ -76,8 +73,7 @@ def eliminate(sys: XorSystem) -> SolveResult:
                 hist ^= phist
         if mask == 0:
             if parity == 1:
-                cert = tuple(i for i in range(len(sys.rows)) if hist >> i & 1)
-                return Unsat(cert)
+                return Unsat(tuple(i for i in range(len(sys.rows)) if hist >> i & 1))
             continue
         col = (mask & -mask).bit_length() - 1  # lowest set bit: ascending pivot order
         # Reduce earlier pivot rows so the matrix stays in reduced form.
@@ -85,13 +81,11 @@ def eliminate(sys: XorSystem) -> SolveResult:
             if m >> col & 1:
                 pivot_rows[j] = (c, m ^ mask, p ^ parity, h ^ hist)
         pivot_rows.append((col, mask, parity, hist))
-        pivot_rows.sort()
     pivots = {col for col, _, _, _ in pivot_rows}
     bits = 0
-    for col, mask, parity, _ in pivot_rows:
+    for col, _, parity, _ in pivot_rows:
         # Row is col + free variables only; free variables are 0, so value = parity.
-        if parity:
-            bits |= 1 << col
+        bits |= parity << col
     assignment = tuple(bits >> i & 1 for i in range(sys.n))
     _require_satisfies(sys, assignment)
     free = tuple(i for i in range(sys.n) if i not in pivots)
@@ -237,12 +231,6 @@ def solve(sys: XorSystem) -> SolveResult:
 
 def rank(sys: XorSystem) -> int:
     """GF(2) rank of the coefficient matrix; n - rank is the solution space dimension."""
-    basis: dict[int, int] = {}  # pivot bit index -> reduced mask
-    for mask, _, _ in _masks(sys):
-        while mask:
-            piv = (mask & -mask).bit_length() - 1
-            if piv not in basis:
-                basis[piv] = mask
-                break
-            mask ^= basis[piv]
-    return len(basis)
+    # the homogeneous system is always satisfiable, and its pivots are the rank
+    result = eliminate(XorSystem(sys.n, tuple((idx, 0) for idx, _ in sys.rows)))
+    return sys.n - len(result.free_vars)

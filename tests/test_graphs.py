@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarity_ht.constraints import (
+    build_level_full,
+    build_level_reduced,
+    build_radial_full,
+    build_radial_reduced,
+    choose_reference_sets,
+)
 from planarity_ht.corpus import random_proper_graph
 from planarity_ht.graphs import (
     CriticalPair,
+    InvalidGraphError,
     LevelGraph,
     critical_pairs,
     independent,
@@ -17,6 +25,8 @@ from planarity_ht.graphs import (
     properize,
     validate,
 )
+from planarity_ht.oracle import brute_level, brute_radial
+from planarity_ht.starform import build_star_level, build_star_radial
 
 
 def test_validate_single_vertex_ok():
@@ -51,6 +61,39 @@ def test_validate_reports_self_loop_and_bad_level():
 def test_validate_reports_unknown_endpoint():
     g = LevelGraph(2, {"a": 1}, (("a", "zz"),))
     assert any("unknown vertex" in p for p in validate(g))
+
+
+_VALID = LevelGraph(3, {"a": 1, "b": 1, "c": 2, "d": 2, "e": 3}, (("a", "c"), ("b", "d"), ("c", "e")))
+_REFS, _ = choose_reference_sets(_VALID)  # for the functions that take reference sets too
+
+PUBLIC_ENTRIES = {
+    "properize": properize,
+    "build_level_reduced": build_level_reduced,
+    "build_level_full": build_level_full,
+    "build_radial_reduced": lambda g: build_radial_reduced(g, _REFS),
+    "build_radial_full": lambda g: build_radial_full(g, _REFS),
+    "choose_reference_sets": choose_reference_sets,
+    "build_star_level": build_star_level,
+    "build_star_radial": lambda g: build_star_radial(g, _REFS.alpha_plus, _REFS.alpha_minus),
+    "brute_level": brute_level,
+    "brute_radial": lambda g: brute_radial(g, _REFS),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_ENTRIES)
+def test_public_entries_refuse_an_invalid_graph_with_its_violations(name):
+    refuse = {
+        ("c", "a"): None,  # points down
+        ("a", "z"): None,  # unknown vertex
+        ("a", "e"): ["graph is not proper (an edge spans more than one level)"],
+    }
+    if name == "properize":
+        del refuse[("a", "e")]  # properize subdivides long edges
+    for edge, violations in refuse.items():
+        g = LevelGraph(_VALID.k, _VALID.level, _VALID.edges + (edge,))
+        with pytest.raises(InvalidGraphError) as refused:
+            PUBLIC_ENTRIES[name](g)
+        assert str(refused.value) == "; ".join(violations or validate(g)), edge
 
 
 def test_properize_is_identity_on_proper_graphs():
