@@ -183,7 +183,7 @@ def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge,
 
 
 def _gap_crossings(g: LevelGraph, gap_pairs,
-                   origin: dict[Edge, Edge] | None = None) -> dict[tuple[Edge, Edge], list[int]]:
+                   origin: Callable[[Edge], Edge] | None = None) -> dict[tuple[Edge, Edge], list[int]]:
     """The drawing's crossings, listed once: the gaps each crossing pair
     crosses in, ascending, one entry per crossing.
 
@@ -195,7 +195,7 @@ def _gap_crossings(g: LevelGraph, gap_pairs,
     for i in range(1, g.k):
         for e, f in gap_pairs(i):
             if origin is not None:
-                e, f = origin[e], origin[f]
+                e, f = origin(e), origin(f)
             by_pair[_pair_key(e, f)].append(i)
     return by_pair
 
@@ -205,7 +205,7 @@ def _report(by_pair: dict[tuple[Edge, Edge], list[int]]) -> CrossingReport:
     return CrossingReport(per_pair, _odd_independent(per_pair), planar=not per_pair)
 
 
-def _count_crossings(g: LevelGraph, gap_pairs, origin: dict[Edge, Edge] | None = None) -> CrossingReport:
+def _count_crossings(g: LevelGraph, gap_pairs, origin: Callable[[Edge], Edge] | None = None) -> CrossingReport:
     """Per-pair crossing counts over every gap, as `_gap_crossings` lists them."""
     return _report(_gap_crossings(g, gap_pairs, origin))
 
@@ -235,20 +235,16 @@ def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSe
     reference-adjacent edge crosses a plain edge when its flag disagrees with
     the plain edge's position relative to the adjacent edge's free endpoint.
     """
-    return _flagged_gap_pairs_radial(d, i, gap_edge_classes(g, refs, i))
-
-
-def _flagged_gap_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
-    """`_gap_crossing_pairs_radial`, once the drawing flags each reference-adjacent edge of the gap."""
-    for e in gap_flagged_edges(classes):
-        if e not in d.left_flag:
-            raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
-    return _gap_crossing_pairs_radial(d, i, classes)
+    return _gap_crossing_pairs_radial(d, i, gap_edge_classes(g, refs, i))
 
 
 def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
-    """`gap_crossing_pairs_radial` on gap i's `gap_edge_classes`, for a drawing
-    that flags every reference-adjacent edge."""
+    """`gap_crossing_pairs_radial` on gap i's `gap_edge_classes`; a drawing
+    that lacks the left flag of a reference-adjacent edge of the gap is
+    refused with a ValueError naming the first such edge."""
+    for e in gap_flagged_edges(classes):
+        if e not in d.left_flag:
+            raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
     eps, plain, plus_adj, minus_adj = classes
     lo = d.cut_after(i, eps[0])
     hi = d.cut_after(i + 1, eps[1])
@@ -307,11 +303,15 @@ class LevelContext:
     def star_form(self) -> StarForm:
         return self.pg.star_form
 
-    @cached_property
-    def segment_origin(self) -> dict[Edge, Edge]:
-        """Each edge of the subdivision mapped to the star edge it subdivides."""
-        return {seg: star_edge for star_edge, path in self.pg.prov.paths.items()
-                for seg in zip(path, path[1:])}
+    def segment_origin(self, seg: Edge) -> Edge:
+        """The star edge that the subdivision's edge seg subdivides.
+
+        A subdivision point has one edge in and one edge out, both on its star
+        edge's path, so an endpoint that is a subdivision point names the star
+        edge; a segment with no such endpoint is itself a star edge.
+        """
+        edge_of = self.pg.prov.vertex_origin
+        return edge_of.get(seg[0]) or edge_of.get(seg[1]) or seg
 
 
 def make_level_context(g: LevelGraph) -> LevelContext:
@@ -367,7 +367,7 @@ def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
     g, classes = ctx.pg.graph, ctx.plus_gap_classes
     view = _Positions(d.cyclic, g, d.left_flag)
-    return _count_crossings(g, lambda i: _flagged_gap_pairs_radial(view, i, classes[i]), ctx.segment_origin)
+    return _count_crossings(g, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), ctx.segment_origin)
 
 
 def _points(var: BoolVar) -> tuple[VertexId, ...]:
@@ -519,26 +519,13 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
     return LiftedAssignment(ctx, pair=pair)
 
 
-class _VariableReads:
-    """The point reads of an assignment that is a plain mapping: each read
-    builds its variable and looks it up."""
-
-    def __init__(self, phi: Mapping[BoolVar, bool]):
-        self._phi = phi
-
-    def pair(self, x: VertexId, y: VertexId) -> bool:
-        return self._phi[PairVar(x, y)]
-
-    def triple(self, a: VertexId, u: VertexId, v: VertexId) -> bool:
-        return self._phi[TripleVar(a, u, v)]
-
-    def flag(self, e: Edge) -> bool:
-        return self._phi[FlagVar(*e)]
-
-
-def _point_reads(phi: Mapping[BoolVar, bool]) -> LiftedAssignment | _VariableReads:
-    """The one reader of both realizers: a lift's own point reads, or the variable-building wrapper."""
-    return phi if isinstance(phi, LiftedAssignment) else _VariableReads(phi)
+def _point_reads(phi: Mapping[BoolVar, bool]) -> tuple[Callable, Callable, Callable]:
+    """The `(pair, triple, flag)` point reads of both realizers: a lift's own,
+    or for any other mapping reads that build each variable and look it up."""
+    if isinstance(phi, LiftedAssignment):
+        return phi.pair, phi.triple, phi.flag
+    return (lambda x, y: phi[PairVar(x, y)], lambda a, u, v: phi[TripleVar(a, u, v)],
+            lambda e: phi[FlagVar(*e)])
 
 
 def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...],
@@ -556,7 +543,8 @@ def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...
 
 def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
-    pg, pair = ctx.pg, _point_reads(phi_plus).pair
+    pg = ctx.pg
+    pair, _, _ = _point_reads(phi_plus)
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         pivots = pg.star_vertices_on(j)
@@ -639,8 +627,8 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
     vertex picks its arc; elsewhere the lone stretched vertex is placed
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
-    pg, reads = ctx.pg, _point_reads(phi_plus)
-    triple = reads.triple
+    pg = ctx.pg
+    _, triple, flag = _point_reads(phi_plus)
     cyclic: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
@@ -655,7 +643,7 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
                 cyclic[j] = tuple(vs)
             else:
                 cyclic[j] = _around(xi, vs, (bm,), partial(triple, bm, xi))
-    left_flag = {seg: reads.flag(seg) for seg in ctx.plus_flagged}
+    left_flag = {seg: flag(seg) for seg in ctx.plus_flagged}
     return RadialDrawing(cyclic, left_flag)
 
 
@@ -677,6 +665,6 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
         a, n = at[var.anchor], len(view.orders[level[var.anchor]])
         return (at[var.u] - a) % n < (at[var.v] - a) % n
 
-    phi = _assignment_from_drawing(ctx, lambda i: _flagged_gap_pairs_radial(view, i, classes[i]), read)
+    phi = _assignment_from_drawing(ctx, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), read)
     require_satisfying(ctx.plus_system, phi)
     return phi

@@ -192,30 +192,34 @@ def solve(sys: XorSystem) -> SolveResult:
     paths, so the assignments and free variables agree.
     """
     forest = _ParityForest(sys.n)
-    rest: list[tuple[int, list[int], int]] = []  # (row index, variables, parity) left for elimination
+    rest: list[int] = []  # indices of the rows left for elimination
     for r, (idx, parity) in enumerate(sys.rows):
         vs = idx if len(idx) == 2 and idx[0] != idx[1] else _cancel(idx)
         if len(vs) == 2:
             if not forest.union(vs[0], vs[1], parity, r):
                 return Unsat(forest.certificate([(r, vs)]))
         elif vs:
-            rest.append((r, vs, parity))
+            rest.append(r)
         elif parity:
             return Unsat((r,))
-    quotient = []
-    for _, vs, parity in rest:
+    # each left-over row on its class representatives, then rewritten in place
+    # to quotient columns: the list eliminate reads is the only copy
+    quotient: list[tuple[Sequence[int], int]] = []
+    for r in rest:
+        idx, parity = sys.rows[r]
         reps = []
-        for v in vs:
+        for v in idx:
             rep, off = forest.find(v)
             reps.append(rep)
             parity ^= off
         quotient.append((_cancel(reps), parity))
     cols = sorted({rep for reps, _ in quotient for rep in reps})
     col = {rep: q for q, rep in enumerate(cols)}
-    result = eliminate(XorSystem(len(cols), tuple((tuple(col[rep] for rep in reps), parity)
-                                                  for reps, parity in quotient)))
+    for q, (reps, parity) in enumerate(quotient):
+        quotient[q] = (tuple(col[rep] for rep in reps), parity)
+    result = eliminate(XorSystem(len(cols), quotient))
     if isinstance(result, Unsat):
-        return Unsat(forest.certificate([rest[q][:2] for q in result.certificate]))
+        return Unsat(forest.certificate([(rest[q], sys.rows[rest[q]][0]) for q in result.certificate]))
     value = dict(zip(cols, result.assignment))
     pivots = set(cols).difference(cols[q] for q in result.free_vars)
     assignment = []

@@ -228,7 +228,7 @@ def test_criterion_5_three_paths_parity():
                 total = 0
                 for j in range(lo, hi):
                     for s, t in cross_by_gap[j]:
-                        o1, o2 = origin[s], origin[t]
+                        o1, o2 = origin(s), origin(t)
                         if o1 != o2 and {o1, o2} <= {e1, e2, e3}:
                             total += 1
                 pts_lo = [pg.point_at(e, lo) for e in (e1, e2, e3)]

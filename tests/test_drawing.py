@@ -171,6 +171,8 @@ def test_a_radial_drawing_missing_a_left_flag_is_refused():
     del witness.left_flag[last]
     with pytest.raises(ValueError, match=_lacks_flag(last)):
         star_report_radial(witness, ctx)
+    with pytest.raises(ValueError, match=_lacks_flag(last)):
+        assignment_from_drawing_radial(witness, ctx)
 
 
 def test_radial_k22_oracle_witness_counts_zero(k22):
@@ -501,7 +503,7 @@ def test_three_paths_order_agreement_iff_even_pairwise_crossings():
             total = 0
             for j in range(lo, hi):
                 for s, t in cross_by_gap[j]:
-                    o1, o2 = origin[s], origin[t]
+                    o1, o2 = origin(s), origin(t)
                     if {o1, o2} <= {e1, e2, e3} and o1 != o2:
                         total += 1
             same = _cyclic_triple_clockwise(d.cyclic[lo], *pts_lo) == _cyclic_triple_clockwise(
@@ -531,6 +533,21 @@ def _corpus_witnesses(step: int = 1):
                 yield mode, ctx, lifted, realize(lifted, ctx)
 
 
+def test_a_segment_names_the_star_edge_whose_path_holds_it():
+    # the reference tests below pass ctx.segment_origin to both sides, so
+    # the derivation from vertex provenance is checked here against the paths
+    checked = 0
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 20):
+        for mode in MODES:
+            ctx = stage_context(g, mode)
+            path_of = {seg: e for e, path in ctx.pg.prov.paths.items() for seg in zip(path, path[1:])}
+            assert sorted(path_of) == sorted(ctx.pg.graph.edges)
+            for seg, star_edge in path_of.items():
+                assert ctx.segment_origin(seg) == star_edge
+            checked += len(path_of)
+    assert checked > 20_000
+
+
 def _reference_count(d, g: LevelGraph, rule, origin=None):
     """The crossing count of the per-gap rule reading the drawing itself,
     after a cover check that sorts each level's order."""
@@ -547,7 +564,7 @@ def _reference_star_report(d, ctx):
     if isinstance(d, LevelDrawing):
         return _reference_count(d, g, lambda d, i: gap_crossing_pairs_level(d, g, i), ctx.segment_origin)
     classes = ctx.plus_gap_classes
-    return _reference_count(d, g, lambda d, i: drawing._flagged_gap_pairs_radial(d, i, classes[i]),
+    return _reference_count(d, g, lambda d, i: drawing._gap_crossing_pairs_radial(d, i, classes[i]),
                             ctx.segment_origin)
 
 

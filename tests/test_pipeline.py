@@ -228,6 +228,13 @@ def test_a_bit_list_of_the_wrong_length_is_refused():
                 lift(bits, ctx)
 
 
+def test_an_unknown_mode_or_stage_is_refused(k22):
+    with pytest.raises(ValueError, match="^unknown mode 'spherical'$"):
+        stage_context(k22, "spherical")
+    with pytest.raises(ValueError, match="^unknown stage 'H'$"):
+        system_for_stage(k22, "level", "H")
+
+
 def test_solve_reduced_returns_a_satisfying_bit_list():
     solved = 0
     for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 50):
