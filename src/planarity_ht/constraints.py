@@ -259,24 +259,38 @@ class ReferenceSets:
         return (am,) if ap == am else (am, ap)
 
 
-def validate_reference_sets(g: LevelGraph, refs: ReferenceSets) -> list[str]:
+def anchor_problems(g: LevelGraph, alpha_plus: dict[int, VertexId], alpha_minus: dict[int, VertexId],
+                    i: int) -> list[str]:
+    """Level i's missing anchors, and its anchors that do not lie on level i."""
     problems = []
-    for i in range(1, g.k + 1):
-        for name, m in (("plus", refs.alpha_plus), ("minus", refs.alpha_minus)):
-            v = m.get(i)
-            if v is None:
-                problems.append(f"level {i} has no {name} anchor")
-            elif g.level.get(v) != i:
-                problems.append(f"{name} anchor {v!r} does not lie on level {i}")
+    for name, m in (("plus", alpha_plus), ("minus", alpha_minus)):
+        v = m.get(i)
+        if v is None:
+            problems.append(f"level {i} has no {name} anchor")
+        elif g.level.get(v) != i:
+            problems.append(f"{name} anchor {v!r} does not lie on level {i}")
+    return problems
+
+
+def validate_reference_sets(g: LevelGraph, refs: ReferenceSets) -> list[str]:
+    problems = [p for i in range(1, g.k + 1) for p in anchor_problems(g, refs.alpha_plus, refs.alpha_minus, i)]
     if g.k >= 1 and refs.alpha_plus.get(1) != refs.alpha_minus.get(1):
         problems.append("anchors on level 1 must coincide")
     if refs.alpha_plus.get(g.k) != refs.alpha_minus.get(g.k):
         problems.append(f"anchors on level {g.k} must coincide")
     edge_set = set(g.edges)
     for i in range(1, g.k):
-        if refs.reference_edge(i) not in edge_set:
-            problems.append(f"reference edge {refs.reference_edge(i)} missing from graph")
+        e = (refs.alpha_plus.get(i), refs.alpha_minus.get(i + 1))
+        if None not in e and e not in edge_set:  # a missing anchor is reported above
+            problems.append(f"reference edge {e} missing from graph")
     return problems
+
+
+def require_reference_sets(g: LevelGraph, refs: ReferenceSets) -> None:
+    """Refuse reference sets in which `validate_reference_sets` finds a problem."""
+    problems = validate_reference_sets(g, refs)
+    if problems:
+        raise ValueError("invalid reference sets: " + "; ".join(problems))
 
 
 def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[ReferenceSets, LevelGraph]:
@@ -393,9 +407,7 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs.
     The flags are numbered after the triples, in `flagged_edges` order."""
     require_valid(g, proper=True)
-    problems = validate_reference_sets(g, refs)
-    if problems:
-        raise ValueError("invalid reference sets: " + "; ".join(problems))
+    require_reference_sets(g, refs)
     number, triples = _triple_blocks(g, refs)
     flag: dict[Edge, int] = {}
     rows: list[Row] = []

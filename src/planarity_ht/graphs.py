@@ -4,6 +4,11 @@ A level graph is a DAG whose vertices carry levels 1..k and whose edges point
 strictly upward.  It is *proper* when every edge connects consecutive levels.
 Vertex ids are strings; all tie-breaking is by ascending id so every operation
 in this package is deterministic.
+
+Each graph is validated once: its violations and its properness are computed
+on first use and kept, so every public entry checks its input and a repeat
+check costs nothing.  A graph this package builds valid from a checked one
+(a properization, a star form) is recorded as checked when it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ class LevelGraph:
     """A leveled DAG.  `level` maps each vertex to its level in 1..k.
 
     `level` and `edges` are not mutated after construction: the per-level
-    index (`by_level`, `by_gap`) is built from them on first use and kept.
+    index (`by_level`, `by_gap`), the violations and the properness are
+    computed from them on first use and kept.
     """
 
     k: int
@@ -69,8 +75,36 @@ class LevelGraph:
         """Edges whose tail lies on level i, in sorted order."""
         return self.by_gap.get(i, ())
 
-    def is_proper(self) -> bool:
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every invariant violation, as `validate` lists them."""
+        problems: list[str] = []
+        if self.k < 1 and (self.level or self.k < 0):  # the star form of an empty graph has no levels
+            problems.append(f"level count must be positive, got {self.k}")
+        for v, lv in self.level.items():
+            if not 1 <= lv <= self.k:
+                problems.append(f"vertex {v!r} has level {lv} outside 1..{self.k}")
+        seen: set[Edge] = set()
+        for u, v in self.edges:
+            if u == v:
+                problems.append(f"self-loop at {u!r}")
+                continue
+            if u not in self.level or v not in self.level:
+                problems.append(f"edge ({u!r}, {v!r}) references unknown vertex")
+                continue
+            if (u, v) in seen:
+                problems.append(f"duplicate edge ({u!r}, {v!r})")
+            seen.add((u, v))
+            if self.level[u] >= self.level[v]:
+                problems.append(f"edge ({u!r}, {v!r}) not upward: levels {self.level[u]} -> {self.level[v]}")
+        return tuple(problems)
+
+    @cached_property
+    def _proper(self) -> bool:
         return all(self.level[v] == self.level[u] + 1 for u, v in self.edges)
+
+    def is_proper(self) -> bool:
+        return self._proper
 
     def with_edges(self, extra: list[Edge]) -> "LevelGraph":
         return LevelGraph(self.k, dict(self.level), self.edges + tuple(extra))
@@ -78,26 +112,7 @@ class LevelGraph:
 
 def validate(g: LevelGraph) -> list[str]:
     """Return every invariant violation; an empty list means the graph is valid."""
-    problems: list[str] = []
-    if g.k < 1 and (g.level or g.k < 0):  # the star form of an empty graph has no levels
-        problems.append(f"level count must be positive, got {g.k}")
-    for v, lv in g.level.items():
-        if not 1 <= lv <= g.k:
-            problems.append(f"vertex {v!r} has level {lv} outside 1..{g.k}")
-    seen: set[Edge] = set()
-    for u, v in g.edges:
-        if u == v:
-            problems.append(f"self-loop at {u!r}")
-            continue
-        if u not in g.level or v not in g.level:
-            problems.append(f"edge ({u!r}, {v!r}) references unknown vertex")
-            continue
-        if (u, v) in seen:
-            problems.append(f"duplicate edge ({u!r}, {v!r})")
-        seen.add((u, v))
-        if g.level[u] >= g.level[v]:
-            problems.append(f"edge ({u!r}, {v!r}) not upward: levels {g.level[u]} -> {g.level[v]}")
-    return problems
+    return list(g.violations)
 
 
 def require_valid(g: LevelGraph, proper: bool = False) -> None:
@@ -106,6 +121,15 @@ def require_valid(g: LevelGraph, proper: bool = False) -> None:
         problems = ["graph is not proper (an edge spans more than one level)"]
     if problems:
         raise InvalidGraphError(problems)
+
+
+def record_checked(g: LevelGraph, proper: bool | None = None) -> LevelGraph:
+    """Record g, valid by construction, as validated, and its properness when
+    known, so no check scans it again."""
+    g.__dict__["violations"] = ()
+    if proper is not None:
+        g.__dict__["_proper"] = proper
+    return g
 
 
 def subdivision_name(u: VertexId, v: VertexId, lv: int) -> VertexId:
@@ -157,7 +181,8 @@ def properize(g: LevelGraph) -> tuple[LevelGraph, Properization]:
         path.append(v)
         new_edges.extend(zip(path, path[1:]))
         paths[(u, v)] = tuple(path)
-    return LevelGraph(g.k, level, tuple(new_edges)), Properization(origin, paths)
+    proper = record_checked(LevelGraph(g.k, level, tuple(new_edges)), proper=True)
+    return proper, Properization(origin, paths)
 
 
 def independent(e: Edge, f: Edge) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .constraints import ReferenceSets, gap_edge_classes, gap_flagged_edges
+from .constraints import ReferenceSets, gap_edge_classes, gap_flagged_edges, require_reference_sets
 from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, gap_crossing_pairs_level
 from .graphs import Edge, LevelGraph, VertexId, require_valid
 
@@ -171,6 +171,7 @@ def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) 
     require_valid(g, proper=True)
     if any(not g.on_level(i) for i in range(1, g.k + 1)):
         raise ValueError("radial enumeration needs every level nonempty")
+    require_reference_sets(g, refs)
     classes = {i: gap_edge_classes(g, refs, i) for i in range(1, g.k)}
     gap_flags = {i: gap_flagged_edges(classes[i]) for i in classes}
     return _enumerate(g, budget, 1, gap_flags, RadialDrawing,

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ReferenceSets
+from .constraints import ReferenceSets, anchor_problems
 from .graphs import (
     Edge,
     LevelGraph,
     Properization,
     VertexId,
     properize,
+    record_checked,
     require_valid,
 )
 
@@ -64,7 +65,11 @@ class StarForm:
 
 def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, bool]],
             radial: bool) -> StarForm:
-    """Stretch g by the layout rule, one block per (level, order, top shift, spans)."""
+    """Stretch g by the layout rule, one block per (level, order, top shift, spans).
+
+    g is valid and proper and each order lists its level's vertices, so the
+    stretched graph is valid by construction and recorded as checked.
+    """
     level: dict[VertexId, int] = {}
     bot: dict[VertexId, VertexId] = {}
     top: dict[VertexId, VertexId] = {}
@@ -91,7 +96,7 @@ def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, b
     edges = tuple(sorted(stretch.values())) + tuple(sorted(star_edge.values()))
     owner = {c: v for v, c in bot.items()}
     owner.update({c: v for v, c in top.items()})
-    star = LevelGraph(offset, level, edges)
+    star = record_checked(LevelGraph(offset, level, edges))
     return StarForm(star, bot, top, owner, stretch, star_edge, edge_origin, level_origin,
                     middle if radial else None)
 
@@ -119,6 +124,9 @@ def build_star_radial(g: LevelGraph, alpha_plus: dict[int, VertexId],
         vs = g.on_level(i)
         if not vs:
             raise ValueError(f"radial star form needs a nonempty level, level {i} is empty")
+        problems = anchor_problems(g, alpha_plus, alpha_minus, i)
+        if problems:
+            raise ValueError("invalid anchors: " + "; ".join(problems))
         ap, am = alpha_plus[i], alpha_minus[i]
         rest = [v for v in vs if v not in (ap, am)]
         blocks.append((i, (am, *rest, ap), -1, False) if ap != am else (i, (am, *rest), 0, True))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,8 @@ from planarity_ht.constraints import (
     build_radial_reduced,
     choose_reference_sets,
 )
-from planarity_ht.corpus import random_proper_graph
+from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
+from planarity_ht.crosscheck import crosscheck_instance
 from planarity_ht.graphs import (
     CriticalPair,
     InvalidGraphError,
@@ -26,6 +30,7 @@ from planarity_ht.graphs import (
     validate,
 )
 from planarity_ht.oracle import brute_level, brute_radial
+from planarity_ht.pipeline import check_level, check_radial, stage_context
 from planarity_ht.starform import build_star_level, build_star_radial
 
 
@@ -77,6 +82,7 @@ PUBLIC_ENTRIES = {
     "build_star_radial": lambda g: build_star_radial(g, _REFS.alpha_plus, _REFS.alpha_minus),
     "brute_level": brute_level,
     "brute_radial": lambda g: brute_radial(g, _REFS),
+    "critical_pairs": critical_pairs,
 }
 
 
@@ -87,13 +93,57 @@ def test_public_entries_refuse_an_invalid_graph_with_its_violations(name):
         ("a", "z"): None,  # unknown vertex
         ("a", "e"): ["graph is not proper (an edge spans more than one level)"],
     }
-    if name == "properize":
-        del refuse[("a", "e")]  # properize subdivides long edges
+    if name in ("properize", "critical_pairs"):
+        del refuse[("a", "e")]  # both take long edges
     for edge, violations in refuse.items():
         g = LevelGraph(_VALID.k, _VALID.level, _VALID.edges + (edge,))
-        with pytest.raises(InvalidGraphError) as refused:
-            PUBLIC_ENTRIES[name](g)
-        assert str(refused.value) == "; ".join(violations or validate(g)), edge
+        for _ in range(2):  # a repeat call reads the violations kept from the first
+            with pytest.raises(InvalidGraphError) as refused:
+                PUBLIC_ENTRIES[name](g)
+            assert str(refused.value) == "; ".join(violations or validate(g)), edge
+
+
+def test_a_fresh_input_is_scanned_once_per_call(monkeypatch):
+    scans = []
+    scan = LevelGraph.violations.func
+    monkeypatch.setattr(LevelGraph.violations, "func", lambda g: scans.append(g) or scan(g))
+    g = _VALID.with_edges([("a", "e")])  # a long edge, and no gap without edges
+    calls = {
+        "check_level": check_level,
+        "check_level witness": lambda g: check_level(g, witness=True),
+        "check_radial": check_radial,
+        "check_radial witness": lambda g: check_radial(g, witness=True),
+        "crosscheck_instance": crosscheck_instance,
+    }
+    for name, call in calls.items():
+        scans.clear()
+        call(LevelGraph(g.k, dict(g.level), g.edges))
+        assert len(scans) == 1, name
+
+
+@pytest.fixture
+def bench_gen(monkeypatch):
+    """bench/gen.py, the benchmark's planted instance families."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_a_graph_recorded_as_checked_is_valid_when_scanned_afresh(mode, bench_gen):
+    planted = [bench_gen.planted_planar(random.Random(seed), [4, 3, 5], 1.0).graph for seed in range(4)]
+    # long edges from level 1 to level 3, so properize subdivides
+    planted = [g.with_edges([(g.on_level(1)[0], g.on_level(3)[-1]), (g.on_level(1)[-1], g.on_level(3)[0])])
+               for g in planted]
+    for g in [*exhaustive_proper_graphs(3, 3), *planted]:
+        proper, _ = properize(g)
+        pg = stage_context(g, mode).pg
+        for built in (proper, pg.star_form.star, pg.graph):
+            afresh = LevelGraph(built.k, dict(built.level), built.edges)
+            assert validate(afresh) == [], g
+            assert afresh.is_proper() == built.is_proper(), g
 
 
 def test_properize_is_identity_on_proper_graphs():

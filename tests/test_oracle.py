@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -12,7 +13,13 @@ from pathlib import Path
 import pytest
 
 import planarity_ht
-from planarity_ht.constraints import choose_reference_sets, gap_edge_classes, reference_set_variants
+from planarity_ht.constraints import (
+    ReferenceSets,
+    build_radial_reduced,
+    choose_reference_sets,
+    gap_edge_classes,
+    reference_set_variants,
+)
 from planarity_ht.corpus import exhaustive_proper_graphs
 from planarity_ht.drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.graphs import LevelGraph
@@ -43,6 +50,18 @@ def test_k22_radial_planar(k22):
     result = brute_radial(aug, refs)
     assert result.planar
     assert count_crossings_radial(result.witness, aug, refs).planar
+
+
+def test_radial_oracle_refuses_invalid_reference_sets_as_the_system_builder_does():
+    g = LevelGraph(2, {"a": 1, "b": 1, "c": 2, "d": 2}, (("a", "c"), ("b", "d")))
+    refused = [
+        (ReferenceSets({1: "a", 2: "d"}, {1: "a", 2: "d"}), "reference edge ('a', 'd') missing from graph"),
+        (ReferenceSets({1: "a"}, {1: "a"}), "level 2 has no plus anchor; level 2 has no minus anchor"),
+    ]
+    for refs, problem in refused:
+        for build in (brute_radial, build_radial_reduced):
+            with pytest.raises(ValueError, match=rf"^invalid reference sets: {re.escape(problem)}$"):
+                build(g, refs)
 
 
 def test_budget_exceeded(k22):

@@ -242,6 +242,19 @@ def test_radial_star_form_refuses_an_empty_level_before_reading_its_anchors():
         build_star_radial(g, {1: "a", 3: "b"}, {1: "a", 3: "b"})
 
 
+def test_radial_star_form_refuses_an_anchor_off_its_level():
+    g = LevelGraph(2, {"a": 1, "b": 1, "c": 2, "d": 2}, (("a", "c"), ("b", "d")))
+    refused = {
+        "c": "plus anchor 'c' does not lie on level 1; minus anchor 'c' does not lie on level 1",
+        "z": "plus anchor 'z' does not lie on level 1; minus anchor 'z' does not lie on level 1",
+    }
+    for anchor, problems in refused.items():
+        with pytest.raises(ValueError, match=rf"^invalid anchors: {problems}$"):
+            build_star_radial(g, {1: anchor, 2: "c"}, {1: anchor, 2: "c"})
+    with pytest.raises(ValueError, match=r"^invalid anchors: level 2 has no plus anchor$"):
+        build_star_radial(g, {1: "a"}, {1: "a", 2: "c"})
+
+
 def test_plain_star_form_gives_an_empty_level_no_sublevels():
     sf = build_star_level(LevelGraph(3, {"a": 1, "b": 3}, ()))
     assert sf.star.k == 4
