@@ -7,23 +7,28 @@ reference edge.  Both come in a reduced flavour that holds only the XOR
 equations, which is what gets solved, and a full flavour that adds the
 transitivity clauses on top.
 
-Each reduced builder numbers its variables once and emits its equations as
-integer rows over that numbering; the system it returns carries the
-numbering (`number`, and in radial mode the ordered `flag` map), which the
-full builders reuse for their clauses and the lifts read.  A system holds
-its variable count, not its variables: the variable objects are spelled
-only when something reads them, to print equations and clauses or to name
-violations.
+Each reduced builder numbers its variables once and gives its equations as
+integer rows over that numbering, made on each read by an `xorsat.RowSource`:
+the consistency rows x(u,w) + x(w,u) = 1 and t(a,u,v) + t(a,v,u) = 1 as twin
+pairs, which say only that one variable is the other's negation, and the
+other rows as a stream in build order.  A decision solves the source; the
+row list is made only when something reads `rows`.  The system it returns
+carries the numbering (`number`, and in radial mode the ordered `flag` map),
+which the full builders reuse for their clauses and the lifts read.  A
+system holds its variable count, not its variables: the variable objects
+are spelled only when something reads them, to print equations and clauses
+or to name violations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 
-from .graphs import Edge, LevelGraph, VertexId, require_valid
+from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
+from .xorsat import RowSource, row_problem
 
 
 @dataclass(frozen=True, order=True)
@@ -97,15 +102,24 @@ Row = tuple[tuple[int, ...], int]
 Clause = tuple[int, int, int, bool]
 
 
+def _check_rows(n: int, rows: list[Row]) -> None:
+    for idx, parity in rows:
+        if idx and (min(idx) < 0 or max(idx) >= n) or parity not in (0, 1):
+            raise ValueError(row_problem(n, idx, parity))
+
+
 @dataclass
 class ConstraintSystem:
     """A variable count, XOR rows and transitivity clauses over the variable
-    indices 0..n-1, checked here once.  A row (indices, parity) states that
-    the indexed variables sum to the parity; a clause (a, b, head, negated)
-    that a and b together force the head, or its negation when negated.
-    `spell` yields the variable objects in index order; `number(u, w)` or
-    `number(a, u, v)` is the index of a pair or anchored triple, and `flag`
-    maps each flagged edge, in index order, to its left flag's index."""
+    indices 0..n-1.  A row (indices, parity) states that the indexed
+    variables sum to the parity; a clause (a, b, head, negated) that a and b
+    together force the head, or its negation when negated.  `rows` is given
+    as a list, checked here, or as a `RowSource`; then the list is made and
+    checked on first read.  `source` is what `xorsat.solve` reads: the
+    `RowSource` until the list is made, then the runs as made.  `spell` yields the variable objects in index order;
+    `number(u, w)` or `number(a, u, v)` is the index of a pair or anchored
+    triple, and `flag` maps each flagged edge, in index order, to its left
+    flag's index."""
 
     n: int
     spell: Callable[[], Iterable[BoolVar]]
@@ -117,14 +131,25 @@ class ConstraintSystem:
 
     def __post_init__(self) -> None:
         n = self.n
-        for idx, parity in self.rows:
-            if idx and (min(idx) < 0 or max(idx) >= n):
-                raise ValueError(f"row {idx} references an undeclared variable index, {n} declared")
-            if parity not in (0, 1):
-                raise ValueError(f"row {idx} has parity {parity!r}, not 0 or 1")
+        if isinstance(self.rows, RowSource):
+            self.source = self.__dict__.pop("rows")  # `__getattr__` makes the list when it is read
+        else:
+            _check_rows(n, self.rows)
+            self.source = self.rows
         for cl in self.clauses:
             if min(cl[:3]) < 0 or max(cl[:3]) >= n:
                 raise ValueError(f"clause {cl} references an undeclared variable index, {n} declared")
+
+    def __getattr__(self, name: str):
+        if name != "rows" or "source" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        runs = [(twins, list(run)) for twins, run in self.source.runs()]
+        source = RowSource(lambda: runs)
+        rows = list(source)
+        _check_rows(self.n, rows)
+        source.count = len(rows)
+        self.source, self.rows = source, rows  # a later solve reads the runs as made
+        return rows
 
     @cached_property
     def variables(self) -> tuple[BoolVar, ...]:
@@ -196,20 +221,30 @@ def pair_numbering(g: LevelGraph) -> Callable[[VertexId, VertexId], int]:
     return number
 
 
+def _twins(first: int, m: int) -> Iterator[tuple[int, int]]:
+    """The consistency rows of a block that numbers the ordered pairs of m
+    items from `first` in `permutations` order, in `combinations` order: for
+    p < q, the indices of (p, q) and (q, p) as a twin pair (lo, hi)."""
+    s = m - 1
+    return ((first + p * s + q - 1, first + q * s + p) for p in range(m) for q in range(p + 1, m))
+
+
 def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
-    """Pair-order variables, consistency XORs, planarity XORs."""
+    """Pair-order variables, consistency XORs as twins, planarity XORs."""
     require_valid(g, proper=True)
     number = pair_numbering(g)
-    rows: list[Row] = []
-    for vs in g.by_level.values():
-        rows.extend(((number(u, w), number(w, u)), 1) for u, w in combinations(vs, 2))
-    for gap in g.by_gap.values():
+    widths = [len(vs) for vs in g.by_level.values()]
+    firsts = list(accumulate((w * (w - 1) for w in widths), initial=0))  # each level's first index, then n
+
+    def runs():
+        yield True, chain.from_iterable(map(_twins, firsts, widths))
         # a proper gap's edges are independent when both endpoints differ
-        rows.extend(((number(u, w), number(v, x)), 0)
-                    for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
-    return ConstraintSystem(sum(len(vs) * (len(vs) - 1) for vs in g.by_level.values()),
+        yield False, (((number(u, w), number(v, x)), 0) for gap in g.by_gap.values()
+                      for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
+
+    return ConstraintSystem(firsts[-1],
                             lambda: (PairVar(u, w) for vs in g.by_level.values() for u, w in permutations(vs, 2)),
-                            rows, [], "level-reduced", number)
+                            RowSource(runs), [], "level-reduced", number)
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
@@ -219,7 +254,7 @@ def build_level_full(g: LevelGraph) -> ConstraintSystem:
     clauses = [(number(u, w), number(w, y), number(u, y), False)
                for vs in g.by_level.values()
                for u, w, y in permutations(vs, 3)]
-    return replace(reduced, clauses=clauses, meta="level-full")
+    return replace(reduced, rows=reduced.source, clauses=clauses, meta="level-full")
 
 
 def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
@@ -324,7 +359,7 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
     alpha_minus[1] = alpha_plus[1] if g.k > 1 else pick(g.on_level(1))
     alpha_plus[g.k] = alpha_minus[g.k] if g.k > 1 else alpha_minus[1]
     refs = ReferenceSets(alpha_plus, alpha_minus, tuple(inserted))
-    aug = g.with_edges(inserted) if inserted else g
+    aug = record_checked(g.with_edges(inserted), proper=True) if inserted else g  # each joins levels i and i + 1
     problems = validate_reference_sets(aug, refs)
     if problems:
         raise AssertionError(f"internal error: invalid reference selection: {problems}")
@@ -404,43 +439,54 @@ def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, in
 
 
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
-    """Anchored linear-order consistency, cyclic coupling, and gap planarity XORs.
-    The flags are numbered after the triples, in `flagged_edges` order."""
+    """Anchored linear-order consistency as twins, cyclic coupling, and gap
+    planarity XORs.  The flags are numbered after the triples, in
+    `flagged_edges` order."""
     require_valid(g, proper=True)
     require_reference_sets(g, refs)
     number, triples = _triple_blocks(g, refs)
-    flag: dict[Edge, int] = {}
-    rows: list[Row] = []
-    for i in range(1, g.k + 1):
-        vs = g.on_level(i)
-        for a in refs.anchors(i):
-            others = [v for v in vs if v != a]
-            rows.extend(((number(a, u, v), number(a, v, u)), 1) for u, v in combinations(others, 2))
-        ap, am = refs.alpha_plus[i], refs.alpha_minus[i]
-        if ap != am:
-            others = [v for v in vs if v not in (ap, am)]
-            rows.extend(((number(am, u, v), number(ap, u, v), number(am, u, ap), number(am, v, ap)), 0)
-                        for u, v in permutations(others, 2))
-            rows.extend(((number(am, v, ap), number(ap, am, v)), 0) for v in others)
-    for i in range(1, g.k):
-        classes = (ap, am_next), plain, plus_adj, minus_adj = gap_edge_classes(g, refs, i)
-        for e in gap_flagged_edges(classes):
-            flag[e] = triples + len(flag)
+    gaps = [gap_edge_classes(g, refs, i) for i in range(1, g.k)]
+    flag = {e: triples + f for f, e in enumerate(e for classes in gaps for e in gap_flagged_edges(classes))}
+
+    def gap_rows(classes: GapClasses) -> Iterator[Row]:
+        (ap, am_next), plain, plus_adj, minus_adj = classes
         # a proper gap's edges are independent when both endpoints differ
-        rows.extend(((number(ap, u, w), number(am_next, v, x)), 0)
-                    for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x)
-        rows.extend(((flag[e], flag[f]), 1) for e in plus_adj for f in minus_adj)
-        rows.extend(((flag[e], number(am_next, v, e[1])), 0)
-                    for e in plus_adj for u, v in plain if v != e[1])
-        rows.extend(((flag[f], number(ap, u, f[0])), 0)
-                    for f in minus_adj for u, v in plain if u != f[0])
+        return chain((((number(ap, u, w), number(am_next, v, x)), 0)
+                      for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x),
+                     (((flag[e], flag[f]), 1) for e in plus_adj for f in minus_adj),
+                     (((flag[e], number(am_next, v, e[1])), 0) for e in plus_adj for u, v in plain if v != e[1]),
+                     (((flag[f], number(ap, u, f[0])), 0) for f in minus_adj for u, v in plain if u != f[0]))
+
+    # per level: its anchors, the first index of each anchor's block, which
+    # orders the level's m other vertices, and, where the anchors differ, the
+    # index of t(am, v, ap) for each vertex v besides them
+    levels = []
+    first = 0
+    for i in range(1, g.k + 1):
+        vs, anchors = g.on_level(i), refs.anchors(i)
+        m = len(vs) - 1
+        size = m * (m - 1)
+        am, ap = anchors[0], anchors[-1]
+        levels.append((anchors, [first + j * size for j in range(len(anchors))], m,
+                       {v: number(am, v, ap) for v in vs if v not in anchors} if am != ap else None))
+        first += len(anchors) * size
+
+    def runs():
+        for anchors, blocks, m, before_ap in levels:
+            yield True, chain.from_iterable(_twins(b, m) for b in blocks)
+            if before_ap is not None:
+                am, ap = anchors
+                yield False, chain((((number(am, u, v), number(ap, u, v), before_ap[u], before_ap[v]), 0)
+                                    for u, v in permutations(before_ap, 2)),
+                                   (((t, number(ap, am, v)), 0) for v, t in before_ap.items()))
+        yield False, chain.from_iterable(map(gap_rows, gaps))
 
     def spell() -> Iterable[BoolVar]:
         yield from (TripleVar(a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
                     for u, v in permutations([x for x in vs if x != a], 2))
         yield from (FlagVar(*e) for e in flag)
 
-    return ConstraintSystem(triples + len(flag), spell, rows, [], "radial-reduced", number, flag)
+    return ConstraintSystem(triples + len(flag), spell, RowSource(runs), [], "radial-reduced", number, flag)
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -456,4 +502,4 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
                for i in range(1, g.k + 1)
                for a in refs.anchors(i)
                for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)]
-    return replace(reduced, clauses=clauses, meta="radial-full")
+    return replace(reduced, rows=reduced.source, clauses=clauses, meta="radial-full")

@@ -1,12 +1,14 @@
 """End-to-end decision pipelines.
 
 A check properizes the input, assembles the reduced constraint system of the
-properized graph G, and solves it over GF(2); its satisfiability is the
-answer.  Only when a witness is wanted is the star form and its proper
-subdivision G+ built: the solution is lifted to G+, each bit computed as the
-drawing reads it, without G+'s constraint system, and realized as a drawing
-whose smoothed form passes the even-crossings verification; that drawing is
-the returned witness.
+properized graph G, and solves it over GF(2) from its row source, without
+making its row list; its satisfiability is the answer.  Only when a witness
+is wanted is the list made, since the lift is checked against it, and made
+before the solve, which then reads it.  Only then too is the star form and
+its proper subdivision G+ built: the solution is lifted to G+, each bit
+computed as the drawing reads it, without G+'s constraint system, and
+realized as a drawing whose smoothed form passes the even-crossings
+verification; that drawing is the returned witness.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .graphs import LevelGraph, properize
 
 
 def to_xor_system(system: ConstraintSystem) -> xorsat.XorSystem:
-    return xorsat.XorSystem(system.n, system.rows)
+    return xorsat.XorSystem(system.n, system.source)
 
 
 def solve_reduced(system: ConstraintSystem) -> list[bool] | None:
@@ -81,8 +83,11 @@ def stage_context(g: LevelGraph, mode: str) -> LevelContext:
 
 def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
     ctx = stage_context(g, mode)
+    if witness:
+        ctx.system.rows  # the lift reads the rows: made before the solve, they are made once
     phi = solve_reduced(ctx.system)
-    result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.rows),
+    # the solve counts the rows as it reads them; a decision never makes the row list
+    result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.source),
                          count_transitivity(ctx.base, ctx.refs))
     if phi is not None and witness:
         result.witness = realize(lift(phi, ctx), ctx)

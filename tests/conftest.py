@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from planarity_ht.graphs import LevelGraph
+
+
+@pytest.fixture
+def bench_gen(monkeypatch):
+    """bench/gen.py, the benchmark's planted instance families."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture

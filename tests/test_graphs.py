@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,7 +104,10 @@ def test_a_fresh_input_is_scanned_once_per_call(monkeypatch):
     scans = []
     scan = LevelGraph.violations.func
     monkeypatch.setattr(LevelGraph.violations, "func", lambda g: scans.append(g) or scan(g))
-    g = _VALID.with_edges([("a", "e")])  # a long edge, and no gap without edges
+    inputs = [
+        _VALID.with_edges([("a", "e")]),  # a long edge, and no gap without edges
+        LevelGraph(3, {"a": 1, "b": 2, "c": 3}, (("a", "b"),)),  # radial reference selection fills gap 2
+    ]
     calls = {
         "check_level": check_level,
         "check_level witness": lambda g: check_level(g, witness=True),
@@ -115,20 +115,11 @@ def test_a_fresh_input_is_scanned_once_per_call(monkeypatch):
         "check_radial witness": lambda g: check_radial(g, witness=True),
         "crosscheck_instance": crosscheck_instance,
     }
-    for name, call in calls.items():
-        scans.clear()
-        call(LevelGraph(g.k, dict(g.level), g.edges))
-        assert len(scans) == 1, name
-
-
-@pytest.fixture
-def bench_gen(monkeypatch):
-    """bench/gen.py, the benchmark's planted instance families."""
-    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parent.parent / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclasses look their module up
-    spec.loader.exec_module(gen)
-    return gen
+    for g in inputs:
+        for name, call in calls.items():
+            scans.clear()
+            call(LevelGraph(g.k, dict(g.level), g.edges))
+            assert len(scans) == 1, (name, g)
 
 
 @pytest.mark.parametrize("mode", ["level", "radial"])

@@ -1,17 +1,22 @@
 """Metamorphic relations of the decision.
 
-Each relation transforms a graph into one whose answer must be the same in
-both modes, so it checks decisions without an oracle: reversing the levels
-(level l becomes k + 1 - l and every edge turns around), and renaming every
-vertex id, which changes every tie-break and the radial reference choice.
+Each relation fixes a graph's answer from the answers of others, so it checks
+decisions without an oracle.  Reversing the levels (level l becomes k + 1 - l
+and every edge turns around) and renaming every vertex id, which changes
+every tie-break and the radial reference choice, keep the answer in both
+modes.  In level mode a disjoint union is planar exactly when each part is,
+since the parts can be drawn side by side; in radial mode it is not, as two
+copies of K2,2 on the same two levels show.
 """
 
 from __future__ import annotations
 
 import random
 
+from planarity_ht.constraints import choose_reference_sets
 from planarity_ht.corpus import random_proper_graph
 from planarity_ht.graphs import LevelGraph
+from planarity_ht.oracle import brute_radial
 from planarity_ht.pipeline import check_level, check_radial
 
 
@@ -26,6 +31,13 @@ def _renamed(g: LevelGraph, rng: random.Random) -> LevelGraph:
     name = dict(zip(sorted(g.level), ids))
     return LevelGraph(g.k, {name[v]: lv for v, lv in g.level.items()},
                       tuple(sorted((name[u], name[v]) for u, v in g.edges)))
+
+
+def _disjoint_union(g: LevelGraph, h: LevelGraph) -> LevelGraph:
+    """g beside h, whose vertex ids get a prefix that no id of g has."""
+    name = {v: f"h.{v}" for v in h.level}
+    return LevelGraph(max(g.k, h.k), g.level | {name[v]: lv for v, lv in h.level.items()},
+                      g.edges + tuple((name[u], name[v]) for u, v in h.edges))
 
 
 def test_reversing_the_levels_and_renaming_the_vertices_keep_both_decisions():
@@ -44,3 +56,24 @@ def test_reversing_the_levels_and_renaming_the_vertices_keep_both_decisions():
                 assert (result.witness is not None) == (witness and planar)
     # the sample must hold both answers in both modes for the relations to bite
     assert 0 < nonplanar["level"] < 150 and 0 < nonplanar["radial"] < 150
+
+
+def test_a_disjoint_union_is_level_planar_exactly_when_both_parts_are():
+    rng = random.Random(11)
+    answers = {True: 0, False: 0}
+    for _ in range(1000):
+        g, h = random_proper_graph(rng, 5, 5, 0.45), random_proper_graph(rng, 5, 5, 0.45)
+        union = check_level(_disjoint_union(g, h)).planar
+        assert union == (check_level(g).planar and check_level(h).planar), (g, h)
+        answers[union] += 1
+    assert min(answers.values()) > 200
+
+
+def test_a_disjoint_union_of_radial_planar_graphs_can_be_radially_nonplanar(k22):
+    # K2,2 closes into a cycle around the center; two such cycles on the same
+    # two levels would have to cross
+    union = _disjoint_union(k22, k22)
+    assert check_radial(k22).planar and not check_radial(union).planar
+    for g, planar in ((k22, True), (union, False)):
+        refs, augmented = choose_reference_sets(g)
+        assert brute_radial(augmented, refs).planar == planar

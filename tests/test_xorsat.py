@@ -5,15 +5,17 @@ import importlib.util
 import random
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarity_ht.constraints import build_radial_reduced
 from planarity_ht.corpus import exhaustive_proper_graphs
-from planarity_ht.pipeline import stage_context
-from planarity_ht.xorsat import Sat, Unsat, XorSystem, eliminate, rank, solve
+from planarity_ht.pipeline import check_level, check_radial, stage_context, system_for_stage, to_xor_system
+from planarity_ht.xorsat import RowSource, Sat, Unsat, XorSystem, eliminate, rank, solve
 
 
 def brute_force_satisfiable(sys: XorSystem) -> bool:
@@ -203,3 +205,48 @@ def test_solve_memory_stays_below_the_size_of_its_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.56 * held
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_the_streamed_solve_equals_elimination_of_the_made_rows(mode, bench_gen):
+    # a decision solves G's system from its row source, the consistency rows
+    # linked as twins; the row list made afterwards is elimination's input
+    check = check_level if mode == "level" else check_radial
+    graphs = [*islice(exhaustive_proper_graphs(3, 3), 0, None, 10),
+              *(inst.graph for inst in bench_gen.decide_instances(1, 216))]
+    unsat = 0
+    for g in graphs:
+        system = stage_context(g, mode).system
+        streamed = solve(to_xor_system(system))
+        assert isinstance(system.source, RowSource) and "rows" not in vars(system)
+        rows = system.rows
+        reference = eliminate(XorSystem(system.n, rows))
+        if isinstance(reference, Sat):
+            assert streamed == reference, g
+        else:
+            assert isinstance(streamed, Unsat), g
+            assert_contradiction(XorSystem(system.n, rows), streamed.certificate)
+            unsat += 1
+        result = check(g)
+        full = system_for_stage(g, mode, "G", full=True)
+        assert (result.planar, result.variables, result.equations, result.transitivity_clauses) == (
+            isinstance(reference, Sat), len(system.variables), len(rows), len(full.clauses)), g
+    assert 100 < unsat < len(graphs) - 100
+
+
+def test_twins_are_checked_as_they_are_read():
+    def source(*runs):
+        return XorSystem(4, RowSource(lambda: runs))
+
+    for runs in ([(True, [(0, 1)]), (True, [(0, 2)])],  # 0 already joined to 1
+                 [(True, [(2, 1)])],  # lo above hi
+                 [(False, [((0, 3), 0)]), (True, [(0, 1)])]):  # 0 already joined to 3
+        with pytest.raises(ValueError, match=r"needs lo < hi and lo in no larger variable's class"):
+            solve(source(*runs))
+    with pytest.raises(ValueError, match=r"row \(0, 4\) references an undeclared variable index, 4 declared"):
+        solve(source((True, [(0, 4)])))
+    # a twin's lo may already be joined to a smaller variable; a closing row
+    # after a conflict is counted, not read
+    rows = source((False, [((0, 1), 1)]), (True, [(1, 2)]), (False, [((0, 2), 1), ((), 1), ((), 1)]))
+    result = solve(rows)
+    assert result == Unsat((0, 1, 2)) and len(rows.rows) == 5
