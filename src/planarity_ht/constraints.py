@@ -11,13 +11,21 @@ Each reduced builder numbers its variables once and gives its equations as
 integer rows over that numbering, made on each read by an `xorsat.RowSource`:
 the consistency rows x(u,w) + x(w,u) = 1 and t(a,u,v) + t(a,v,u) = 1 as twin
 pairs, which say only that one variable is the other's negation, and the
-other rows as a stream in build order.  A decision solves the source; the
-row list is made only when something reads `rows`.  The system it returns
-carries the numbering (`number`, and in radial mode the ordered `flag` map),
-which the full builders reuse for their clauses and the lifts read.  A
-system holds its variable count, not its variables: the variable objects
-are spelled only when something reads them, to print equations and clauses
-or to name violations.
+other rows as a stream in build order; a level or gap too small to give a
+row makes no run.  A decision solves the source; the row list is made only
+when something reads `rows`.  The system a builder returns carries the
+numbering (`number`, and in radial mode the ordered `flag` map), which the
+full builders reuse for their clauses and the lifts read, and lists the
+numbering's points in index order (`points`): the pairs (u, w), the
+anchored triples (a, u, v), then the flagged edges.  Code that works on a
+whole assignment, such as the drawing layer's round trip, reads bits point
+by point in that order.  A system holds its variable count, not its
+variables: the variable objects are spelled from the points only when
+something reads them, to print equations and clauses or to name violations.
+
+A reference selection found valid for a graph is recorded as checked against
+that graph (`record_checked_refs`), so no later builder or oracle scans it
+again for the same graph.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, islice, permutations, starmap
 
 from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
 from .xorsat import RowSource, row_problem
@@ -116,10 +124,13 @@ class ConstraintSystem:
     together force the head, or its negation when negated.  `rows` is given
     as a list, checked here, or as a `RowSource`; then the list is made and
     checked on first read.  `source` is what `xorsat.solve` reads: the
-    `RowSource` until the list is made, then the runs as made.  `spell` yields the variable objects in index order;
-    `number(u, w)` or `number(a, u, v)` is the index of a pair or anchored
-    triple, and `flag` maps each flagged edge, in index order, to its left
-    flag's index."""
+    `RowSource` until the list is made, then the runs as made.  `spell`
+    yields the variable objects in index order; `number(u, w)` or
+    `number(a, u, v)` is the index of a pair or anchored triple, and `flag`
+    maps each flagged edge, in index order, to its left flag's index.  A
+    builder's `points` yields what each index names, in index order: a pair
+    (u, w), an anchored triple (a, u, v) or, after every triple, a flagged
+    edge; its `spell` spells those points."""
 
     n: int
     spell: Callable[[], Iterable[BoolVar]]
@@ -128,6 +139,7 @@ class ConstraintSystem:
     meta: str
     number: Callable[..., int] | None = None
     flag: dict[Edge, int] = field(default_factory=dict)
+    points: Callable[[], Iterable[tuple]] | None = None
 
     def __post_init__(self) -> None:
         n = self.n
@@ -201,24 +213,28 @@ def evaluate(system: ConstraintSystem,
 # Level systems
 
 
-def pair_numbering(g: LevelGraph) -> Callable[[VertexId, VertexId], int]:
+PairTable = dict[VertexId, tuple[int, int]]
+
+
+def pair_numbering(g: LevelGraph) -> tuple[Callable[[VertexId, VertexId], int], PairTable]:
     """The index of PairVar(u, w) in the level systems of g: levels in
-    ascending order, each level's ordered pairs in `permutations` order."""
-    pos: dict[VertexId, int] = {}
-    block: dict[VertexId, int] = {}  # index of u's first pair
+    ascending order, each level's ordered pairs in `permutations` order.
+    Returns the index function and the table it reads: each vertex's first
+    pair index and its position on its level."""
+    at: PairTable = {}
     count = 0
     for vs in g.by_level.values():
         stride = len(vs) - 1
         for p, v in enumerate(vs):
-            pos[v] = p
-            block[v] = count + p * stride
+            at[v] = (count + p * stride, p)
         count += len(vs) * stride
 
     def number(u: VertexId, w: VertexId) -> int:
-        pw = pos[w]
-        return block[u] + pw - (pw > pos[u])
+        first, pu = at[u]
+        pw = at[w][1]
+        return first + pw - (pw > pu)
 
-    return number
+    return number, at
 
 
 def _twins(first: int, m: int) -> Iterator[tuple[int, int]]:
@@ -232,19 +248,32 @@ def _twins(first: int, m: int) -> Iterator[tuple[int, int]]:
 def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     """Pair-order variables, consistency XORs as twins, planarity XORs."""
     require_valid(g, proper=True)
-    number = pair_numbering(g)
+    number, at = pair_numbering(g)
     widths = [len(vs) for vs in g.by_level.values()]
     firsts = list(accumulate((w * (w - 1) for w in widths), initial=0))  # each level's first index, then n
+    blocks = [(first, w) for first, w in zip(firsts, widths) if w > 1]
+    gaps = [gap for gap in g.by_gap.values() if len(gap) > 1]
+
+    def gap_rows() -> Iterator[Row]:
+        # a proper gap's edges are independent when both endpoints differ,
+        # that is when their tails' and their heads' positions differ
+        for gap in gaps:
+            ends = [(at[u], at[v]) for u, v in gap]
+            for ((fu, pu), (fv, pv)), ((fw, pw), (fx, px)) in combinations(ends, 2):
+                if pu != pw and pv != px:
+                    yield (fu + pw - (pw > pu), fv + px - (px > pv)), 0
 
     def runs():
-        yield True, chain.from_iterable(map(_twins, firsts, widths))
-        # a proper gap's edges are independent when both endpoints differ
-        yield False, (((number(u, w), number(v, x)), 0) for gap in g.by_gap.values()
-                      for (u, v), (w, x) in combinations(gap, 2) if u != w and v != x)
+        if blocks:
+            yield True, chain.from_iterable(starmap(_twins, blocks))
+        if gaps:
+            yield False, gap_rows()
 
-    return ConstraintSystem(firsts[-1],
-                            lambda: (PairVar(u, w) for vs in g.by_level.values() for u, w in permutations(vs, 2)),
-                            RowSource(runs), [], "level-reduced", number)
+    def points() -> Iterator[tuple[VertexId, VertexId]]:
+        return chain.from_iterable(permutations(vs, 2) for vs in g.by_level.values())
+
+    return ConstraintSystem(firsts[-1], lambda: starmap(PairVar, points()), RowSource(runs), [],
+                            "level-reduced", number, points=points)
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
@@ -321,11 +350,25 @@ def validate_reference_sets(g: LevelGraph, refs: ReferenceSets) -> list[str]:
     return problems
 
 
+def record_checked_refs(refs: ReferenceSets, g: LevelGraph) -> ReferenceSets:
+    """Record refs, found valid for g, as checked against g, so that
+    `require_reference_sets` does not scan them again for g; as
+    `graphs.record_checked` does for graphs.  The record is no field: it
+    takes no part in comparing selections."""
+    object.__setattr__(refs, "_checked_against", g)
+    return refs
+
+
 def require_reference_sets(g: LevelGraph, refs: ReferenceSets) -> None:
-    """Refuse reference sets in which `validate_reference_sets` finds a problem."""
+    """Refuse reference sets in which `validate_reference_sets` finds a
+    problem; sets already checked against g are not scanned again, and sets
+    that pass are recorded as checked against g."""
+    if refs.__dict__.get("_checked_against") is g:
+        return
     problems = validate_reference_sets(g, refs)
     if problems:
         raise ValueError("invalid reference sets: " + "; ".join(problems))
+    record_checked_refs(refs, g)
 
 
 def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[ReferenceSets, LevelGraph]:
@@ -363,7 +406,7 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
     problems = validate_reference_sets(aug, refs)
     if problems:
         raise AssertionError(f"internal error: invalid reference selection: {problems}")
-    return refs, aug
+    return record_checked_refs(refs, aug), aug
 
 
 def reference_set_variants(g: LevelGraph) -> list[tuple[ReferenceSets, LevelGraph]]:
@@ -447,15 +490,27 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     number, triples = _triple_blocks(g, refs)
     gaps = [gap_edge_classes(g, refs, i) for i in range(1, g.k)]
     flag = {e: triples + f for f, e in enumerate(e for classes in gaps for e in gap_flagged_edges(classes))}
+    # the gaps that give rows: two plain edges, or a flagged edge and a plain edge or one of the other class
+    row_gaps = [(eps, plain, plus_adj, minus_adj) for eps, plain, plus_adj, minus_adj in gaps
+                if len(plain) > 1 or plus_adj and (plain or minus_adj) or minus_adj and plain]
 
-    def gap_rows(classes: GapClasses) -> Iterator[Row]:
-        (ap, am_next), plain, plus_adj, minus_adj = classes
-        # a proper gap's edges are independent when both endpoints differ
-        return chain((((number(ap, u, w), number(am_next, v, x)), 0)
-                      for (u, v), (w, x) in combinations(plain, 2) if u != w and v != x),
-                     (((flag[e], flag[f]), 1) for e in plus_adj for f in minus_adj),
-                     (((flag[e], number(am_next, v, e[1])), 0) for e in plus_adj for u, v in plain if v != e[1]),
-                     (((flag[f], number(ap, u, f[0])), 0) for f in minus_adj for u, v in plain if u != f[0]))
+    def gap_rows() -> Iterator[Row]:
+        for (ap, am_next), plain, plus_adj, minus_adj in row_gaps:
+            # a proper gap's edges are independent when both endpoints differ
+            for (u, v), (w, x) in combinations(plain, 2):
+                if u != w and v != x:
+                    yield (number(ap, u, w), number(am_next, v, x)), 0
+            for e in plus_adj:
+                for f in minus_adj:
+                    yield (flag[e], flag[f]), 1
+            for e in plus_adj:
+                for u, v in plain:
+                    if v != e[1]:
+                        yield (flag[e], number(am_next, v, e[1])), 0
+            for f in minus_adj:
+                for u, v in plain:
+                    if u != f[0]:
+                        yield (flag[f], number(ap, u, f[0])), 0
 
     # per level: its anchors, the first index of each anchor's block, which
     # orders the level's m other vertices, and, where the anchors differ, the
@@ -473,20 +528,27 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
 
     def runs():
         for anchors, blocks, m, before_ap in levels:
-            yield True, chain.from_iterable(_twins(b, m) for b in blocks)
-            if before_ap is not None:
+            if m > 1:
+                yield True, chain.from_iterable(_twins(b, m) for b in blocks)
+            if before_ap:
                 am, ap = anchors
                 yield False, chain((((number(am, u, v), number(ap, u, v), before_ap[u], before_ap[v]), 0)
                                     for u, v in permutations(before_ap, 2)),
                                    (((t, number(ap, am, v)), 0) for v, t in before_ap.items()))
-        yield False, chain.from_iterable(map(gap_rows, gaps))
+        if row_gaps:
+            yield False, gap_rows()
 
-    def spell() -> Iterable[BoolVar]:
-        yield from (TripleVar(a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
+    def points() -> Iterator[tuple]:
+        yield from ((a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
                     for u, v in permutations([x for x in vs if x != a], 2))
-        yield from (FlagVar(*e) for e in flag)
+        yield from flag
 
-    return ConstraintSystem(triples + len(flag), spell, RowSource(runs), [], "radial-reduced", number, flag)
+    def spell() -> Iterator[BoolVar]:
+        named = points()
+        return chain(starmap(TripleVar, islice(named, triples)), starmap(FlagVar, named))
+
+    return ConstraintSystem(triples + len(flag), spell, RowSource(runs), [], "radial-reduced", number, flag,
+                            points)
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:

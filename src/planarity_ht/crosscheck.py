@@ -11,6 +11,7 @@ structural counts must match the construction's arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .constraints import build_radial_reduced, reference_set_variants
@@ -56,8 +57,9 @@ def check_structural_counts(g: LevelGraph, level_ctx, radial_ctx) -> list[str]:
     problems = []
     for name, sf, expected in (("plain", level_ctx.star_form, [2 * n for n in g.widths()]),
                                ("radial", radial_ctx.star_form, radial)):
+        got_by_level = Counter(sf.level_origin.values())  # each level's sublevels, counted in one pass
         for i, expect in enumerate(expected, 1):
-            got = len(sf.block(i))
+            got = got_by_level[i]
             if got != expect:
                 problems.append(f"{name} star form: level {i} expanded to {got} sublevels, expected {expect}")
     return problems

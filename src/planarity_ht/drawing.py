@@ -8,20 +8,29 @@ once, adjacent edges never cross, and a reference edge is never crossed.
 
 The conversion operations translate between satisfying assignments of the
 reduced constraint systems and drawings of the subdivided star form G+, in
-both directions and in both the level and the radial setting.  The lift of
-an input solution to G+ answers point reads, a bit by the G+ points a
-variable names, and the realizers read through them without building
-variable objects.  From a drawing back to an assignment is one rule for both
-modes: each variable of G+ is read off the drawing and corrected by the
-parity of the crossings the star edges through its points make below its
-sublevel.  The modes differ only in the reading (a pair's left/right order,
-a triple's clockwise order) and in the per-gap crossing rule.
+both directions and in both the level and the radial setting.  They work on
+G+'s integer numbering and build no variable object.  The lift of an input
+solution to G+ answers point reads, a bit by the G+ points a variable
+names; the realizers read through them, and checking the lift reads them at
+the system's points (`ConstraintSystem.points`) into a bit list in index
+order.  From a drawing back to an assignment is one rule for both modes:
+each point of G+'s system is read off the drawing and corrected by the
+parity of the crossings the star edges through its vertices make below its
+sublevel, which gives G+'s bits in index order; in level mode they project
+to the input index by index.  The modes differ only in the reading (a
+pair's left/right order, a triple's clockwise order) and in the per-gap
+crossing rule.  The public conversions still return mappings keyed by
+variable objects: read-only views over the bit lists, spelled only when
+iterated.
 
 Counting, verification, the back-conversion and rendering read a whole
 drawing through one view made for that call: every vertex's position is
 computed once, with the check that the drawing orders each level exactly
 once, and each cut is derived from that table.  Nothing is cached on a
-drawing.
+drawing.  Only gaps that hold edges are read.  Counting and verification
+count each crossing pair's crossings and sort only the pairs that cross an
+odd number of times; the back-conversion alone lists the gaps each pair
+crosses in, since its parity rule needs them.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, starmap
 
 from .constraints import (
     Assignment,
@@ -50,6 +59,7 @@ from .constraints import (
     flagged_edges,
     gap_edge_classes,
     gap_flagged_edges,
+    record_checked_refs,
     validate_reference_sets,
 )
 from .graphs import Edge, LevelGraph, VertexId, independent
@@ -72,8 +82,12 @@ class UnsatisfyingAssignmentError(ValueError):
 
 
 def require_satisfying(system: ConstraintSystem, a: Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
-    """The `assignment_values` of a, once they satisfy every constraint of the system."""
-    values = assignment_values(system, a)
+    """The `assignment_values` of a, once they satisfy every constraint of the
+    system; a `LiftedAssignment` of that same system is read at its points."""
+    if isinstance(a, LiftedAssignment) and a.system() is system:
+        values = a.values()
+    else:
+        values = assignment_values(system, a)
     bad = evaluate(system, values)
     if bad:
         raise UnsatisfyingAssignmentError(system, bad)
@@ -178,36 +192,40 @@ def _pair_key(e: Edge, f: Edge) -> tuple[Edge, Edge]:
     return (e, f) if e <= f else (f, e)
 
 
-def _odd_independent(per_pair: dict[tuple[Edge, Edge], int]) -> list[tuple[Edge, Edge]]:
-    return [pair for pair, c in sorted(per_pair.items()) if c % 2 and independent(*pair)]
-
-
-def _gap_crossings(g: LevelGraph, gap_pairs,
-                   origin: Callable[[Edge], Edge] | None = None) -> dict[tuple[Edge, Edge], list[int]]:
-    """The drawing's crossings, listed once: the gaps each crossing pair
-    crosses in, ascending, one entry per crossing.
-
-    `gap_pairs(i)` lists gap i's crossing segment pairs of a drawing of g;
-    `origin`, when given, maps each segment to the star edge it subdivides,
-    so that the pairs are star edge pairs.
-    """
-    by_pair: defaultdict[tuple[Edge, Edge], list[int]] = defaultdict(list)
-    for i in range(1, g.k):
-        for e, f in gap_pairs(i):
-            if origin is not None:
-                e, f = origin(e), origin(f)
-            by_pair[_pair_key(e, f)].append(i)
-    return by_pair
-
-
-def _report(by_pair: dict[tuple[Edge, Edge], list[int]]) -> CrossingReport:
-    per_pair = {pair: len(gaps) for pair, gaps in by_pair.items()}
-    return CrossingReport(per_pair, _odd_independent(per_pair), planar=not per_pair)
+def _odd_independent(odd) -> list[tuple[Edge, Edge]]:
+    """The independent pairs among pairs that cross an odd number of times, sorted."""
+    return sorted(pair for pair in odd if independent(*pair))
 
 
 def _count_crossings(g: LevelGraph, gap_pairs, origin: Callable[[Edge], Edge] | None = None) -> CrossingReport:
-    """Per-pair crossing counts over every gap, as `_gap_crossings` lists them."""
-    return _report(_gap_crossings(g, gap_pairs, origin))
+    """Per-pair crossing counts, each pair counted where it first crosses.
+
+    `gap_pairs(i)` lists gap i's crossing segment pairs of a drawing of g; it
+    is read only for the gaps that hold edges.  `origin`, when given, maps
+    each segment to the star edge it subdivides, so that the pairs are star
+    edge pairs.
+    """
+    per_pair: dict[tuple[Edge, Edge], int] = {}
+    count = per_pair.get
+    for i in g.by_gap:
+        for e, f in gap_pairs(i):
+            if origin is not None:
+                e, f = origin(e), origin(f)
+            pair = (e, f) if e <= f else (f, e)
+            per_pair[pair] = count(pair, 0) + 1
+    odd = _odd_independent(pair for pair, c in per_pair.items() if c % 2)
+    return CrossingReport(per_pair, odd, planar=not per_pair)
+
+
+def _gap_crossings(g: LevelGraph, gap_pairs, origin: Callable[[Edge], Edge]) -> dict[tuple[Edge, Edge], list[int]]:
+    """The back-conversion's reading of a drawing of G+: for each star edge
+    pair that crosses, the gaps it crosses in, ascending, one entry per
+    crossing; the gaps are read as `_count_crossings` reads them."""
+    by_pair: defaultdict[tuple[Edge, Edge], list[int]] = defaultdict(list)
+    for i in g.by_gap:
+        for e, f in gap_pairs(i):
+            by_pair[_pair_key(origin(e), origin(f))].append(i)
+    return by_pair
 
 
 def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> list[tuple[Edge, Edge]]:
@@ -333,7 +351,7 @@ class RadialContext(LevelContext):
         problems = validate_reference_sets(self.pg.graph, plus_refs)
         if problems:
             raise AssertionError(f"internal error: beta maps are not valid reference sets: {problems}")
-        return plus_refs
+        return record_checked_refs(plus_refs, self.pg.graph)
 
     @cached_property
     def plus_gap_classes(self) -> dict[int, GapClasses]:
@@ -370,46 +388,115 @@ def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
     return _count_crossings(g, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), ctx.segment_origin)
 
 
-def _points(var: BoolVar) -> tuple[VertexId, ...]:
-    """The sublevel points a variable of G+ reads: two for a pair, three for a triple, none for a flag."""
-    if type(var) is PairVar:
-        return var.u, var.w
-    if type(var) is TripleVar:
-        return var.anchor, var.u, var.v
-    return ()
+class LiftedAssignment(Mapping):
+    """An assignment of a stage's reduced system, read point by point: the
+    lift of an input solution to G+, computed bit by bit, or a read-only view
+    of the bits a back-conversion computed.
 
-
-def _assignment_from_drawing(ctx: LevelContext, gap_pairs, read: Callable[[BoolVar], bool]) -> Assignment:
-    """The back-conversion rule of both modes: a Hanani-Tutte drawing of G+,
-    its raw reading corrected by crossing parity.
-
-    Each variable of G+ takes its raw value `read(var)` off the drawing, XOR
-    the sum of pcr(e, f, j) over each pair of its points on sublevel j.  e
-    and f are the star edges the two points subdivide; pcr counts their
-    crossings in the gaps below j, plus one when e and f share their tail and
-    cross an odd number of times in total.  A bot or top copy subdivides no
-    star edge and adds nothing, and a flag has no points.  `gap_pairs(i)`
-    lists gap i's crossing segment pairs; the crossings are listed once, and
-    an independent star edge pair crossing an odd number of times is refused.
+    The assignment is exposed as point reads, which take the points a
+    variable names and neither build nor check a variable object:
+    `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` in radial
+    mode.  The realizers read through them, and `values` reads the whole
+    system through them, in index order.  Looking a variable up checks that
+    it is a variable of the stage's systems (vertices of `graph`, anchors of
+    `refs`), raising KeyError otherwise, and delegates to the read of its
+    kind.  The keys are the variables of `system()`, so only a caller that
+    iterates the mapping or takes its length spells them, and for a lift
+    builds G+'s reduced system.
     """
-    by_pair = _gap_crossings(ctx.pg.graph, gap_pairs, ctx.segment_origin)
-    report = _report(by_pair)
-    if report.ht_violations:
-        pair = report.ht_violations[0]
-        raise NotHananiTutteError(pair, report.count(*pair))
 
-    def pcr(e: Edge | None, f: Edge | None, j: int) -> int:
+    def __init__(self, graph: LevelGraph, refs: ReferenceSets | None, system: Callable[[], ConstraintSystem], *,
+                 pair: Callable[[VertexId, VertexId], bool] | None = None,
+                 triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None,
+                 flag: Callable[[Edge], bool] | None = None):
+        self.graph, self.refs, self.system = graph, refs, system
+        self.pair, self.triple, self.flag = pair, triple, flag
+
+    def __getitem__(self, var: BoolVar) -> bool:
+        level = self.graph.level
+        if type(var) is PairVar and self.pair is not None:
+            if var.u != var.w and level.get(var.u, 0) == level.get(var.w):
+                return self.pair(var.u, var.w)
+        elif type(var) is TripleVar and self.triple is not None:
+            j = level.get(var.anchor)
+            if (j is not None and var.anchor in self.refs.anchors(j) and level.get(var.u) == j
+                    and level.get(var.v) == j and len({var.anchor, var.u, var.v}) == 3):
+                return self.triple(var.anchor, var.u, var.v)
+        elif type(var) is FlagVar and self.flag is not None:
+            return self.flag(var.edge)
+        raise KeyError(var)
+
+    def __iter__(self) -> Iterator[BoolVar]:
+        return iter(self.system().variables)
+
+    def __len__(self) -> int:
+        return len(self.system().variables)
+
+    def values(self) -> list[bool]:
+        """The mapping's values in key order, the system's bits in index
+        order, as a list: read at the system's `points`, with no key
+        built or checked."""
+        system = self.system()
+        points = system.points()
+        if self.pair is not None:
+            return list(starmap(self.pair, points))
+        bits = list(starmap(self.triple, islice(points, system.n - len(system.flag))))
+        bits.extend(map(self.flag, system.flag))
+        return bits
+
+
+def _bit_view(graph: LevelGraph, refs: ReferenceSets | None, system: ConstraintSystem,
+              bits: list[bool]) -> LiftedAssignment:
+    """The bits of a stage's reduced system as a mapping keyed by its variables."""
+    number, flag = system.number, system.flag
+    if refs is None:
+        return LiftedAssignment(graph, None, lambda: system, pair=lambda u, w: bits[number(u, w)])
+    return LiftedAssignment(graph, refs, lambda: system, triple=lambda a, u, v: bits[number(a, u, v)],
+                            flag=lambda e: bits[flag[e]])
+
+
+def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
+                             read: Callable[..., bool]) -> list[bool]:
+    """The back-conversion rule of both modes: the bits of G+'s reduced
+    system, in index order, from a Hanani-Tutte drawing of G+, its raw
+    reading corrected by crossing parity.
+
+    Each point of the system (`ConstraintSystem.points`) on sublevel j
+    takes its raw value `read(*point)` off the drawing, XOR the sum of
+    pcr(e, f, j) over each two of its vertices.  e and f are the star edges
+    the two vertices subdivide; pcr counts their crossings in the gaps below
+    j, plus one when e and f share their tail and cross an odd number of
+    times in total.  A bot or top copy subdivides no star edge and adds
+    nothing, nor does a star edge that crosses none, so a point with fewer
+    than two vertices on crossing star edges is read raw.  A flagged edge
+    takes the drawing's flag.  `gap_pairs(i)` lists
+    gap i's crossing segment pairs; the crossings are listed once, and an
+    independent star edge pair crossing an odd number of times is refused.
+    """
+    g, plus = ctx.pg.graph, ctx.plus_system
+    by_pair = _gap_crossings(g, gap_pairs, ctx.segment_origin)
+    odd = _odd_independent(pair for pair, gaps in by_pair.items() if len(gaps) % 2)
+    if odd:
+        raise NotHananiTutteError(odd[0], len(by_pair[odd[0]]))
+    crossed = {e for pair in by_pair for e in pair}
+    on = {x: e for x, e in ctx.pg.prov.vertex_origin.items() if e in crossed}  # the vertices pcr can count
+    level = g.level
+
+    def pcr(p: VertexId, q: VertexId) -> int:
+        e, f = on.get(p), on.get(q)
         if e is None or f is None:
             return 0
         gaps = by_pair.get(_pair_key(e, f), ())
-        return bisect_left(gaps, j) + (e[0] == f[0] and len(gaps) % 2)
+        return bisect_left(gaps, level[p]) + (e[0] == f[0] and len(gaps) % 2)
 
-    edge_of, level = ctx.pg.prov.vertex_origin.get, ctx.pg.graph.level
-    phi: Assignment = {}
-    for var in ctx.plus_system.variables:
-        flips = sum(pcr(edge_of(p), edge_of(q), level[p]) for p, q in combinations(_points(var), 2))
-        phi[var] = read(var) != bool(flips % 2)
-    return phi
+    def corrected(*point: VertexId) -> bool:
+        if sum(map(on.__contains__, point)) < 2:
+            return read(*point)
+        return read(*point) != bool(sum(starmap(pcr, combinations(point, 2))) % 2)
+
+    bits = list(starmap(corrected if on else read, islice(plus.points(), plus.n - len(plus.flag))))
+    bits.extend(view.left_flag[e] for e in plus.flag)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -426,69 +513,30 @@ def induced_pair_assignment(d: LevelDrawing) -> Assignment:
     return out
 
 
-def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[Assignment, Assignment]:
+def assignment_from_drawing_level(d: LevelDrawing,
+                                  ctx: LevelContext) -> tuple[Mapping[BoolVar, bool], Mapping[BoolVar, bool]]:
     """A satisfying assignment of the subdivision G+, and its projection to
     the input, from a Hanani-Tutte level drawing of G+.
 
     The raw value of a pair "u left of w" is read off the drawing and
     corrected by crossing parity as `_assignment_from_drawing` states.  The
-    result projects through the stretch edges to the input graph.
+    result projects through the stretch edges to the input graph, index by
+    index.  Both are read-only mappings over the bit lists.
     """
-    pg, sf = ctx.pg, ctx.star_form
+    pg, sf, plus = ctx.pg, ctx.star_form, ctx.plus_system
     view = _Positions(d.orders, pg.graph)
     at = view.at
-    phi_plus = _assignment_from_drawing(ctx, lambda i: gap_crossing_pairs_level(view, pg.graph, i),
-                                        lambda var: at[var.u] < at[var.w])
-    star_level = sf.star.level
-    phi: Assignment = {}
-    for var in ctx.system.variables:
-        su, sw = sf.stretch[var.u], sf.stretch[var.w]
+    bits_plus = _assignment_from_drawing(ctx, view, lambda i: gap_crossing_pairs_level(view, pg.graph, i),
+                                         lambda u, w: at[u] < at[w])
+    star_level, stretch, number = sf.star.level, sf.stretch, plus.number
+    bits = []
+    for u, w in ctx.system.points():
+        su, sw = stretch[u], stretch[w]
         lv = max(star_level[su[0]], star_level[sw[0]])
-        phi[var] = phi_plus[PairVar(pg.point_at(su, lv), pg.point_at(sw, lv))]
-    require_satisfying(ctx.plus_system, phi_plus)
-    require_satisfying(ctx.system, phi)
-    return phi_plus, phi
-
-
-class LiftedAssignment(Mapping):
-    """A satisfying assignment of the subdivision G+, computed bit by bit.
-
-    The lift's rule is exposed as point reads, which take the sublevel
-    points a variable names and neither build nor check a variable object:
-    `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` (a table of
-    precomputed bits) in radial mode.  The realizers read through them.
-    Looking a variable up checks that it is a variable of G+'s systems,
-    raising KeyError otherwise, and delegates to the read of its kind.  The
-    keys are `ctx.plus_system.variables`, so only a caller that iterates the
-    mapping or takes its length builds G+'s reduced system and spells its
-    variables.
-    """
-
-    def __init__(self, ctx: LevelContext, *, pair: Callable[[VertexId, VertexId], bool] | None = None,
-                 triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None,
-                 flag: Callable[[Edge], bool] | None = None):
-        self._ctx = ctx
-        self.pair, self.triple, self.flag = pair, triple, flag
-
-    def __getitem__(self, var: BoolVar) -> bool:
-        level = self._ctx.pg.graph.level
-        if type(var) is PairVar and self.pair is not None:
-            if var.u != var.w and level.get(var.u, 0) == level.get(var.w):
-                return self.pair(var.u, var.w)
-        elif type(var) is TripleVar and self.triple is not None:
-            j = level.get(var.anchor)
-            if (j is not None and var.anchor in self._ctx.plus_refs.anchors(j) and level.get(var.u) == j
-                    and level.get(var.v) == j and len({var.anchor, var.u, var.v}) == 3):
-                return self.triple(var.anchor, var.u, var.v)
-        elif type(var) is FlagVar and self.flag is not None:
-            return self.flag(var.edge)
-        raise KeyError(var)
-
-    def __iter__(self) -> Iterator[BoolVar]:
-        return iter(self._ctx.plus_system.variables)
-
-    def __len__(self) -> int:
-        return len(self._ctx.plus_system.variables)
+        bits.append(bits_plus[number(pg.point_at(su, lv), pg.point_at(sw, lv))])
+    require_satisfying(plus, bits_plus)
+    require_satisfying(ctx.system, bits)
+    return _bit_view(pg.graph, None, plus, bits_plus), _bit_view(ctx.base, None, ctx.system, bits)
 
 
 def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignment:
@@ -516,7 +564,7 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
         assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
         return bits[number(e1[0], e2[0])]
 
-    return LiftedAssignment(ctx, pair=pair)
+    return LiftedAssignment(pg.graph, None, lambda: ctx.plus_system, pair=pair)
 
 
 def _point_reads(phi: Mapping[BoolVar, bool]) -> tuple[Callable, Callable, Callable]:
@@ -617,7 +665,8 @@ def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignm
         f = edge_origin[edge_of[v]]
         return _psi_gap_order(bits, number, flag, ctx.refs, ctx.base.level[e[0]], e, f)
 
-    return LiftedAssignment(ctx, triple=triple, flag=flag_bits.__getitem__)
+    return LiftedAssignment(pg.graph, ctx.plus_refs, lambda: ctx.plus_system, triple=triple,
+                            flag=flag_bits.__getitem__)
 
 
 def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: RadialContext) -> RadialDrawing:
@@ -647,9 +696,9 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
     return RadialDrawing(cyclic, left_flag)
 
 
-def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assignment:
+def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Mapping[BoolVar, bool]:
     """A satisfying assignment of the subdivision G+ from a radial
-    Hanani-Tutte drawing of G+.
+    Hanani-Tutte drawing of G+, as a read-only mapping over its bit list.
 
     The raw value of a triple is its clockwise order on the drawing's circle,
     of a flag the drawing's flag; triples are corrected by crossing parity as
@@ -657,14 +706,12 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Assi
     """
     classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
     view = _Positions(d.cyclic, ctx.pg.graph, d.left_flag)
-    at = view.at
+    at, orders = view.at, view.orders
 
-    def read(var: BoolVar) -> bool:
-        if type(var) is FlagVar:
-            return d.left_flag[var.edge]
-        a, n = at[var.anchor], len(view.orders[level[var.anchor]])
-        return (at[var.u] - a) % n < (at[var.v] - a) % n
+    def clockwise(a: VertexId, u: VertexId, v: VertexId) -> bool:
+        pa, n = at[a], len(orders[level[a]])
+        return (at[u] - pa) % n < (at[v] - pa) % n
 
-    phi = _assignment_from_drawing(ctx, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), read)
-    require_satisfying(ctx.plus_system, phi)
-    return phi
+    bits = _assignment_from_drawing(ctx, view, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), clockwise)
+    require_satisfying(ctx.plus_system, bits)
+    return _bit_view(ctx.pg.graph, ctx.plus_refs, ctx.plus_system, bits)

@@ -239,6 +239,32 @@ def test_a_witness_check_derives_each_table_once(monkeypatch):
         assert calls[0] == 1
 
 
+def test_each_reference_selection_is_checked_once_per_graph(monkeypatch):
+    # a selection found valid is recorded as checked against its graph; the
+    # builders and the oracle skip the second scan, for G's selections and G+'s
+    g = _staircase(3, 3)
+    calls = _count_calls(monkeypatch, "validate_reference_sets")
+    for run, scans in ((lambda: check_radial(g), 1), (lambda: check_radial(g, witness=True), 2),
+                       (lambda: crosscheck_instance(g), len(constraints.reference_set_variants(g)) + 1)):
+        calls[0] = 0
+        run()
+        assert calls[0] == scans
+    # a selection from outside is validated once per graph, and refused while invalid
+    refs, aug = choose_reference_sets(g)
+    outside = constraints.ReferenceSets(dict(refs.alpha_plus), dict(refs.alpha_minus), refs.inserted)
+    other = LevelGraph(aug.k, dict(aug.level), aug.edges)
+    calls[0] = 0
+    for graph in (aug, aug, other):
+        build_radial_reduced(graph, outside)
+        brute_radial(graph, outside)
+    assert calls[0] == 2
+    invalid = constraints.ReferenceSets({**refs.alpha_plus, 2: "nowhere"}, refs.alpha_minus)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid reference sets"):
+            build_radial_reduced(aug, invalid)
+    assert calls[0] == 4
+
+
 def test_checks_create_no_variable_object_of_the_input_system(monkeypatch):
     # a system holds its variable count and spells its variables only on demand
     def refuse(*args):
