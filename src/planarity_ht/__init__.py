@@ -2,7 +2,6 @@
 with combinatorial even-crossings witness drawings."""
 
 from .constraints import (
-    Assignment,
     ConstraintSystem,
     FlagVar,
     PairVar,

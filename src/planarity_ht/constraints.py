@@ -103,9 +103,6 @@ class TransitivityClause:
         return f"{self.a} & {self.b} -> {neg}{self.head}"
 
 
-Assignment = dict[BoolVar, bool]
-
-
 Row = tuple[tuple[int, ...], int]
 Clause = tuple[int, int, int, bool]
 
@@ -377,9 +374,12 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
     Scans gaps bottom-up taking the lexicographically smallest existing edge
     as the gap's reference edge (largest=True flips the tie-break, giving a
     second valid choice when one exists).  A gap with no edges gets a fresh
-    reference edge between the extreme-id vertices of its two levels.
+    reference edge between the extreme-id vertices of its two levels.  A
+    graph with no level has nothing to anchor: its reference sets are empty.
     """
     require_valid(g, proper=True)
+    if not g.k:
+        return record_checked_refs(ReferenceSets({}, {}), g), g
     pick = max if largest else min
     for i in range(1, g.k + 1):
         if not g.on_level(i):
@@ -449,11 +449,6 @@ def gap_flagged_edges(classes: GapClasses) -> list[Edge]:
     return plus_adj + minus_adj
 
 
-def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
-    """The edges that carry a left flag: gap by gap, each in `gap_flagged_edges` order."""
-    return [e for i in range(1, g.k) for e in gap_flagged_edges(gap_edge_classes(g, refs, i))]
-
-
 TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
 
 
@@ -483,8 +478,8 @@ def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, in
 
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
     """Anchored linear-order consistency as twins, cyclic coupling, and gap
-    planarity XORs.  The flags are numbered after the triples, in
-    `flagged_edges` order."""
+    planarity XORs.  The flags are numbered after the triples: gap by gap,
+    each in `gap_flagged_edges` order."""
     require_valid(g, proper=True)
     require_reference_sets(g, refs)
     number, triples = _triple_blocks(g, refs)

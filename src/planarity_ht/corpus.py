@@ -173,26 +173,3 @@ def random_proper_graph(rng: random.Random, max_levels: int = 4, max_width: int 
         if rng.random() < edge_density
     ]
     return LevelGraph(k, level, tuple(sorted(edges)))
-
-
-def random_level_drawing(rng: random.Random, g: LevelGraph):
-    from .drawing import LevelDrawing
-
-    orders = {}
-    for i in range(1, g.k + 1):
-        vs = list(g.on_level(i))
-        rng.shuffle(vs)
-        orders[i] = tuple(vs)
-    return LevelDrawing(orders)
-
-
-def random_radial_drawing(rng: random.Random, g: LevelGraph, refs) -> "RadialDrawing":
-    from .constraints import flagged_edges
-    from .drawing import RadialDrawing
-
-    cyclic = {}
-    for i in range(1, g.k + 1):
-        vs = list(g.on_level(i))
-        rng.shuffle(vs)
-        cyclic[i] = tuple(vs)
-    return RadialDrawing(cyclic, {e: rng.random() < 0.5 for e in flagged_edges(g, refs)})

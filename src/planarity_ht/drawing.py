@@ -9,54 +9,50 @@ once, adjacent edges never cross, and a reference edge is never crossed.
 The conversion operations translate between satisfying assignments of the
 reduced constraint systems and drawings of the subdivided star form G+, in
 both directions and in both the level and the radial setting.  They work on
-G+'s integer numbering and build no variable object.  The lift of an input
-solution to G+ answers point reads, a bit by the G+ points a variable
-names; the realizers read through them, and checking the lift reads them at
-the system's points (`ConstraintSystem.points`) into a bit list in index
-order.  From a drawing back to an assignment is one rule for both modes:
-each point of G+'s system is read off the drawing and corrected by the
-parity of the crossings the star edges through its vertices make below its
-sublevel, which gives G+'s bits in index order; in level mode they project
-to the input index by index.  The modes differ only in the reading (a
-pair's left/right order, a triple's clockwise order) and in the per-gap
-crossing rule.  The public conversions still return mappings keyed by
-variable objects: read-only views over the bit lists, spelled only when
-iterated.
+G+'s integer numbering and build no variable object.  Assignments come in
+as point reads and go out as bit lists.  The lift of an input solution to
+G+ (`LiftedAssignment`) answers point reads, a bit by the G+ points a
+variable names; the realizers read through them, and checking the lift
+reads them at the system's points (`ConstraintSystem.points`) into a bit
+list in index order.  From a drawing back to an assignment is one rule for
+both modes: each point of G+'s system is read off the drawing and corrected
+by the parity of the crossings the star edges through its vertices make
+below its sublevel, which gives G+'s bits in index order; in level mode
+they project to the input index by index.  The modes differ only in the
+reading (a pair's left/right order, a triple's clockwise order) and in the
+per-gap crossing rule.
 
-Counting, verification, the back-conversion and rendering read a whole
-drawing through one view made for that call: every vertex's position is
-computed once, with the check that the drawing orders each level exactly
-once, and each cut is derived from that table.  Nothing is cached on a
-drawing.  Only gaps that hold edges are read.  Counting and verification
-count each crossing pair's crossings and sort only the pairs that cross an
-odd number of times; the back-conversion alone lists the gaps each pair
-crosses in, since its parity rule needs them.
+Counting, verification, the back-conversion, rendering and the oracles'
+search read a drawing through one view (`_Positions`): every vertex's
+position is held in one table, checked once to order each level exactly
+once, and each cut is derived from that table once per level and anchor
+while the level's order stands.  The oracles re-order one level of the view
+at a time.  Nothing is cached on a drawing.  Only gaps that hold edges are
+read.  Counting and verification count each crossing pair's crossings and
+sort only the pairs that cross an odd number of times; the back-conversion
+alone lists the gaps each pair crosses in, since its parity rule needs
+them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, islice, permutations, starmap
+from itertools import combinations, islice, starmap
 
 from .constraints import (
-    Assignment,
     BoolVar,
     ConstraintSystem,
-    FlagVar,
     GapClasses,
-    PairVar,
     ReferenceSets,
     TripleNumber,
-    TripleVar,
     assignment_values,
     build_level_reduced,
     build_radial_reduced,
     evaluate,
-    flagged_edges,
     gap_edge_classes,
     gap_flagged_edges,
     record_checked_refs,
@@ -81,13 +77,11 @@ class UnsatisfyingAssignmentError(ValueError):
         self.violated = violated
 
 
-def require_satisfying(system: ConstraintSystem, a: Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
+def require_satisfying(system: ConstraintSystem,
+                       a: LiftedAssignment | Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
     """The `assignment_values` of a, once they satisfy every constraint of the
-    system; a `LiftedAssignment` of that same system is read at its points."""
-    if isinstance(a, LiftedAssignment) and a.system() is system:
-        values = a.values()
-    else:
-        values = assignment_values(system, a)
+    system; a `LiftedAssignment` is read at its system's points."""
+    values = assignment_values(system, a.values() if isinstance(a, LiftedAssignment) else a)
     bad = evaluate(system, values)
     if bad:
         raise UnsatisfyingAssignmentError(system, bad)
@@ -137,18 +131,22 @@ def check_drawing_covers(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph)
 
 
 class _Positions:
-    """A drawing of g as the per-gap crossing rules read it, for one call.
+    """A drawing of g as the per-gap crossing rules read it.
 
-    Every vertex's position on its level is computed once, when the view is
-    made, into one table; `positions(i)` is that table, which a rule indexes
-    by level i's vertices, and each cut is derived from it.  The table lives
-    only as long as the view: the drawing itself keeps nothing.
+    Every vertex's position on its level is held in one table;
+    `positions(i)` is that table, which a rule indexes by level i's
+    vertices.  `cut_after(i, a)` is derived from the table when first read
+    and kept while level i's order stands; `show(i, order)` puts a new order
+    on level i, moving its vertices in the table and dropping its cuts.  The
+    view lives only as long as its reader, one call or one oracle search:
+    the drawing itself keeps nothing.
 
     A drawing that does not order each level of g exactly once is refused
     with a ValueError listing `check_drawing_covers`'s problems.  For a
     valid g, it orders each level exactly once precisely when it lists no
     vertex twice and lists every vertex of g, each on its own level, and no
-    other vertex.
+    other vertex.  `show` is given a re-ordering of the level and does not
+    check it.
     """
 
     def __init__(self, orders: dict[int, tuple[VertexId, ...]], g: LevelGraph,
@@ -159,15 +157,25 @@ class _Positions:
             raise ValueError("; ".join(check_drawing_covers(orders, g)))
         self.at = {v: p for order in self.orders.values() for p, v in enumerate(order)}
         self.left_flag = left_flag
+        self._cuts: defaultdict[int, dict[VertexId, dict[VertexId, int]]] = defaultdict(dict)
 
     def positions(self, i: int) -> dict[VertexId, int]:
         return self.at
 
     def cut_after(self, i: int, a: VertexId) -> dict[VertexId, int]:
         """`RadialDrawing.cut_after`, read from the table."""
-        at, order = self.at, self.orders[i]
-        n, start = len(order), at[a]
-        return {v: (at[v] - start) % n for v in order}
+        cuts = self._cuts[i]
+        cut = cuts.get(a)
+        if cut is None:
+            at, order = self.at, self.orders[i]
+            n, start = len(order), at[a]
+            cut = cuts[a] = {v: (at[v] - start) % n for v in order}
+        return cut
+
+    def show(self, i: int, order: tuple[VertexId, ...]) -> None:
+        self.orders[i] = order
+        self.at.update(zip(order, range(len(order))))
+        self._cuts.pop(i, None)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +368,8 @@ class RadialContext(LevelContext):
 
     @cached_property
     def plus_flagged(self) -> tuple[Edge, ...]:
-        """The subdivision's edges that carry a left flag, in `flagged_edges` order."""
+        """The subdivision's edges that carry a left flag: gap by gap, each in
+        `gap_flagged_edges` order."""
         return tuple(e for classes in self.plus_gap_classes.values() for e in gap_flagged_edges(classes))
 
     @cached_property
@@ -388,54 +397,21 @@ def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
     return _count_crossings(g, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), ctx.segment_origin)
 
 
-class LiftedAssignment(Mapping):
-    """An assignment of a stage's reduced system, read point by point: the
-    lift of an input solution to G+, computed bit by bit, or a read-only view
-    of the bits a back-conversion computed.
+@dataclass(frozen=True)
+class LiftedAssignment:
+    """The lift of an input solution to G+, as point reads over G+'s reduced
+    system: `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` in
+    radial mode, each the bit of the variable those G+ points name, computed
+    when read; no variable object is built.  The realizers read through
+    them, and `values` reads the whole of `system()` through them."""
 
-    The assignment is exposed as point reads, which take the points a
-    variable names and neither build nor check a variable object:
-    `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` in radial
-    mode.  The realizers read through them, and `values` reads the whole
-    system through them, in index order.  Looking a variable up checks that
-    it is a variable of the stage's systems (vertices of `graph`, anchors of
-    `refs`), raising KeyError otherwise, and delegates to the read of its
-    kind.  The keys are the variables of `system()`, so only a caller that
-    iterates the mapping or takes its length spells them, and for a lift
-    builds G+'s reduced system.
-    """
-
-    def __init__(self, graph: LevelGraph, refs: ReferenceSets | None, system: Callable[[], ConstraintSystem], *,
-                 pair: Callable[[VertexId, VertexId], bool] | None = None,
-                 triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None,
-                 flag: Callable[[Edge], bool] | None = None):
-        self.graph, self.refs, self.system = graph, refs, system
-        self.pair, self.triple, self.flag = pair, triple, flag
-
-    def __getitem__(self, var: BoolVar) -> bool:
-        level = self.graph.level
-        if type(var) is PairVar and self.pair is not None:
-            if var.u != var.w and level.get(var.u, 0) == level.get(var.w):
-                return self.pair(var.u, var.w)
-        elif type(var) is TripleVar and self.triple is not None:
-            j = level.get(var.anchor)
-            if (j is not None and var.anchor in self.refs.anchors(j) and level.get(var.u) == j
-                    and level.get(var.v) == j and len({var.anchor, var.u, var.v}) == 3):
-                return self.triple(var.anchor, var.u, var.v)
-        elif type(var) is FlagVar and self.flag is not None:
-            return self.flag(var.edge)
-        raise KeyError(var)
-
-    def __iter__(self) -> Iterator[BoolVar]:
-        return iter(self.system().variables)
-
-    def __len__(self) -> int:
-        return len(self.system().variables)
+    system: Callable[[], ConstraintSystem]
+    pair: Callable[[VertexId, VertexId], bool] | None = None
+    triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None
+    flag: Callable[[Edge], bool] | None = None
 
     def values(self) -> list[bool]:
-        """The mapping's values in key order, the system's bits in index
-        order, as a list: read at the system's `points`, with no key
-        built or checked."""
+        """The system's bits in index order, read at its `points`."""
         system = self.system()
         points = system.points()
         if self.pair is not None:
@@ -443,16 +419,6 @@ class LiftedAssignment(Mapping):
         bits = list(starmap(self.triple, islice(points, system.n - len(system.flag))))
         bits.extend(map(self.flag, system.flag))
         return bits
-
-
-def _bit_view(graph: LevelGraph, refs: ReferenceSets | None, system: ConstraintSystem,
-              bits: list[bool]) -> LiftedAssignment:
-    """The bits of a stage's reduced system as a mapping keyed by its variables."""
-    number, flag = system.number, system.flag
-    if refs is None:
-        return LiftedAssignment(graph, None, lambda: system, pair=lambda u, w: bits[number(u, w)])
-    return LiftedAssignment(graph, refs, lambda: system, triple=lambda a, u, v: bits[number(a, u, v)],
-                            flag=lambda e: bits[flag[e]])
 
 
 def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
@@ -503,25 +469,15 @@ def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
 # Level conversions
 
 
-def induced_pair_assignment(d: LevelDrawing) -> Assignment:
-    """Pair-order values read straight off the positions of a level drawing."""
-    out: Assignment = {}
-    for i, order in d.orders.items():
-        pos = {v: p for p, v in enumerate(order)}
-        for u, w in permutations(order, 2):
-            out[PairVar(u, w)] = pos[u] < pos[w]
-    return out
-
-
-def assignment_from_drawing_level(d: LevelDrawing,
-                                  ctx: LevelContext) -> tuple[Mapping[BoolVar, bool], Mapping[BoolVar, bool]]:
+def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[list[bool], list[bool]]:
     """A satisfying assignment of the subdivision G+, and its projection to
-    the input, from a Hanani-Tutte level drawing of G+.
+    the input, from a Hanani-Tutte level drawing of G+: the bits of each
+    stage's reduced system in index order.
 
     The raw value of a pair "u left of w" is read off the drawing and
     corrected by crossing parity as `_assignment_from_drawing` states.  The
     result projects through the stretch edges to the input graph, index by
-    index.  Both are read-only mappings over the bit lists.
+    index.
     """
     pg, sf, plus = ctx.pg, ctx.star_form, ctx.plus_system
     view = _Positions(d.orders, pg.graph)
@@ -536,7 +492,7 @@ def assignment_from_drawing_level(d: LevelDrawing,
         bits.append(bits_plus[number(pg.point_at(su, lv), pg.point_at(sw, lv))])
     require_satisfying(plus, bits_plus)
     require_satisfying(ctx.system, bits)
-    return _bit_view(pg.graph, None, plus, bits_plus), _bit_view(ctx.base, None, ctx.system, bits)
+    return bits_plus, bits
 
 
 def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignment:
@@ -564,16 +520,7 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
         assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
         return bits[number(e1[0], e2[0])]
 
-    return LiftedAssignment(pg.graph, None, lambda: ctx.plus_system, pair=pair)
-
-
-def _point_reads(phi: Mapping[BoolVar, bool]) -> tuple[Callable, Callable, Callable]:
-    """The `(pair, triple, flag)` point reads of both realizers: a lift's own,
-    or for any other mapping reads that build each variable and look it up."""
-    if isinstance(phi, LiftedAssignment):
-        return phi.pair, phi.triple, phi.flag
-    return (lambda x, y: phi[PairVar(x, y)], lambda a, u, v: phi[TripleVar(a, u, v)],
-            lambda e: phi[FlagVar(*e)])
+    return LiftedAssignment(lambda: ctx.plus_system, pair=pair)
 
 
 def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...],
@@ -589,10 +536,9 @@ def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...
     return (*lead, *unset, pivot, *is_set)
 
 
-def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelContext) -> LevelDrawing:
+def drawing_from_assignment_level(phi_plus: LiftedAssignment, ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
-    pg = ctx.pg
-    pair, _, _ = _point_reads(phi_plus)
+    pg, pair = ctx.pg, phi_plus.pair
     orders: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         pivots = pg.star_vertices_on(j)
@@ -603,21 +549,6 @@ def drawing_from_assignment_level(phi_plus: Mapping[BoolVar, bool], ctx: LevelCo
 
 # ---------------------------------------------------------------------------
 # Radial conversions
-
-
-def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets) -> Assignment:
-    """Anchored triple and flag values read straight off a radial drawing."""
-    out: Assignment = {}
-    for i in range(1, g.k + 1):
-        vs = g.on_level(i)
-        for a in refs.anchors(i):
-            cut = d.cut_after(i, a)
-            others = [v for v in vs if v != a]
-            for u, v in permutations(others, 2):
-                out[TripleVar(a, u, v)] = cut[u] < cut[v]
-    for e in flagged_edges(g, refs):
-        out[FlagVar(*e)] = d.left_flag[e]
-    return out
 
 
 def _psi_gap_order(bits: list[bool], number: TripleNumber, flag: dict[Edge, int], refs: ReferenceSets,
@@ -665,19 +596,17 @@ def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignm
         f = edge_origin[edge_of[v]]
         return _psi_gap_order(bits, number, flag, ctx.refs, ctx.base.level[e[0]], e, f)
 
-    return LiftedAssignment(pg.graph, ctx.plus_refs, lambda: ctx.plus_system, triple=triple,
-                            flag=flag_bits.__getitem__)
+    return LiftedAssignment(lambda: ctx.plus_system, triple=triple, flag=flag_bits.__getitem__)
 
 
-def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: RadialContext) -> RadialDrawing:
+def drawing_from_assignment_radial(phi_plus: LiftedAssignment, ctx: RadialContext) -> RadialDrawing:
     """Realize a satisfying assignment of the subdivision as a radial drawing.
 
     On a split middle level the two anchors frame the circle and every other
     vertex picks its arc; elsewhere the lone stretched vertex is placed
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
-    pg = ctx.pg
-    _, triple, flag = _point_reads(phi_plus)
+    pg, triple, flag = ctx.pg, phi_plus.triple, phi_plus.flag
     cyclic: dict[int, tuple[VertexId, ...]] = {}
     for j in range(1, pg.graph.k + 1):
         vs = pg.graph.on_level(j)
@@ -696,9 +625,9 @@ def drawing_from_assignment_radial(phi_plus: Mapping[BoolVar, bool], ctx: Radial
     return RadialDrawing(cyclic, left_flag)
 
 
-def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Mapping[BoolVar, bool]:
+def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> list[bool]:
     """A satisfying assignment of the subdivision G+ from a radial
-    Hanani-Tutte drawing of G+, as a read-only mapping over its bit list.
+    Hanani-Tutte drawing of G+: the bits of its reduced system in index order.
 
     The raw value of a triple is its clockwise order on the drawing's circle,
     of a flag the drawing's flag; triples are corrected by crossing parity as
@@ -706,12 +635,12 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> Mapp
     """
     classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
     view = _Positions(d.cyclic, ctx.pg.graph, d.left_flag)
-    at, orders = view.at, view.orders
+    cut_after = view.cut_after
 
     def clockwise(a: VertexId, u: VertexId, v: VertexId) -> bool:
-        pa, n = at[a], len(orders[level[a]])
-        return (at[u] - pa) % n < (at[v] - pa) % n
+        cut = cut_after(level[a], a)
+        return cut[u] < cut[v]
 
     bits = _assignment_from_drawing(ctx, view, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), clockwise)
     require_satisfying(ctx.plus_system, bits)
-    return _bit_view(ctx.pg.graph, ctx.plus_refs, ctx.plus_system, bits)
+    return bits

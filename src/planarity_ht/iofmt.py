@@ -6,15 +6,7 @@ import json
 import re
 from typing import Any
 
-from .constraints import (
-    BoolVar,
-    ConstraintSystem,
-    FlagVar,
-    PairVar,
-    TransitivityClause,
-    TripleVar,
-    XorEquation,
-)
+from .constraints import ConstraintSystem
 from .drawing import LevelDrawing, RadialDrawing
 from .graphs import Edge, LevelGraph
 
@@ -147,56 +139,9 @@ DUMP_HEADER = (
     "l(u,v) = edge (u,v) left of its reference edge"
 )
 
-_VAR_RE = re.compile(r"([xtl])\(([^()]*)\)")
-
 
 def dump_system(system: ConstraintSystem) -> str:
     lines = [DUMP_HEADER]
     lines.extend(str(eq) for eq in system.xors)
     lines.extend(str(cl) for cl in system.transitivity)
     return "\n".join(lines) + "\n"
-
-
-def _parse_var(token: str) -> BoolVar:
-    m = _VAR_RE.fullmatch(token)
-    if not m:
-        raise FormatError(f"cannot parse variable {token!r}")
-    kind, body = m.groups()
-    parts = body.split(",")
-    if kind == "x" and len(parts) == 2:
-        return PairVar(*parts)
-    if kind == "t" and len(parts) == 3:
-        return TripleVar(*parts)
-    if kind == "l" and len(parts) == 2:
-        return FlagVar(*parts)
-    raise FormatError(f"variable {token!r} has the wrong arity")
-
-
-def parse_dump(text: str) -> tuple[list[XorEquation], list[TransitivityClause]]:
-    """Inverse of dump_system, up to the declared variable set.
-
-    Vertex ids containing commas, parentheses or '->' are not representable
-    in this format.
-    """
-    xors: list[XorEquation] = []
-    trans: list[TransitivityClause] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" in line:
-            body, head = line.split("->")
-            a_str, b_str = body.split("&")
-            head = head.strip()
-            negated = head.startswith("!")
-            trans.append(
-                TransitivityClause(
-                    _parse_var(a_str.strip()), _parse_var(b_str.strip()),
-                    _parse_var(head.lstrip("!")), negated,
-                )
-            )
-        else:
-            body, parity = line.rsplit("=", 1)
-            vars_ = tuple(_parse_var(tok.strip()) for tok in body.split("+"))
-            xors.append(XorEquation(vars_, int(parity)))
-    return xors, trans

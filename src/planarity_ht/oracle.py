@@ -4,10 +4,14 @@ Both oracles search the full combinatorial drawing space (linear orders per
 level, or cyclic orders plus reference flags) in one deterministic
 enumeration order and accept the first zero-crossing state.  The search goes
 level by level in that order and prunes by gap: a prefix of level orders is
-dropped as soon as its newest gap has no crossing-free flag setting.
-`states_examined` is the 1-based rank of the witness state in the
+dropped as soon as its newest gap has no crossing-free flag setting.  The
+per-gap crossing rules read the search's state through one drawing view
+(`drawing._Positions`), which shows a level's new order whenever its pick
+changes.  `states_examined` is the 1-based rank of the witness state in the
 enumeration order, or the full count when there is no witness; the budget
-bounds the full count.  The witness drawing and the count are reproducible.
+bounds the full count.  A graph with no level has one state, the empty
+drawing, which is crossing-free.  The witness drawing and the count are
+reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import permutations, product
 from math import factorial
 
 from .constraints import ReferenceSets, gap_edge_classes, gap_flagged_edges, require_reference_sets
-from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, gap_crossing_pairs_level
+from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, _Positions, gap_crossing_pairs_level
 from .graphs import Edge, LevelGraph, VertexId, require_valid
 
 DEFAULT_BUDGET = 10_000_000
@@ -56,39 +60,6 @@ def _orders(vs: tuple[VertexId, ...], pinned: int):
     return (head + rest for rest in permutations(tail))
 
 
-class _Probe:
-    """The drawing the per-gap crossing rules read during the search.
-
-    Level i shows its picked order, `choices[i - 1][pick[i - 1]]`.  The picked
-    order's positions, and each of its cuts, are computed once while it stays
-    picked; only the current pick's are kept, so memory is O(levels).
-    """
-
-    def __init__(self, choices: list[list[tuple[VertexId, ...]]], drawing):
-        self.pick = [0] * len(choices)
-        self.left_flag: dict[Edge, bool] = {}
-        self._choices = choices
-        self._drawing = drawing
-        self._views: list[tuple[int, dict]] = [(-1, {}) for _ in choices]  # per level: (pick, anchor -> positions)
-
-    def _view(self, i: int, anchor: VertexId | None) -> dict[VertexId, int]:
-        j = self.pick[i - 1]
-        seen, views = self._views[i - 1]
-        if seen != j:
-            views = {}
-            self._views[i - 1] = (j, views)
-        if anchor not in views:
-            d = self._drawing({i: self._choices[i - 1][j]}, {})
-            views[anchor] = d.positions(i) if anchor is None else d.cut_after(i, anchor)
-        return views[anchor]
-
-    def positions(self, i: int) -> dict[VertexId, int]:
-        return self._view(i, None)
-
-    def cut_after(self, i: int, a: VertexId) -> dict[VertexId, int]:
-        return self._view(i, a)
-
-
 def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[int, list[Edge]],
                drawing, gap_pairs) -> OracleResult:
     """Find the first state with no crossing in any gap, in enumeration order.
@@ -114,16 +85,18 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[i
         needed *= factorial(len(vs) - pinned)
     if needed > budget:
         raise BudgetExceededError(needed, budget)
+    if not g.k:
+        return OracleResult(True, drawing({}, {}), 1)
     choices = [list(_orders(vs, pinned)) for vs in levels]
-    probe = _Probe(choices, drawing)
-    pick = probe.pick
+    view = _Positions({i: options[0] for i, options in enumerate(choices, start=1)}, g, {})
+    pick = [0] * g.k  # pick[i - 1]: the index of level i's order in choices[i - 1]
     settings: list[tuple[bool, ...]] = [()] * g.k  # settings[i]: gap i's flag values
 
     def first_free_setting(i: int) -> tuple[bool, ...] | None:
         flags = gap_flags.get(i, ())
         for setting in product((False, True), repeat=len(flags)):
-            probe.left_flag.update(zip(flags, setting))
-            if not gap_pairs(probe, i):
+            view.left_flag.update(zip(flags, setting))
+            if not gap_pairs(view, i):
                 return setting
         return None
 
@@ -136,12 +109,13 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[i
                 break
             top += 1
             pick[top - 1] = 0
-            continue
-        while pick[top - 1] == len(choices[top - 1]) - 1:
-            top -= 1
-            if top == 0:
-                return OracleResult(False, None, needed)
-        pick[top - 1] += 1
+        else:
+            while pick[top - 1] == len(choices[top - 1]) - 1:
+                top -= 1
+                if top == 0:
+                    return OracleResult(False, None, needed)
+            pick[top - 1] += 1
+        view.show(top, choices[top - 1][pick[top - 1]])
 
     # the rank: the orders' mixed-radix index, then the flag bits with
     # flagged[0] the most significant and True as 1

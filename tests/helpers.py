@@ -1,0 +1,120 @@
+"""Test scaffolding that no library caller needs: random drawings, the
+assignments a drawing induces read straight off it, the edges that carry a
+left flag, and a parser for the textual constraint dump."""
+
+from __future__ import annotations
+
+import random
+import re
+from itertools import permutations
+
+from planarity_ht.constraints import (
+    BoolVar,
+    FlagVar,
+    PairVar,
+    ReferenceSets,
+    TransitivityClause,
+    TripleVar,
+    XorEquation,
+    gap_edge_classes,
+    gap_flagged_edges,
+)
+from planarity_ht.drawing import LevelDrawing, RadialDrawing
+from planarity_ht.graphs import Edge, LevelGraph
+from planarity_ht.iofmt import FormatError
+
+
+def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
+    """The edges that carry a left flag: gap by gap, each in `gap_flagged_edges` order."""
+    return [e for i in range(1, g.k) for e in gap_flagged_edges(gap_edge_classes(g, refs, i))]
+
+
+def random_level_drawing(rng: random.Random, g: LevelGraph) -> LevelDrawing:
+    orders = {}
+    for i in range(1, g.k + 1):
+        vs = list(g.on_level(i))
+        rng.shuffle(vs)
+        orders[i] = tuple(vs)
+    return LevelDrawing(orders)
+
+
+def random_radial_drawing(rng: random.Random, g: LevelGraph, refs: ReferenceSets) -> RadialDrawing:
+    cyclic = {}
+    for i in range(1, g.k + 1):
+        vs = list(g.on_level(i))
+        rng.shuffle(vs)
+        cyclic[i] = tuple(vs)
+    return RadialDrawing(cyclic, {e: rng.random() < 0.5 for e in flagged_edges(g, refs)})
+
+
+def induced_pair_assignment(d: LevelDrawing) -> dict[BoolVar, bool]:
+    """Pair-order values read straight off the positions of a level drawing."""
+    out: dict[BoolVar, bool] = {}
+    for order in d.orders.values():
+        pos = {v: p for p, v in enumerate(order)}
+        for u, w in permutations(order, 2):
+            out[PairVar(u, w)] = pos[u] < pos[w]
+    return out
+
+
+def induced_radial_assignment(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets) -> dict[BoolVar, bool]:
+    """Anchored triple and flag values read straight off a radial drawing."""
+    out: dict[BoolVar, bool] = {}
+    for i in range(1, g.k + 1):
+        vs = g.on_level(i)
+        for a in refs.anchors(i):
+            cut = d.cut_after(i, a)
+            others = [v for v in vs if v != a]
+            for u, v in permutations(others, 2):
+                out[TripleVar(a, u, v)] = cut[u] < cut[v]
+    for e in flagged_edges(g, refs):
+        out[FlagVar(*e)] = d.left_flag[e]
+    return out
+
+
+_VAR_RE = re.compile(r"([xtl])\(([^()]*)\)")
+
+
+def _parse_var(token: str) -> BoolVar:
+    m = _VAR_RE.fullmatch(token)
+    if not m:
+        raise FormatError(f"cannot parse variable {token!r}")
+    kind, body = m.groups()
+    parts = body.split(",")
+    if kind == "x" and len(parts) == 2:
+        return PairVar(*parts)
+    if kind == "t" and len(parts) == 3:
+        return TripleVar(*parts)
+    if kind == "l" and len(parts) == 2:
+        return FlagVar(*parts)
+    raise FormatError(f"variable {token!r} has the wrong arity")
+
+
+def parse_dump(text: str) -> tuple[list[XorEquation], list[TransitivityClause]]:
+    """Inverse of `iofmt.dump_system`, up to the declared variable set.
+
+    Vertex ids containing commas, parentheses or '->' are not representable
+    in this format.
+    """
+    xors: list[XorEquation] = []
+    trans: list[TransitivityClause] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "->" in line:
+            body, head = line.split("->")
+            a_str, b_str = body.split("&")
+            head = head.strip()
+            negated = head.startswith("!")
+            trans.append(
+                TransitivityClause(
+                    _parse_var(a_str.strip()), _parse_var(b_str.strip()),
+                    _parse_var(head.lstrip("!")), negated,
+                )
+            )
+        else:
+            body, parity = line.rsplit("=", 1)
+            vars_ = tuple(_parse_var(tok.strip()) for tok in body.split("+"))
+            xors.append(XorEquation(vars_, int(parity)))
+    return xors, trans

@@ -20,19 +20,13 @@ from planarity_ht.constraints import (
     choose_reference_sets,
     reference_set_variants,
 )
-from planarity_ht.corpus import (
-    exhaustive_proper_graphs,
-    random_level_drawing,
-    random_proper_graph,
-    random_radial_drawing,
-)
+from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.drawing import (
     assignment_from_drawing_level,
     assignment_from_drawing_radial,
     drawing_from_assignment_level,
     drawing_from_assignment_radial,
     gap_crossing_pairs_radial,
-    induced_pair_assignment,
     lift_assignment_level,
     lift_assignment_radial,
     make_level_context,
@@ -46,6 +40,7 @@ from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import check_level, check_radial, solve_reduced
 from planarity_ht.xorsat import Sat, XorSystem, solve
 from tests.conftest import make_path
+from tests.helpers import induced_pair_assignment, random_level_drawing, random_radial_drawing
 
 CORPUS_LEVELS = 3
 CORPUS_WIDTH = 3

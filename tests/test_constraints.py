@@ -21,17 +21,16 @@ from planarity_ht.constraints import (
     choose_reference_sets,
     count_transitivity,
     evaluate,
-    flagged_edges,
     gap_edge_classes,
     reference_set_variants,
     validate_reference_sets,
 )
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
-from planarity_ht.drawing import induced_pair_assignment, induced_radial_assignment
 from planarity_ht.graphs import LevelGraph, independent
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import solve_reduced
 from tests.conftest import make_path
+from tests.helpers import flagged_edges, induced_pair_assignment, induced_radial_assignment
 
 
 def test_level_full_two_vertex_level():

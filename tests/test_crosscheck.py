@@ -97,11 +97,9 @@ def _flip_one_lifted_bit(monkeypatch):
     lift = crosscheck.lift_assignment_level
 
     def broken(phi, ctx):
-        lifted = dict(lift(phi, ctx))
-        for first in lifted:  # G+ of a lone vertex has no variable to flip
-            lifted[first] = not lifted[first]
-            break
-        return lifted
+        lifted = lift(phi, ctx)
+        first = next(iter(ctx.plus_system.points()), None)  # G+ of a lone vertex has no variable to flip
+        return dataclasses.replace(lifted, pair=lambda *point: lifted.pair(*point) != (point == first))
 
     monkeypatch.setattr(crosscheck, "lift_assignment_level", broken)
 

@@ -7,20 +7,13 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from planarity_ht.constraints import (
-    FlagVar,
     PairVar,
-    TripleVar,
     build_level_reduced,
     build_radial_reduced,
     choose_reference_sets,
     evaluate,
 )
-from planarity_ht.corpus import (
-    exhaustive_proper_graphs,
-    random_level_drawing,
-    random_proper_graph,
-    random_radial_drawing,
-)
+from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht import drawing
 from planarity_ht.drawing import (
     LevelDrawing,
@@ -34,8 +27,6 @@ from planarity_ht.drawing import (
     drawing_from_assignment_radial,
     gap_crossing_pairs_level,
     gap_crossing_pairs_radial,
-    induced_pair_assignment,
-    induced_radial_assignment,
     lift_assignment_level,
     lift_assignment_radial,
     make_level_context,
@@ -45,6 +36,12 @@ from planarity_ht.drawing import (
 )
 from planarity_ht.graphs import LevelGraph, critical_pairs, independent, limits
 from planarity_ht.pipeline import solve_reduced, stage_context
+from tests.helpers import (
+    induced_pair_assignment,
+    induced_radial_assignment,
+    random_level_drawing,
+    random_radial_drawing,
+)
 
 
 def test_parallel_edges_do_not_cross():
@@ -220,7 +217,7 @@ def test_assignment_from_planar_single_edge_drawing():
     ctx = make_level_context(g)
     d = LevelDrawing({i: tuple(ctx.pg.graph.on_level(i)) for i in range(1, ctx.pg.graph.k + 1)})
     phi_plus, phi = assignment_from_drawing_level(d, ctx)
-    assert phi == {}
+    assert phi == []
     assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus) == []
 
 
@@ -260,7 +257,7 @@ def test_even_crossing_drawing_repairs_assignment():
     assert report.ht_violations == []
     phi_plus, phi = assignment_from_drawing_level(d, ctx)
     psi = induced_pair_assignment(d)
-    assert any(phi_plus[v] != psi[v] for v in phi_plus), "repair should differ from the raw values"
+    assert phi_plus != [psi[v] for v in ctx.plus_system.variables], "repair should differ from the raw values"
     assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus) == []
     assert evaluate(build_level_reduced(g), phi) == []
 
@@ -292,7 +289,7 @@ def _repairs_copy_the_limits(d: LevelDrawing, ctx) -> int:
     psi = induced_pair_assignment(d)
     pg, star_level = ctx.pg, ctx.star_form.star.level
     repaired = 0
-    for var, value in phi_plus.items():
+    for var, value in zip(ctx.plus_system.variables, phi_plus):
         e, f = pg.prov.vertex_origin.get(var.u), pg.prov.vertex_origin.get(var.w)
         if e is None or f is None:
             assert value == psi[var]
@@ -366,7 +363,7 @@ def test_lift_of_parallel_paths_satisfies_everything():
     ctx = make_level_context(g)
     phi = solve_reduced(build_level_reduced(g))
     phi_plus = lift_assignment_level(phi, ctx)
-    assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus) == []
+    assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus.values()) == []
 
 
 def test_drawing_from_assignment_single_subdivision_bit():
@@ -382,7 +379,7 @@ def test_drawing_from_assignment_single_subdivision_bit():
         pos = d.positions(j)
         for w in vs:
             if w != pivot:
-                assert (pos[pivot] < pos[w]) == phi_plus[PairVar(pivot, w)]
+                assert (pos[pivot] < pos[w]) == phi_plus.pair(pivot, w)
 
 
 def test_level_round_trip_random_instances():
@@ -413,7 +410,7 @@ def test_radial_round_trip_k22(k22):
     ctx = make_radial_context(aug, refs)
     phi = solve_reduced(build_radial_reduced(aug, refs))
     phi_plus = lift_assignment_radial(phi, ctx)
-    assert evaluate(build_radial_reduced(ctx.pg.graph, ctx.plus_refs), phi_plus) == []
+    assert evaluate(build_radial_reduced(ctx.pg.graph, ctx.plus_refs), phi_plus.values()) == []
     d = drawing_from_assignment_radial(phi_plus, ctx)
     report = star_report_radial(d, ctx)
     assert not report.ht_violations
@@ -462,7 +459,7 @@ def test_extraction_from_planar_drawing_equals_raw_values():
         pytest.skip("witness happens to carry even crossings; parity branch covered elsewhere")
     extracted = assignment_from_drawing_radial(d, ctx)
     raw = induced_radial_assignment(d, ctx.pg.graph, ctx.plus_refs)
-    assert extracted == raw
+    assert extracted == [raw[v] for v in ctx.plus_system.variables]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ def test_three_paths_order_agreement_iff_even_pairwise_crossings():
 
 
 # ---------------------------------------------------------------------------
-# Whole drawings read through one position table; the realizers' point reads
+# Whole drawings read through one position table
 
 MODES = {"level": (lift_assignment_level, drawing_from_assignment_level, star_report_level),
          "radial": (lift_assignment_radial, drawing_from_assignment_radial, star_report_radial)}
@@ -612,6 +609,31 @@ def _corrupted(rng: random.Random, d):
     return crossing, refused
 
 
+def test_a_shown_order_reads_as_a_fresh_view_of_the_reordered_drawing():
+    """`show(i, order)` re-orders level i of a view: its table and every cut
+    then equal those of a fresh view of the re-ordered drawing, and of the
+    drawing itself, and the cuts the view made of the other levels are kept."""
+    rng = random.Random(61)
+    moved = 0
+    for _ in range(80):
+        g = random_proper_graph(rng, max_levels=4, max_width=4)
+        orders = random_level_drawing(rng, g).orders
+        view = drawing._Positions(orders, g)
+        cuts = {(j, a): view.cut_after(j, a) for j in orders for a in orders[j]}
+        i = rng.choice(sorted(orders))
+        order = tuple(rng.sample(orders[i], len(orders[i])))
+        view.show(i, order)
+        reordered = {**orders, i: order}
+        fresh, plain = drawing._Positions(reordered, g), RadialDrawing(reordered, {})
+        assert view.positions(i) == fresh.positions(i)
+        for (j, a), cut in cuts.items():
+            assert view.cut_after(j, a) == fresh.cut_after(j, a) == plain.cut_after(j, a)
+            if j != i:
+                assert view.cut_after(j, a) is cut
+            moved += view.cut_after(j, a) != cut
+    assert moved > 50
+
+
 def test_verification_equals_the_per_gap_rules_reading_the_drawing():
     """`star_report_*` reads one position table per drawing; it must report
     what the per-gap rules report reading the drawing itself, refusals included."""
@@ -652,46 +674,3 @@ def test_counting_equals_the_per_gap_rules_reading_the_drawing():
             bent, broken = _corrupted(rng, d) if h.k > 1 and max(h.widths()) > 1 else ([], [])
             for c in (d, *bent, *broken):
                 assert _outcome(count, c) == _outcome(_reference_count, c, h, rule)
-
-
-def test_realizers_read_a_lift_and_a_plain_mapping_alike():
-    """A lifted assignment is realized through its point reads, any other
-    mapping through variable objects; both must give the same drawing."""
-    drawn = {"level": 0, "radial": 0}
-    for mode, ctx, lifted, d in _corpus_witnesses(step=15):
-        plain = {v: lifted[v] for v in ctx.plus_system.variables}
-        assert MODES[mode][1](plain, ctx) == d
-        drawn[mode] += 1
-    assert min(drawn.values()) > 100
-
-
-def test_a_lift_refuses_every_key_that_is_no_variable():
-    g = LevelGraph(2, {"a": 1, "b": 1, "c": 1, "x": 2, "y": 2}, (("a", "x"), ("b", "y"), ("c", "y")))
-    ctx = make_level_context(g)
-    lifted = lift_assignment_level(solve_reduced(ctx.system), ctx)
-    level = ctx.pg.graph.level
-    x, y = next(vs for vs in ctx.pg.graph.by_level.values() if len(vs) > 1)[:2]
-    z = next(v for v in level if level[v] != level[x])
-    assert lifted[PairVar(x, y)] in (False, True)
-    for key in (PairVar(x, x), PairVar(x, z), PairVar(x, "nowhere"), TripleVar(x, y, x), FlagVar(x, z), "a"):
-        with pytest.raises(KeyError):
-            lifted[key]
-        assert key not in lifted
-
-    aug, refs = _radial_fixture()
-    ctx = make_radial_context(aug, refs)
-    lifted = lift_assignment_radial(solve_reduced(ctx.system), ctx)
-    pg = ctx.pg.graph
-    j = next(i for i in range(1, pg.k + 1) if len(pg.on_level(i)) >= 3)
-    a = ctx.plus_refs.anchors(j)[0]
-    outsider = next(w for w in pg.on_level(j) if w not in ctx.plus_refs.anchors(j))
-    u = next(w for w in pg.on_level(j) if w not in (a, outsider))
-    other = next(w for w in pg.level if pg.level[w] != j)
-    flagged = ctx.plus_flagged[0]
-    assert lifted[TripleVar(a, u, outsider)] in (False, True) and lifted[FlagVar(*flagged)] in (False, True)
-    unflagged = next(e for e in pg.edges if e not in ctx.plus_flagged)
-    for key in (TripleVar(a, u, u), TripleVar(a, a, u), TripleVar(a, u, other), TripleVar(outsider, a, u),
-                TripleVar("nowhere", u, a), PairVar(u, a), FlagVar(*unflagged), "a"):
-        with pytest.raises(KeyError):
-            lifted[key]
-        assert key not in lifted

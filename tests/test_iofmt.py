@@ -11,9 +11,9 @@ from planarity_ht.iofmt import (
     dump_system,
     graph_to_json,
     parse_drawing,
-    parse_dump,
     parse_graph,
 )
+from tests.helpers import parse_dump
 
 
 def test_graph_round_trip(k22):

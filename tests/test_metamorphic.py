@@ -4,20 +4,27 @@ Each relation fixes a graph's answer from the answers of others, so it checks
 decisions without an oracle.  Reversing the levels (level l becomes k + 1 - l
 and every edge turns around) and renaming every vertex id, which changes
 every tie-break and the radial reference choice, keep the answer in both
-modes.  In level mode a disjoint union is planar exactly when each part is,
-since the parts can be drawn side by side; in radial mode it is not, as two
-copies of K2,2 on the same two levels show.
+modes.  In radial mode every reference selection decides alike.  In level
+mode a disjoint union is planar exactly when each part is, since the parts
+can be drawn side by side; in radial mode it is not, as two copies of K2,2
+on the same two levels show.
 """
 
 from __future__ import annotations
 
 import random
 
-from planarity_ht.constraints import choose_reference_sets
+from planarity_ht.constraints import build_radial_reduced, choose_reference_sets, reference_set_variants
 from planarity_ht.corpus import random_proper_graph
+from planarity_ht.drawing import (
+    drawing_from_assignment_radial,
+    lift_assignment_radial,
+    make_radial_context,
+    star_report_radial,
+)
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.oracle import brute_radial
-from planarity_ht.pipeline import check_level, check_radial
+from planarity_ht.pipeline import check_level, check_radial, solve_reduced
 
 
 def _reversed(g: LevelGraph) -> LevelGraph:
@@ -56,6 +63,29 @@ def test_reversing_the_levels_and_renaming_the_vertices_keep_both_decisions():
                 assert (result.witness is not None) == (witness and planar)
     # the sample must hold both answers in both modes for the relations to bite
     assert 0 < nonplanar["level"] < 150 and 0 < nonplanar["radial"] < 150
+
+
+def test_every_reference_selection_decides_a_graph_alike():
+    # graphs past the oracle's reach: the smallest- and the largest-edge
+    # reference selection check each other
+    rng = random.Random(5)
+    two = nonplanar = witnessed = 0
+    for n in range(150):
+        g = random_proper_graph(rng, 6, 6, 0.4)
+        variants = reference_set_variants(g)
+        decisions = [solve_reduced(build_radial_reduced(augmented, refs)) for refs, augmented in variants]
+        planar = decisions[0] is not None
+        assert [phi is not None for phi in decisions] == [planar] * len(variants), g
+        two += len(variants) == 2
+        nonplanar += not planar
+        # every tenth graph also realizes and verifies the second selection's witness
+        if n % 10 == 0 and len(variants) == 2 and planar:
+            refs, augmented = variants[1]
+            ctx = make_radial_context(augmented, refs)
+            d = drawing_from_assignment_radial(lift_assignment_radial(decisions[1], ctx), ctx)
+            assert star_report_radial(d, ctx).ht_violations == []
+            witnessed += 1
+    assert two > 100 and 0 < nonplanar < 150 and witnessed > 0
 
 
 def test_a_disjoint_union_is_level_planar_exactly_when_both_parts_are():

@@ -21,9 +21,10 @@ from planarity_ht.constraints import (
     reference_set_variants,
 )
 from planarity_ht.corpus import exhaustive_proper_graphs
+from planarity_ht.crosscheck import crosscheck_instance
 from planarity_ht.drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.graphs import LevelGraph
-from planarity_ht.oracle import BudgetExceededError, brute_level, brute_radial
+from planarity_ht.oracle import BudgetExceededError, OracleResult, brute_level, brute_radial
 from tests.conftest import make_path
 
 
@@ -38,6 +39,14 @@ def test_k22_level_nonplanar_after_four_states(k22):
     assert not result.planar
     assert result.states_examined == 4
     assert result.witness is None
+
+
+def test_a_graph_with_no_level_is_planar_after_one_state_in_both_modes():
+    g = LevelGraph(0, {}, ())
+    assert brute_level(g) == OracleResult(True, LevelDrawing({}), 1)
+    assert brute_radial(g, ReferenceSets({}, {})) == OracleResult(True, RadialDrawing({}, {}), 1)
+    assert choose_reference_sets(g) == (ReferenceSets({}, {}), g)
+    assert crosscheck_instance(g) == ([], True, True)
 
 
 def test_two_disjoint_edges_level_planar():
@@ -202,7 +211,7 @@ def test_budget_is_checked_before_any_order_is_built():
     script = """
 from planarity_ht.constraints import choose_reference_sets
 from planarity_ht.graphs import LevelGraph
-from planarity_ht.oracle import BudgetExceededError, brute_level, brute_radial
+from planarity_ht.oracle import BudgetExceededError, OracleResult, brute_level, brute_radial
 g = LevelGraph(1, {f"v{j:02}": 1 for j in range(13)}, ())
 refs, aug = choose_reference_sets(g)
 for run in (lambda: brute_level(g, budget=1000), lambda: brute_radial(aug, refs, budget=1000)):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
@@ -360,10 +361,11 @@ def test_verification_rejects_a_lift_with_one_pivot_bit_flipped(monkeypatch, che
     real = getattr(pipeline, lift)
 
     def broken(phi, ctx):
-        lifted = dict(real(phi, ctx))
-        var = pivot_bit(ctx)
-        lifted[var] = not lifted[var]
-        return lifted
+        lifted = real(phi, ctx)
+        flipped = dataclasses.astuple(pivot_bit(ctx))
+        if lifted.pair is not None:
+            return dataclasses.replace(lifted, pair=lambda *point: lifted.pair(*point) != (point == flipped))
+        return dataclasses.replace(lifted, triple=lambda *point: lifted.triple(*point) != (point == flipped))
 
     assert check(g, witness=True).witness_report.ht_violations == []
     monkeypatch.setattr(pipeline, lift, broken)

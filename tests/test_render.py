@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 
 from planarity_ht.constraints import choose_reference_sets
-from planarity_ht.corpus import random_level_drawing, random_proper_graph, random_radial_drawing
+from planarity_ht.corpus import random_proper_graph
 from planarity_ht.drawing import LevelDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.render import count_markers, render_level_svg, render_radial_svg
 from tests.conftest import make_path
+from tests.helpers import random_level_drawing, random_radial_drawing
 
 
 def test_path_level_svg_has_k_lines_and_no_markers():
