@@ -12,16 +12,18 @@ integer rows over that numbering, made on each read by an `xorsat.RowSource`:
 the consistency rows x(u,w) + x(w,u) = 1 and t(a,u,v) + t(a,v,u) = 1 as twin
 pairs, which say only that one variable is the other's negation, and the
 other rows as a stream in build order; a level or gap too small to give a
-row makes no run.  A decision solves the source; the row list is made only
-when something reads `rows`.  The system a builder returns carries the
-numbering (`number`, and in radial mode the ordered `flag` map), which the
-full builders reuse for their clauses and the lifts read, and lists the
-numbering's points in index order (`points`): the pairs (u, w), the
-anchored triples (a, u, v), then the flagged edges.  Code that works on a
-whole assignment, such as the drawing layer's round trip, reads bits point
-by point in that order.  A system holds its variable count, not its
-variables: the variable objects are spelled from the points only when
-something reads them, to print equations and clauses or to name violations.
+row makes no run.  A system holds that one source; a decision solves it,
+and `rows` is a property that makes the row list, once, only when read.
+The system a builder returns carries the numbering (`number`, and in
+radial mode the ordered `flag` map), which the full builders reuse for
+their clauses and the lifts read, and lists the numbering's points in index
+order (`points`): the pairs (u, w) or the anchored triples (a, u, v).  The
+flagged edges are not points; they are `flag`'s keys and take the last
+indices.  Code that works on a whole assignment, such as the drawing
+layer's round trip, reads bits point by point in that order, then flag by
+flag.  A system holds its variable count, not its variables: the variable
+objects are spelled from the points and flags only when something reads
+them, to print equations and clauses or to name violations.
 
 A reference selection found valid for a graph is recorded as checked against
 that graph (`record_checked_refs`), so no later builder or oracle scans it
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain, combinations, islice, permutations, starmap
+from itertools import chain, combinations, permutations, starmap
 
 from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
 from .xorsat import RowSource, row_problem
@@ -118,52 +120,44 @@ class ConstraintSystem:
     """A variable count, XOR rows and transitivity clauses over the variable
     indices 0..n-1.  A row (indices, parity) states that the indexed
     variables sum to the parity; a clause (a, b, head, negated) that a and b
-    together force the head, or its negation when negated.  `rows` is given
-    as a list, checked here, or as a `RowSource`; then the list is made and
-    checked on first read.  `source` is what `xorsat.solve` reads: the
-    `RowSource` until the list is made, then the runs as made.  `spell`
-    yields the variable objects in index order; `number(u, w)` or
-    `number(a, u, v)` is the index of a pair or anchored triple, and `flag`
-    maps each flagged edge, in index order, to its left flag's index.  A
-    builder's `points` yields what each index names, in index order: a pair
-    (u, w), an anchored triple (a, u, v) or, after every triple, a flagged
-    edge; its `spell` spells those points."""
+    together force the head, or its negation when negated.  `points` yields
+    what the first indices name, in index order: a pair (u, w) or an
+    anchored triple (a, u, v); `flag` maps each flagged edge, in index order,
+    to its left flag's index, and the flags take the last indices.
+    `number(u, w)` or `number(a, u, v)` is the index of a pair or anchored
+    triple.  `source` is the rows' `RowSource`, which `xorsat.solve` reads;
+    `rows` is the list, made and checked on first read."""
 
     n: int
-    spell: Callable[[], Iterable[BoolVar]]
-    rows: list[Row]
+    points: Callable[[], Iterable[tuple]]
+    source: RowSource
     clauses: list[Clause]
     meta: str
     number: Callable[..., int] | None = None
     flag: dict[Edge, int] = field(default_factory=dict)
-    points: Callable[[], Iterable[tuple]] | None = None
 
     def __post_init__(self) -> None:
         n = self.n
-        if isinstance(self.rows, RowSource):
-            self.source = self.__dict__.pop("rows")  # `__getattr__` makes the list when it is read
-        else:
-            _check_rows(n, self.rows)
-            self.source = self.rows
         for cl in self.clauses:
             if min(cl[:3]) < 0 or max(cl[:3]) >= n:
                 raise ValueError(f"clause {cl} references an undeclared variable index, {n} declared")
 
-    def __getattr__(self, name: str):
-        if name != "rows" or "source" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The rows in build order, made once; `source` then reads the runs as made."""
         runs = [(twins, list(run)) for twins, run in self.source.runs()]
-        source = RowSource(lambda: runs)
-        rows = list(source)
+        self.source = RowSource(lambda: runs)
+        rows = list(self.source)
         _check_rows(self.n, rows)
-        source.count = len(rows)
-        self.source, self.rows = source, rows  # a later solve reads the runs as made
+        self.source.count = len(rows)
         return rows
 
     @cached_property
     def variables(self) -> tuple[BoolVar, ...]:
-        """The variable objects, spelled on first use."""
-        return tuple(self.spell())
+        """The variable objects in index order, spelled from the points and
+        flags on first use."""
+        spelled = (TripleVar(*p) if len(p) == 3 else PairVar(*p) for p in self.points())
+        return (*spelled, *starmap(FlagVar, self.flag))
 
     @cached_property
     def xors(self) -> list[XorEquation]:
@@ -246,9 +240,7 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     """Pair-order variables, consistency XORs as twins, planarity XORs."""
     require_valid(g, proper=True)
     number, at = pair_numbering(g)
-    widths = [len(vs) for vs in g.by_level.values()]
-    firsts = list(accumulate((w * (w - 1) for w in widths), initial=0))  # each level's first index, then n
-    blocks = [(first, w) for first, w in zip(firsts, widths) if w > 1]
+    blocks = [(at[vs[0]][0], len(vs)) for vs in g.by_level.values() if len(vs) > 1]  # each level's first index
     gaps = [gap for gap in g.by_gap.values() if len(gap) > 1]
 
     def gap_rows() -> Iterator[Row]:
@@ -269,8 +261,8 @@ def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     def points() -> Iterator[tuple[VertexId, VertexId]]:
         return chain.from_iterable(permutations(vs, 2) for vs in g.by_level.values())
 
-    return ConstraintSystem(firsts[-1], lambda: starmap(PairVar, points()), RowSource(runs), [],
-                            "level-reduced", number, points=points)
+    return ConstraintSystem(sum(len(vs) * (len(vs) - 1) for vs in g.by_level.values()), points, RowSource(runs),
+                            [], "level-reduced", number)
 
 
 def build_level_full(g: LevelGraph) -> ConstraintSystem:
@@ -280,7 +272,7 @@ def build_level_full(g: LevelGraph) -> ConstraintSystem:
     clauses = [(number(u, w), number(w, y), number(u, y), False)
                for vs in g.by_level.values()
                for u, w, y in permutations(vs, 3)]
-    return replace(reduced, rows=reduced.source, clauses=clauses, meta="level-full")
+    return replace(reduced, clauses=clauses, meta="level-full")
 
 
 def count_transitivity(g: LevelGraph, refs: ReferenceSets | None = None) -> int:
@@ -450,14 +442,17 @@ def gap_flagged_edges(classes: GapClasses) -> list[Edge]:
 
 
 TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
+TripleTable = dict[VertexId, tuple[int, int, int]]
 
 
-def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, int]:
-    """The index of TripleVar(a, u, v), and the number of triples.  Levels in
-    ascending order, each level's anchors in `ReferenceSets.anchors` order,
-    the ordered pairs of the other vertices in `permutations` order."""
+def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, TripleTable, int]:
+    """The index of TripleVar(a, u, v), the table it reads, and the number of
+    triples.  Levels in ascending order, each level's anchors in
+    `ReferenceSets.anchors` order, the ordered pairs of the other vertices in
+    `permutations` order.  The table gives each anchor's first index, its
+    position on its level and its block's stride."""
     pos: dict[VertexId, int] = {}
-    block: dict[VertexId, tuple[int, int, int]] = {}  # anchor: first index, position, stride
+    block: TripleTable = {}
     count = 0
     for i, vs in g.by_level.items():
         for p, v in enumerate(vs):
@@ -473,7 +468,7 @@ def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, in
         pv -= pv > pa
         return first + pu * stride + pv - (pv > pu)
 
-    return number, count
+    return number, block, count
 
 
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -482,7 +477,7 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     each in `gap_flagged_edges` order."""
     require_valid(g, proper=True)
     require_reference_sets(g, refs)
-    number, triples = _triple_blocks(g, refs)
+    number, block, triples = _triple_blocks(g, refs)
     gaps = [gap_edge_classes(g, refs, i) for i in range(1, g.k)]
     flag = {e: triples + f for f, e in enumerate(e for classes in gaps for e in gap_flagged_edges(classes))}
     # the gaps that give rows: two plain edges, or a flagged edge and a plain edge or one of the other class
@@ -511,15 +506,11 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     # orders the level's m other vertices, and, where the anchors differ, the
     # index of t(am, v, ap) for each vertex v besides them
     levels = []
-    first = 0
     for i in range(1, g.k + 1):
         vs, anchors = g.on_level(i), refs.anchors(i)
-        m = len(vs) - 1
-        size = m * (m - 1)
         am, ap = anchors[0], anchors[-1]
-        levels.append((anchors, [first + j * size for j in range(len(anchors))], m,
+        levels.append((anchors, [block[a][0] for a in anchors], len(vs) - 1,
                        {v: number(am, v, ap) for v in vs if v not in anchors} if am != ap else None))
-        first += len(anchors) * size
 
     def runs():
         for anchors, blocks, m, before_ap in levels:
@@ -533,17 +524,11 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
         if row_gaps:
             yield False, gap_rows()
 
-    def points() -> Iterator[tuple]:
-        yield from ((a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
-                    for u, v in permutations([x for x in vs if x != a], 2))
-        yield from flag
+    def points() -> Iterator[tuple[VertexId, VertexId, VertexId]]:
+        return ((a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
+                for u, v in permutations([x for x in vs if x != a], 2))
 
-    def spell() -> Iterator[BoolVar]:
-        named = points()
-        return chain(starmap(TripleVar, islice(named, triples)), starmap(FlagVar, named))
-
-    return ConstraintSystem(triples + len(flag), spell, RowSource(runs), [], "radial-reduced", number, flag,
-                            points)
+    return ConstraintSystem(triples + len(flag), points, RowSource(runs), [], "radial-reduced", number, flag)
 
 
 def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -559,4 +544,4 @@ def build_radial_full(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
                for i in range(1, g.k + 1)
                for a in refs.anchors(i)
                for u, v, w in permutations([x for x in g.on_level(i) if x != a], 3)]
-    return replace(reduced, rows=reduced.source, clauses=clauses, meta="radial-full")
+    return replace(reduced, clauses=clauses, meta="radial-full")

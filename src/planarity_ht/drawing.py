@@ -12,15 +12,16 @@ both directions and in both the level and the radial setting.  They work on
 G+'s integer numbering and build no variable object.  Assignments come in
 as point reads and go out as bit lists.  The lift of an input solution to
 G+ (`LiftedAssignment`) answers point reads, a bit by the G+ points a
-variable names; the realizers read through them, and checking the lift
-reads them at the system's points (`ConstraintSystem.points`) into a bit
-list in index order.  From a drawing back to an assignment is one rule for
-both modes: each point of G+'s system is read off the drawing and corrected
-by the parity of the crossings the star edges through its vertices make
-below its sublevel, which gives G+'s bits in index order; in level mode
-they project to the input index by index.  The modes differ only in the
-reading (a pair's left/right order, a triple's clockwise order) and in the
-per-gap crossing rule.
+variable names, and holds no system; the realizers read through them, and
+checking the lift against a system reads them at that system's points
+(`ConstraintSystem.points`), then at its flagged edges, into a bit list in
+index order (`values(system)`).  From a drawing back to an assignment is one
+rule for both modes: each point of G+'s system is read off the drawing and
+corrected by the parity of the crossings the star edges through its
+vertices make below its sublevel, and each flag is the drawing's, which
+gives G+'s bits in index order; in level mode they project to the input
+index by index.  The modes differ only in the reading (a pair's left/right
+order, a triple's clockwise order) and in the per-gap crossing rule.
 
 Counting, verification, the back-conversion, rendering and the oracles'
 search read a drawing through one view (`_Positions`): every vertex's
@@ -41,7 +42,7 @@ from collections import defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, islice, starmap
+from itertools import combinations, starmap
 
 from .constraints import (
     BoolVar,
@@ -80,8 +81,8 @@ class UnsatisfyingAssignmentError(ValueError):
 def require_satisfying(system: ConstraintSystem,
                        a: LiftedAssignment | Mapping[BoolVar, bool] | list[bool]) -> list[bool]:
     """The `assignment_values` of a, once they satisfy every constraint of the
-    system; a `LiftedAssignment` is read at its system's points."""
-    values = assignment_values(system, a.values() if isinstance(a, LiftedAssignment) else a)
+    system; a `LiftedAssignment` is read at the system's points."""
+    values = assignment_values(system, a.values(system) if isinstance(a, LiftedAssignment) else a)
     bad = evaluate(system, values)
     if bad:
         raise UnsatisfyingAssignmentError(system, bad)
@@ -399,26 +400,21 @@ def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
 
 @dataclass(frozen=True)
 class LiftedAssignment:
-    """The lift of an input solution to G+, as point reads over G+'s reduced
-    system: `pair(x, y)` in level mode, `triple(a, u, v)` and `flag(e)` in
-    radial mode, each the bit of the variable those G+ points name, computed
-    when read; no variable object is built.  The realizers read through
-    them, and `values` reads the whole of `system()` through them."""
+    """The lift of an input solution to G+, as point reads: `pair(x, y)` in
+    level mode, `triple(a, u, v)` and `flag(e)` in radial mode, each the bit
+    of the variable those G+ points name, computed when read; no variable
+    object is built.  The realizers read through them, and `values(system)`
+    reads a whole system of G+ through them."""
 
-    system: Callable[[], ConstraintSystem]
     pair: Callable[[VertexId, VertexId], bool] | None = None
     triple: Callable[[VertexId, VertexId, VertexId], bool] | None = None
     flag: Callable[[Edge], bool] | None = None
 
-    def values(self) -> list[bool]:
-        """The system's bits in index order, read at its `points`."""
-        system = self.system()
-        points = system.points()
+    def values(self, system: ConstraintSystem) -> list[bool]:
+        """The system's bits in index order, read at its `points`, then at its flags."""
         if self.pair is not None:
-            return list(starmap(self.pair, points))
-        bits = list(starmap(self.triple, islice(points, system.n - len(system.flag))))
-        bits.extend(map(self.flag, system.flag))
-        return bits
+            return list(starmap(self.pair, system.points()))
+        return [*starmap(self.triple, system.points()), *map(self.flag, system.flag)]
 
 
 def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
@@ -434,10 +430,11 @@ def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
     j, plus one when e and f share their tail and cross an odd number of
     times in total.  A bot or top copy subdivides no star edge and adds
     nothing, nor does a star edge that crosses none, so a point with fewer
-    than two vertices on crossing star edges is read raw.  A flagged edge
-    takes the drawing's flag.  `gap_pairs(i)` lists
-    gap i's crossing segment pairs; the crossings are listed once, and an
-    independent star edge pair crossing an odd number of times is refused.
+    than two vertices on crossing star edges is read raw.  Each flagged edge
+    (`ConstraintSystem.flag`), after the points, takes the drawing's flag.
+    `gap_pairs(i)` lists gap i's crossing segment pairs; the crossings are
+    listed once, and an independent star edge pair crossing an odd number of
+    times is refused.
     """
     g, plus = ctx.pg.graph, ctx.plus_system
     by_pair = _gap_crossings(g, gap_pairs, ctx.segment_origin)
@@ -460,9 +457,7 @@ def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
             return read(*point)
         return read(*point) != bool(sum(starmap(pcr, combinations(point, 2))) % 2)
 
-    bits = list(starmap(corrected if on else read, islice(plus.points(), plus.n - len(plus.flag))))
-    bits.extend(view.left_flag[e] for e in plus.flag)
-    return bits
+    return [*starmap(corrected if on else read, plus.points()), *(view.left_flag[e] for e in plus.flag)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +515,7 @@ def lift_assignment_level(phi: list[bool], ctx: LevelContext) -> LiftedAssignmen
         assert e1[1] == e2[1], f"edges {e1}, {e2} collide without a shared endpoint"
         return bits[number(e1[0], e2[0])]
 
-    return LiftedAssignment(lambda: ctx.plus_system, pair=pair)
+    return LiftedAssignment(pair=pair)
 
 
 def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...],
@@ -596,7 +591,7 @@ def lift_assignment_radial(phi: list[bool], ctx: RadialContext) -> LiftedAssignm
         f = edge_origin[edge_of[v]]
         return _psi_gap_order(bits, number, flag, ctx.refs, ctx.base.level[e[0]], e, f)
 
-    return LiftedAssignment(lambda: ctx.plus_system, triple=triple, flag=flag_bits.__getitem__)
+    return LiftedAssignment(triple=triple, flag=flag_bits.__getitem__)
 
 
 def drawing_from_assignment_radial(phi_plus: LiftedAssignment, ctx: RadialContext) -> RadialDrawing:

@@ -29,6 +29,7 @@ from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.graphs import LevelGraph, independent
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import solve_reduced
+from planarity_ht.xorsat import RowSource
 from tests.conftest import make_path
 from tests.helpers import flagged_edges, induced_pair_assignment, induced_radial_assignment
 
@@ -242,22 +243,27 @@ def test_full_radial_transitivity_head_is_rotated_negation():
 
 
 def test_system_rejects_undeclared_variable():
+    system = ConstraintSystem(1, lambda: [("a", "b")], RowSource(lambda: [(False, [((0, 1), 1)])]), [], "t")
     with pytest.raises(ValueError, match=r"row \(0, 1\) references an undeclared variable index"):
-        ConstraintSystem(1, lambda: (PairVar("a", "b"),), [((0, 1), 1)], [], "t")
+        system.rows
 
 
 def test_system_rejects_undeclared_clause_variable():
-    pairs = (PairVar("a", "b"), PairVar("b", "c"), PairVar("a", "c"))
-    assert ConstraintSystem(3, lambda: pairs, [], [(0, 1, 2, False)], "t").transitivity[0].head == pairs[2]
+    pairs = (("a", "b"), ("b", "c"), ("a", "c"))
+    no_rows = RowSource(lambda: ())
+    system = ConstraintSystem(3, lambda: pairs, no_rows, [(0, 1, 2, False)], "t")
+    assert system.transitivity[0].head == PairVar("a", "c")
     for clause in [(0, 1, 3, False), (-1, 1, 2, True)]:
         with pytest.raises(ValueError, match="references an undeclared variable index"):
-            ConstraintSystem(3, lambda: pairs, [], [clause], "t")
+            ConstraintSystem(3, lambda: pairs, no_rows, [clause], "t")
 
 
 @pytest.mark.parametrize("parity", [2, -1])
 def test_system_rejects_parity_outside_gf2(parity):
+    system = ConstraintSystem(2, lambda: [("a", "b"), ("b", "a")], RowSource(lambda: [(False, [((0, 1), parity)])]),
+                              [], "t")
     with pytest.raises(ValueError, match=f"row \\(0, 1\\) has parity {parity}, not 0 or 1"):
-        ConstraintSystem(2, lambda: (PairVar("a", "b"), PairVar("b", "a")), [((0, 1), parity)], [], "t")
+        system.rows
 
 
 def _complete_bipartite(n: int) -> LevelGraph:

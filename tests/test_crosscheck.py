@@ -14,6 +14,7 @@ from planarity_ht.drawing import LevelDrawing, NotHananiTutteError, make_level_c
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.iofmt import graph_to_json
 from planarity_ht.oracle import OracleResult
+from planarity_ht.xorsat import RowSource
 
 # two disjoint edges across two levels: planar in both modes, two reference selections
 TWO_EDGES = LevelGraph(2, {"a": 1, "b": 1, "c": 2, "d": 2}, (("a", "c"), ("b", "d")))
@@ -49,7 +50,7 @@ def test_an_unsatisfiable_alternative_radial_system_is_a_radial_divergence(monke
     def unsatisfiable(g, refs):
         built.append(refs)
         system = build(g, refs)
-        return dataclasses.replace(system, rows=system.rows + [((), 1)])
+        return dataclasses.replace(system, source=RowSource(lambda: [*system.source.runs(), (False, [((), 1)])]))
 
     monkeypatch.setattr(crosscheck, "build_radial_reduced", unsatisfiable)
     problems, _, _ = crosscheck_instance(TWO_EDGES)

@@ -363,7 +363,7 @@ def test_lift_of_parallel_paths_satisfies_everything():
     ctx = make_level_context(g)
     phi = solve_reduced(build_level_reduced(g))
     phi_plus = lift_assignment_level(phi, ctx)
-    assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus.values()) == []
+    assert evaluate(build_level_reduced(ctx.pg.graph), phi_plus.values(ctx.plus_system)) == []
 
 
 def test_drawing_from_assignment_single_subdivision_bit():
@@ -410,7 +410,7 @@ def test_radial_round_trip_k22(k22):
     ctx = make_radial_context(aug, refs)
     phi = solve_reduced(build_radial_reduced(aug, refs))
     phi_plus = lift_assignment_radial(phi, ctx)
-    assert evaluate(build_radial_reduced(ctx.pg.graph, ctx.plus_refs), phi_plus.values()) == []
+    assert evaluate(build_radial_reduced(ctx.pg.graph, ctx.plus_refs), phi_plus.values(ctx.plus_system)) == []
     d = drawing_from_assignment_radial(phi_plus, ctx)
     report = star_report_radial(d, ctx)
     assert not report.ht_violations

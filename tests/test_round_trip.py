@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import astuple
 from itertools import combinations, islice
 
 from planarity_ht import constraints
@@ -108,7 +107,9 @@ def test_the_round_trip_bits_equal_the_variable_objects_readings():
             if phi is None:
                 continue
             for system in (ctx.system, ctx.plus_system):
-                assert list(system.points()) == [astuple(v) for v in system.variables]
+                first_flag = system.n - len(system.flag)
+                assert [system.number(*p) for p in system.points()] == list(range(first_flag))
+                assert list(system.flag.values()) == list(range(first_flag, system.n))
             lifted = lift(phi, ctx)
             assert require_satisfying(ctx.plus_system, lifted) == [_read(lifted, v) for v in ctx.plus_system.variables]
             d = realize(lifted, ctx)
