@@ -25,6 +25,18 @@ flag.  A system holds its variable count, not its variables: the variable
 objects are spelled from the points and flags only when something reads
 them, to print equations and clauses or to name violations.
 
+Both builders number by one block rule (`_block`): a block holds the
+ordered pairs of a list of vertices in `permutations` order, and each
+vertex has an entry, its first pair index and its position.  The level
+numbering has a block per level.  t(a, u, v) orders u and v on the level
+cut at a, as x(u, v) orders them on a line, so the radial numbering has a
+block per anchor, over its level's other vertices, and t(a, u, v) is the
+pair (u, v) in a's block.  The rows read the entries too; one rule writes
+the independent-pair rows of a gap from a tail and a head block.
+`evaluate` reads the rows from the source through `xorsat.violated`, the
+reader the solver checks its assignment with, and spells out only the
+violated rows and clauses.
+
 A reference selection found valid for a graph is recorded as checked against
 that graph (`record_checked_refs`), so no later builder or oracle scans it
 again for the same graph.
@@ -32,13 +44,13 @@ again for the same graph.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, combinations, permutations, starmap
 
 from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
-from .xorsat import RowSource, row_problem
+from .xorsat import RowSource, row_problem, violated
 
 
 @dataclass(frozen=True, order=True)
@@ -189,36 +201,45 @@ def assignment_values(system: ConstraintSystem, a: Mapping[BoolVar, bool] | list
 def evaluate(system: ConstraintSystem,
              a: Mapping[BoolVar, bool] | list[bool]) -> list[XorEquation | TransitivityClause]:
     """All violated constraints under a total assignment, given as a mapping
-    or as a bit list; only violated ones get spelled out."""
+    or as a bit list.  The rows are read from the system's source by
+    `xorsat.violated`, and only violated rows and clauses get spelled out."""
     vals = assignment_values(system, a)
-    bad: list[XorEquation | TransitivityClause] = [
-        system.xors[r] for r, (idx, parity) in enumerate(system.rows)
-        if sum(map(vals.__getitem__, idx)) & 1 != parity
-    ]
-    bad.extend(system.transitivity[c] for c, (x, y, head, negated) in enumerate(system.clauses)
-               if vals[x] and vals[y] and vals[head] != (not negated))
-    return bad
+    rows = list(violated(system.source.runs(), vals))
+    clauses = [(x, y, head, negated) for x, y, head, negated in system.clauses
+               if vals[x] and vals[y] and vals[head] != (not negated)]
+    if not rows and not clauses:
+        return []
+    var = system.variables
+    return [*(XorEquation(tuple(map(var.__getitem__, idx)), parity) for idx, parity in rows),
+            *(TransitivityClause(var[x], var[y], var[head], negated) for x, y, head, negated in clauses)]
 
 
 # ---------------------------------------------------------------------------
 # Level systems
 
 
-PairTable = dict[VertexId, tuple[int, int]]
+Block = dict[VertexId, tuple[int, int]]
 
 
-def pair_numbering(g: LevelGraph) -> tuple[Callable[[VertexId, VertexId], int], PairTable]:
+def _block(vs: Sequence[VertexId], first: int, at: Block) -> int:
+    """Number the ordered pairs of the items vs from `first` in `permutations`
+    order: with m items, (u, w) at positions p and q is first + p(m - 1) + q,
+    less one when q > p.  Writes each item's entry (its first pair index,
+    its position) into `at` and returns the index after the block."""
+    stride = len(vs) - 1
+    for p, v in enumerate(vs):
+        at[v] = (first + p * stride, p)
+    return first + len(vs) * stride
+
+
+def pair_numbering(g: LevelGraph) -> tuple[Callable[[VertexId, VertexId], int], Block]:
     """The index of PairVar(u, w) in the level systems of g: levels in
-    ascending order, each level's ordered pairs in `permutations` order.
-    Returns the index function and the table it reads: each vertex's first
-    pair index and its position on its level."""
-    at: PairTable = {}
+    ascending order, each level a block of its ordered pairs.  Returns the
+    index function and the table it reads, every level's entries in one."""
+    at: Block = {}
     count = 0
     for vs in g.by_level.values():
-        stride = len(vs) - 1
-        for p, v in enumerate(vs):
-            at[v] = (count + p * stride, p)
-        count += len(vs) * stride
+        count = _block(vs, count, at)
 
     def number(u: VertexId, w: VertexId) -> int:
         first, pu = at[u]
@@ -228,35 +249,36 @@ def pair_numbering(g: LevelGraph) -> tuple[Callable[[VertexId, VertexId], int], 
     return number, at
 
 
-def _twins(first: int, m: int) -> Iterator[tuple[int, int]]:
-    """The consistency rows of a block that numbers the ordered pairs of m
-    items from `first` in `permutations` order, in `combinations` order: for
-    p < q, the indices of (p, q) and (q, p) as a twin pair (lo, hi)."""
-    s = m - 1
-    return ((first + p * s + q - 1, first + q * s + p) for p in range(m) for q in range(p + 1, m))
+def _twins(ends: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The consistency rows of a block, from its items' entries in position
+    order, in `combinations` order: for p < q, the indices of (p, q) and
+    (q, p) as a twin pair (lo, hi)."""
+    return ((fp + q - 1, fq + p) for (fp, p), (fq, q) in combinations(ends, 2))
+
+
+def _independent_rows(edges: Iterable[Edge], tail: Block, head: Block) -> Iterator[Row]:
+    """x(u, w) + x(v, y) = 0 for each two edges (u, v), (w, y) of a proper gap,
+    in `combinations` order, that are independent: both their tails' and
+    their heads' positions differ.  The tails' pairs are numbered by the
+    block `tail`, the heads' by `head`."""
+    ends = [(tail[u], head[v]) for u, v in edges]
+    for ((fu, pu), (fv, pv)), ((_, pw), (_, py)) in combinations(ends, 2):
+        if pu != pw and pv != py:
+            yield (fu + pw - (pw > pu), fv + py - (py > pv)), 0
 
 
 def build_level_reduced(g: LevelGraph) -> ConstraintSystem:
     """Pair-order variables, consistency XORs as twins, planarity XORs."""
     require_valid(g, proper=True)
     number, at = pair_numbering(g)
-    blocks = [(at[vs[0]][0], len(vs)) for vs in g.by_level.values() if len(vs) > 1]  # each level's first index
+    blocks = [[at[v] for v in vs] for vs in g.by_level.values() if len(vs) > 1]
     gaps = [gap for gap in g.by_gap.values() if len(gap) > 1]
-
-    def gap_rows() -> Iterator[Row]:
-        # a proper gap's edges are independent when both endpoints differ,
-        # that is when their tails' and their heads' positions differ
-        for gap in gaps:
-            ends = [(at[u], at[v]) for u, v in gap]
-            for ((fu, pu), (fv, pv)), ((fw, pw), (fx, px)) in combinations(ends, 2):
-                if pu != pw and pv != px:
-                    yield (fu + pw - (pw > pu), fv + px - (px > pv)), 0
 
     def runs():
         if blocks:
-            yield True, chain.from_iterable(starmap(_twins, blocks))
+            yield True, chain.from_iterable(map(_twins, blocks))
         if gaps:
-            yield False, gap_rows()
+            yield False, chain.from_iterable(_independent_rows(gap, at, at) for gap in gaps)
 
     def points() -> Iterator[tuple[VertexId, VertexId]]:
         return chain.from_iterable(permutations(vs, 2) for vs in g.by_level.values())
@@ -377,22 +399,15 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
         if not g.on_level(i):
             raise ValueError(f"level {i} is empty, radial reference selection needs every level nonempty")
     inserted: list[Edge] = []
-    ref_edges: dict[int, Edge] = {}
-    for i in range(1, g.k):
-        gap = g.gap_edges(i)
-        if gap:
-            ref_edges[i] = pick(gap)
-        else:
-            e = (pick(g.on_level(i)), pick(g.on_level(i + 1)))
-            ref_edges[i] = e
-            inserted.append(e)
     alpha_plus: dict[int, VertexId] = {}
     alpha_minus: dict[int, VertexId] = {}
     for i in range(1, g.k):
-        alpha_plus[i] = ref_edges[i][0]
-        alpha_minus[i + 1] = ref_edges[i][1]
+        gap = g.gap_edges(i)
+        if not gap:
+            inserted.append((pick(g.on_level(i)), pick(g.on_level(i + 1))))
+        alpha_plus[i], alpha_minus[i + 1] = pick(gap) if gap else inserted[-1]
     alpha_minus[1] = alpha_plus[1] if g.k > 1 else pick(g.on_level(1))
-    alpha_plus[g.k] = alpha_minus[g.k] if g.k > 1 else alpha_minus[1]
+    alpha_plus[g.k] = alpha_minus[g.k]
     refs = ReferenceSets(alpha_plus, alpha_minus, tuple(inserted))
     aug = record_checked(g.with_edges(inserted), proper=True) if inserted else g  # each joins levels i and i + 1
     problems = validate_reference_sets(aug, refs)
@@ -442,33 +457,29 @@ def gap_flagged_edges(classes: GapClasses) -> list[Edge]:
 
 
 TripleNumber = Callable[[VertexId, VertexId, VertexId], int]
-TripleTable = dict[VertexId, tuple[int, int, int]]
 
 
-def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, TripleTable, int]:
-    """The index of TripleVar(a, u, v), the table it reads, and the number of
-    triples.  Levels in ascending order, each level's anchors in
-    `ReferenceSets.anchors` order, the ordered pairs of the other vertices in
-    `permutations` order.  The table gives each anchor's first index, its
-    position on its level and its block's stride."""
-    pos: dict[VertexId, int] = {}
-    block: TripleTable = {}
+def _triple_blocks(g: LevelGraph, refs: ReferenceSets) -> tuple[TripleNumber, dict[VertexId, Block], int]:
+    """The index of TripleVar(a, u, v), the tables it reads, and the number of
+    triples.  t(a, u, v) orders u and v on the level cut at a, so each anchor
+    has a block of the ordered pairs of its level's other vertices, as
+    `pair_numbering` has one per level: levels in ascending order, each
+    level's anchors in `ReferenceSets.anchors` order.  The tables map each
+    anchor to its block's entries."""
+    blocks: dict[VertexId, Block] = {}
     count = 0
     for i, vs in g.by_level.items():
-        for p, v in enumerate(vs):
-            pos[v] = p
         for a in refs.anchors(i):
-            block[a] = (count, pos[a], len(vs) - 2)
-            count += (len(vs) - 1) * (len(vs) - 2)
+            blocks[a] = {}
+            count = _block([v for v in vs if v != a], count, blocks[a])
 
     def number(a: VertexId, u: VertexId, v: VertexId) -> int:
-        first, pa, stride = block[a]
-        pu, pv = pos[u], pos[v]
-        pu -= pu > pa
-        pv -= pv > pa
-        return first + pu * stride + pv - (pv > pu)
+        at = blocks[a]
+        first, pu = at[u]
+        pv = at[v][1]
+        return first + pv - (pv > pu)
 
-    return number, block, count
+    return number, blocks, count
 
 
 def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem:
@@ -477,7 +488,7 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
     each in `gap_flagged_edges` order."""
     require_valid(g, proper=True)
     require_reference_sets(g, refs)
-    number, block, triples = _triple_blocks(g, refs)
+    number, blocks, triples = _triple_blocks(g, refs)
     gaps = [gap_edge_classes(g, refs, i) for i in range(1, g.k)]
     flag = {e: triples + f for f, e in enumerate(e for classes in gaps for e in gap_flagged_edges(classes))}
     # the gaps that give rows: two plain edges, or a flagged edge and a plain edge or one of the other class
@@ -486,47 +497,47 @@ def build_radial_reduced(g: LevelGraph, refs: ReferenceSets) -> ConstraintSystem
 
     def gap_rows() -> Iterator[Row]:
         for (ap, am_next), plain, plus_adj, minus_adj in row_gaps:
-            # a proper gap's edges are independent when both endpoints differ
-            for (u, v), (w, x) in combinations(plain, 2):
-                if u != w and v != x:
-                    yield (number(ap, u, w), number(am_next, v, x)), 0
+            tail, head = blocks[ap], blocks[am_next]
+            yield from _independent_rows(plain, tail, head)
             for e in plus_adj:
                 for f in minus_adj:
                     yield (flag[e], flag[f]), 1
-            for e in plus_adj:
-                for u, v in plain:
-                    if v != e[1]:
-                        yield (flag[e], number(am_next, v, e[1])), 0
-            for f in minus_adj:
-                for u, v in plain:
-                    if u != f[0]:
-                        yield (flag[f], number(ap, u, f[0])), 0
+            # a flagged edge shares one end with the reference edge, so it is
+            # independent of a plain edge whose other end differs from its own
+            for flagged, block, side in ((plus_adj, head, 1), (minus_adj, tail, 0)):
+                ends = [block[e[side]] for e in plain]
+                for e in flagged:
+                    fe, q = flag[e], block[e[side]][1]
+                    for fv, p in ends:
+                        if p != q:
+                            yield (fe, fv + q - (q > p)), 0
 
-    # per level: its anchors, the first index of each anchor's block, which
-    # orders the level's m other vertices, and, where the anchors differ, the
-    # index of t(am, v, ap) for each vertex v besides them
-    levels = []
-    for i in range(1, g.k + 1):
-        vs, anchors = g.on_level(i), refs.anchors(i)
-        am, ap = anchors[0], anchors[-1]
-        levels.append((anchors, [block[a][0] for a in anchors], len(vs) - 1,
-                       {v: number(am, v, ap) for v in vs if v not in anchors} if am != ap else None))
+    def coupling_rows(am: VertexId, ap: VertexId) -> Iterator[Row]:
+        # t(am, u, v) + t(ap, u, v) + t(am, u, ap) + t(am, v, ap) = 0 for the
+        # other vertices u != v, then t(am, v, ap) + t(ap, am, v) = 0 for each
+        bm, bp = blocks[am], blocks[ap]
+        pa, (fa, qa) = bm[ap][1], bp[am]  # ap's position in am's block, am's entry in ap's
+        ends = [(*bm[v], *bp[v]) for v in bm if v != ap]  # each vertex's entries in both blocks
+        before_ap = [fu + pa - (pa > pu) for fu, pu, _, _ in ends]
+        for (fu, pu, gu, qu), tu in zip(ends, before_ap):
+            for (_, pv, _, qv), tv in zip(ends, before_ap):
+                if pv != pu:
+                    yield (fu + pv - (pv > pu), gu + qv - (qv > qu), tu, tv), 0
+        for (_, _, _, qv), tv in zip(ends, before_ap):
+            yield (tv, fa + qv - (qv > qa)), 0
 
     def runs():
-        for anchors, blocks, m, before_ap in levels:
-            if m > 1:
-                yield True, chain.from_iterable(_twins(b, m) for b in blocks)
-            if before_ap:
-                am, ap = anchors
-                yield False, chain((((number(am, u, v), number(ap, u, v), before_ap[u], before_ap[v]), 0)
-                                    for u, v in permutations(before_ap, 2)),
-                                   (((t, number(ap, am, v)), 0) for v, t in before_ap.items()))
+        for i, vs in g.by_level.items():
+            if len(vs) > 2:  # each anchor orders two or more other vertices
+                anchors = refs.anchors(i)
+                yield True, chain.from_iterable(_twins(blocks[a].values()) for a in anchors)
+                if len(anchors) > 1:
+                    yield False, coupling_rows(*anchors)
         if row_gaps:
             yield False, gap_rows()
 
     def points() -> Iterator[tuple[VertexId, VertexId, VertexId]]:
-        return ((a, u, v) for i, vs in g.by_level.items() for a in refs.anchors(i)
-                for u, v in permutations([x for x in vs if x != a], 2))
+        return ((a, u, v) for a, at in blocks.items() for u, v in permutations(at, 2))
 
     return ConstraintSystem(triples + len(flag), points, RowSource(runs), [], "radial-reduced", number, flag)
 

@@ -11,7 +11,9 @@ machine words regardless of variable count.  Each row becomes a mask when
 elimination reaches it, and only the pivot rows keep the history of original
 rows an unsat certificate needs; `rank` counts the pivots of the same
 elimination on the homogeneous system.  `solve` checks each index as it
-reads it and its assignment once against every row; an unsat certificate,
+reads it and its assignment once against every row, as `eliminate` does,
+through `violated`: the one reader of the rows a bit list violates, which
+reads twins as twins and serves `constraints.evaluate` too; an unsat certificate,
 in build-order row indices, is written only when it is read.  Everything is
 deterministic: pivots are chosen in ascending variable order and free
 variables default to 0, and `solve` returns the same assignment and free
@@ -121,7 +123,7 @@ def eliminate(sys: XorSystem) -> SolveResult:
     """
     result = _eliminate(sys)
     if isinstance(result, Sat):
-        _require_satisfies(_runs(sys), result.assignment)
+        _require_satisfies(sys, result.assignment)
     return result
 
 
@@ -164,18 +166,26 @@ def _runs(sys: XorSystem) -> Iterable[Run]:
     return rows.runs() if isinstance(rows, RowSource) else ((False, rows),)
 
 
-def _require_satisfies(runs: Iterable[Run], assignment: tuple[int, ...]) -> None:
+def violated(runs: Iterable[Run], bits: Sequence[int]) -> Iterator[Row]:
+    """The rows of the runs, in build order, that the bits do not satisfy; a
+    twin (lo, hi) is read as one and yielded as ((lo, hi), 1)."""
     for twins, run in runs:
         if twins:
             for lo, hi in run:
-                if assignment[lo] == assignment[hi]:
-                    raise AssertionError("internal error: assignment does not satisfy a row")
+                if bits[lo] == bits[hi]:
+                    yield (lo, hi), 1
             continue
-        for idx, parity in run:
-            for i in idx:
-                parity ^= assignment[i]
+        for row in run:
+            parity = row[1]
+            for i in row[0]:
+                parity ^= bits[i]
             if parity:
-                raise AssertionError("internal error: assignment does not satisfy a row")
+                yield row
+
+
+def _require_satisfies(sys: XorSystem, assignment: tuple[int, ...]) -> None:
+    for _ in violated(_runs(sys), assignment):
+        raise AssertionError("internal error: assignment does not satisfy a row")
 
 
 def _cancel(idx) -> list[int]:
@@ -363,7 +373,7 @@ def _assignment(sys: XorSystem, forest: _ParityForest, cols: list[int], quotient
     # one of the interpreter's tuple free lists to another, filling them
     free = tuple([v for v, rep in enumerate(forest.parent) if rep == v and v not in pivots])
     assignment = tuple([value[rep] ^ off for rep, off in zip(forest.parent, forest.offset)])
-    _require_satisfies(_runs(sys), assignment)
+    _require_satisfies(sys, assignment)
     return Sat(assignment, free)
 
 

@@ -28,7 +28,7 @@ from planarity_ht.constraints import (
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.graphs import LevelGraph, independent
 from planarity_ht.oracle import brute_level, brute_radial
-from planarity_ht.pipeline import solve_reduced
+from planarity_ht.pipeline import solve_reduced, stage_context
 from planarity_ht.xorsat import RowSource
 from tests.conftest import make_path
 from tests.helpers import flagged_edges, induced_pair_assignment, induced_radial_assignment
@@ -370,3 +370,70 @@ def test_transitivity_count_matches_the_full_builds(seed, density):
     assert count_transitivity(g) == len(build_level_full(g).transitivity)
     refs, aug = choose_reference_sets(g)
     assert count_transitivity(aug, refs) == len(build_radial_full(aug, refs).transitivity)
+
+
+def _documented_order(g: LevelGraph, refs: ReferenceSets | None) -> tuple[list[tuple], list]:
+    """The points and flagged edges of g's reduced system in their documented
+    index order, enumerated here without the library's numbering: levels
+    ascending, each level's vertices by id; within a level its ordered pairs,
+    or per anchor the ordered pairs of the level's other vertices, in
+    `permutations` order; then the flagged edges gap by gap."""
+    levels = sorted(set(g.level.values()))
+    on = {i: sorted(v for v, lv in g.level.items() if lv == i) for i in levels}
+    if refs is None:
+        return [p for i in levels for p in itertools.permutations(on[i], 2)], []
+    points = [(a, u, v) for i in levels for a in refs.anchors(i)
+              for u, v in itertools.permutations([x for x in on[i] if x != a], 2)]
+    return points, flagged_edges(g, refs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_both_numberings_follow_their_documented_order(seed, density):
+    g = random_proper_graph(random.Random(seed), max_levels=4, max_width=4, edge_density=density)
+    for mode in ("level", "radial"):
+        ctx = stage_context(g, mode)
+        for graph, refs, system in ((ctx.base, ctx.refs, ctx.system), (ctx.pg.graph, ctx.plus_refs, ctx.plus_system)):
+            points, flags = _documented_order(graph, refs)
+            assert list(system.points()) == points
+            assert [system.number(*p) for p in points] == list(range(len(points)))
+            assert system.flag == {e: len(points) + f for f, e in enumerate(flags)}
+            assert system.n == len(points) + len(flags)
+
+
+SPELLED = {"variables", "xors", "transitivity"}
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_evaluate_spells_out_only_what_is_violated(mode):
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(40):
+        g = random_proper_graph(random.Random(seed), max_levels=4, max_width=4, edge_density=0.4)
+        if mode == "level":
+            builds = [lambda: build_level_reduced(g), lambda: build_level_full(g)]
+        else:
+            refs, aug = choose_reference_sets(g)
+            builds = [lambda: build_radial_reduced(aug, refs), lambda: build_radial_full(aug, refs)]
+        reduced = builds[0]()
+        bits = solve_reduced(reduced)
+        if not bits or reduced.n == len(reduced.flag):
+            continue  # not planar, or no pair or triple, each of which a consistency row reads
+        for build in builds:
+            s = build()
+            satisfied = evaluate(s, bits) == []
+            assert satisfied or s.clauses
+            if satisfied:
+                assert not SPELLED & vars(s).keys()
+            flipped = list(bits)
+            flipped[rng.randrange(s.n - len(s.flag))] ^= True
+            bad = evaluate(s, flipped)
+            reference = build()
+            a = dict(zip(reference.variables, flipped))
+            expect = [eq for eq in reference.xors if sum(a[v] for v in eq.vars) % 2 != eq.parity]
+            expect += [cl for cl in reference.transitivity
+                       if a[cl.a] and a[cl.b] and a[cl.head] != (not cl.negated_head)]
+            assert bad == expect and bad
+            assert "xors" not in vars(s)
+        checked += 1
+    assert checked > 10

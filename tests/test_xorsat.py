@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarity_ht import xorsat
 from planarity_ht.constraints import build_radial_reduced
 from planarity_ht.corpus import exhaustive_proper_graphs
 from planarity_ht.pipeline import check_level, check_radial, stage_context, system_for_stage, to_xor_system
-from planarity_ht.xorsat import RowSource, Sat, Unsat, XorSystem, eliminate, rank, solve
+from planarity_ht.xorsat import RowSource, Sat, Unsat, XorSystem, eliminate, rank, solve, violated
 
 
 def brute_force_satisfiable(sys: XorSystem) -> bool:
@@ -251,3 +252,29 @@ def test_twins_are_checked_as_they_are_read():
     rows = source((False, [((0, 1), 1)]), (True, [(1, 2)]), (False, [((0, 2), 1), ((), 1), ((), 1)]))
     result = solve(rows)
     assert result == Unsat((0, 1, 2)) and len(rows.rows) == 5
+
+
+def test_violated_reads_twins_as_twins():
+    runs = [(True, [(0, 1), (2, 3)]), (False, [((0, 2), 0), ((1, 2, 3), 1), ((), 0)])]
+    assert list(violated(runs, [0, 1, 1, 1])) == [((2, 3), 1), ((0, 2), 0)]
+    assert list(violated(runs, [False, True, False, True])) == [((1, 2, 3), 1)]
+    assert list(violated(runs, [1, 0, 1, 0])) == []
+
+
+def test_the_solvers_own_assignment_check_fires(monkeypatch):
+    # the three-variable rows are left over for elimination; an elimination
+    # that hands back one wrong bit must be caught by the solver's own check
+    system = XorSystem.build(4, [([0, 1, 2], 1), ([1, 2, 3], 0), ([0, 3], 1)])
+    eliminated = xorsat._eliminate
+
+    def one_wrong_bit(sys):
+        result = eliminated(sys)
+        bits = list(result.assignment)
+        bits[0] ^= 1
+        return Sat(tuple(bits), result.free_vars)
+
+    assert isinstance(solve(system), Sat) and isinstance(eliminate(system), Sat)
+    monkeypatch.setattr(xorsat, "_eliminate", one_wrong_bit)
+    for run in (solve, eliminate):
+        with pytest.raises(AssertionError, match="^internal error: assignment does not satisfy a row$"):
+            run(system)
