@@ -107,8 +107,7 @@ def cmd_render(args) -> int:
     d = iofmt.load_drawing(args.drawing)
     orders = d.orders if isinstance(d, LevelDrawing) else d.cyclic
     for target, refs in _candidate_targets(g, d):
-        if (len(orders) == target.k and orders.keys() == set(range(1, target.k + 1))
-                and not check_drawing_covers(orders, target)):
+        if len(orders) == target.k and not check_drawing_covers(orders, target):
             if isinstance(d, LevelDrawing):
                 svg = render.render_level_svg(target, d)
             else:

@@ -389,11 +389,13 @@ def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[Refe
     as the gap's reference edge (largest=True flips the tie-break, giving a
     second valid choice when one exists).  A gap with no edges gets a fresh
     reference edge between the extreme-id vertices of its two levels.  A
-    graph with no level has nothing to anchor: its reference sets are empty.
+    graph with no vertex has nothing to anchor: it is answered as the graph
+    with no level, whose reference sets are empty.
     """
     require_valid(g, proper=True)
-    if not g.k:
-        return record_checked_refs(ReferenceSets({}, {}), g), g
+    if not g.level:
+        empty = record_checked(LevelGraph(0, {}, ()), proper=True)
+        return record_checked_refs(ReferenceSets({}, {}), empty), empty
     pick = max if largest else min
     for i in range(1, g.k + 1):
         if not g.on_level(i):
@@ -429,11 +431,17 @@ def reference_set_variants(g: LevelGraph) -> list[tuple[ReferenceSets, LevelGrap
 # Radial systems
 
 
-GapClasses = tuple[Edge, list[Edge], list[Edge], list[Edge]]
+GapClasses = tuple[Edge | None, Sequence[Edge], Sequence[Edge], Sequence[Edge]]
 
 
-def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> GapClasses:
-    """Split gap i's edges into (reference edge, plain, plus-adjacent, minus-adjacent)."""
+def gap_edge_classes(g: LevelGraph, refs: ReferenceSets | None, i: int) -> GapClasses:
+    """Split gap i's edges into (reference edge, plain, plus-adjacent, minus-adjacent).
+
+    A level gap (refs None) is a radial gap without a reference edge: every
+    edge is plain, `g.gap_edges(i)` itself, and none is flagged.
+    """
+    if refs is None:
+        return None, g.gap_edges(i), (), ()
     eps = refs.reference_edge(i)
     plain: list[Edge] = []
     plus_adj: list[Edge] = []
@@ -450,7 +458,7 @@ def gap_edge_classes(g: LevelGraph, refs: ReferenceSets, i: int) -> GapClasses:
     return eps, plain, plus_adj, minus_adj
 
 
-def gap_flagged_edges(classes: GapClasses) -> list[Edge]:
+def gap_flagged_edges(classes: GapClasses) -> Sequence[Edge]:
     """A gap's edges that carry a left flag, from its `gap_edge_classes`: plus-adjacent before minus-adjacent."""
     _, _, plus_adj, minus_adj = classes
     return plus_adj + minus_adj

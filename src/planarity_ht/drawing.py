@@ -5,6 +5,10 @@ cyclic order per level plus a left/right flag for every edge sharing an
 endpoint with its gap's reference edge.  Crossings follow the standard
 two-layer model: within one gap a pair of independent edges crosses at most
 once, adjacent edges never cross, and a reference edge is never crossed.
+One rule reads a gap in both modes, from the gap's edge classes
+(`gap_edge_classes`): a level gap is a radial gap without a reference edge,
+whose two levels are read as lines; a radial gap's levels are cut at its
+reference edge's ends, and its flagged edges, if any, add the flag rules.
 
 The conversion operations translate between satisfying assignments of the
 reduced constraint systems and drawings of the subdivided star form G+, in
@@ -21,14 +25,15 @@ corrected by the parity of the crossings the star edges through its
 vertices make below its sublevel, and each flag is the drawing's, which
 gives G+'s bits in index order; in level mode they project to the input
 index by index.  The modes differ only in the reading (a pair's left/right
-order, a triple's clockwise order) and in the per-gap crossing rule.
+order, a triple's clockwise order) and in the gap classes the context holds.
 
 Counting, verification, the back-conversion, rendering and the oracles'
 search read a drawing through one view (`_Positions`): every vertex's
 position is held in one table, checked once to order each level exactly
 once, and each cut is derived from that table once per level and anchor
-while the level's order stands.  The oracles re-order one level of the view
-at a time.  Nothing is cached on a drawing.  Only gaps that hold edges are
+while the level's order stands.  A drawing that orders a level outside
+1..k is refused.  The oracles re-order one level of the view at a time.
+Nothing is cached on a drawing.  Only gaps that hold edges are
 read.  Counting and verification count each crossing pair's crossings and
 sort only the pairs that cross an odd number of times; the back-conversion
 alone lists the gaps each pair crosses in, since its parity rule needs
@@ -122,39 +127,43 @@ class RadialDrawing:
 
 
 def check_drawing_covers(orders: dict[int, tuple[VertexId, ...]], g: LevelGraph) -> list[str]:
+    """Each level of g that the orders do not order exactly once, then each
+    order on a level outside g's levels 1..k."""
     problems = []
     for i in range(1, g.k + 1):
         want = set(g.on_level(i))
         got = orders.get(i, ())
         if set(got) != want or len(got) != len(want):
             problems.append(f"level {i} order is not a permutation of the level's vertices")
+    problems += [f"level {i} is not a level of the graph, whose levels are 1..{g.k}"
+                 for i in orders if i not in range(1, g.k + 1)]
     return problems
 
 
 class _Positions:
-    """A drawing of g as the per-gap crossing rules read it.
+    """A drawing of g as the per-gap crossing rule reads it.
 
     Every vertex's position on its level is held in one table;
-    `positions(i)` is that table, which a rule indexes by level i's
+    `positions(i)` is that table, which the rule indexes by level i's
     vertices.  `cut_after(i, a)` is derived from the table when first read
     and kept while level i's order stands; `show(i, order)` puts a new order
     on level i, moving its vertices in the table and dropping its cuts.  The
     view lives only as long as its reader, one call or one oracle search:
     the drawing itself keeps nothing.
 
-    A drawing that does not order each level of g exactly once is refused
-    with a ValueError listing `check_drawing_covers`'s problems.  For a
-    valid g, it orders each level exactly once precisely when it lists no
-    vertex twice and lists every vertex of g, each on its own level, and no
-    other vertex.  `show` is given a re-ordering of the level and does not
-    check it.
+    A drawing that does not order each level of g exactly once, or orders a
+    level outside 1..k, is refused with a ValueError listing
+    `check_drawing_covers`'s problems.  For a valid g, it orders each level
+    exactly once precisely when it lists no vertex twice and lists every
+    vertex of g, each on its own level, and no other vertex.  `show` is
+    given a re-ordering of the level and does not check it.
     """
 
     def __init__(self, orders: dict[int, tuple[VertexId, ...]], g: LevelGraph,
                  left_flag: dict[Edge, bool] | None = None):
         self.orders = {i: orders.get(i, ()) for i in range(1, g.k + 1)}
         drawn = {v: i for i, order in self.orders.items() for v in order}
-        if len(drawn) != sum(map(len, self.orders.values())) or drawn != g.level:
+        if len(drawn) != sum(map(len, self.orders.values())) or drawn != g.level or orders.keys() - self.orders:
             raise ValueError("; ".join(check_drawing_covers(orders, g)))
         self.at = {v: p for order in self.orders.values() for p, v in enumerate(order)}
         self.left_flag = left_flag
@@ -180,8 +189,8 @@ class _Positions:
 
 
 # ---------------------------------------------------------------------------
-# Crossing model: one rule per gap and mode, shared by counting, verification,
-# the back-conversion, the oracles and rendering
+# Crossing model: one rule per gap for both modes, shared by counting,
+# verification, the back-conversions, the oracles and rendering
 
 
 @dataclass
@@ -241,41 +250,39 @@ def _inverted_pairs(edges, lo: dict[VertexId, int], hi: dict[VertexId, int]) -> 
     """Independent edge pairs whose tails and heads lie in opposite orders.
 
     All edges lie in one gap, so two of them are independent exactly when
-    their tails differ and their heads differ; the crossing rules below use
+    their tails differ and their heads differ; the crossing rule below uses
     the same test.
     """
     return [(e, f) for e, f in combinations(edges, 2)
             if e[0] != f[0] and e[1] != f[1] and (lo[e[0]] < lo[f[0]]) != (hi[e[1]] < hi[f[1]])]
 
 
-def gap_crossing_pairs_level(d: LevelDrawing, g: LevelGraph, i: int) -> list[tuple[Edge, Edge]]:
-    """Segment pairs that cross between levels i and i+1: independent and inverted."""
-    return _inverted_pairs(g.gap_edges(i), d.positions(i), d.positions(i + 1))
+def _gap_crossing_pairs(d, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
+    """Crossing segment pairs in gap i of a drawing d, from the gap's
+    `gap_edge_classes`.
 
-
-def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets, i: int) -> list[tuple[Edge, Edge]]:
-    """Crossing segment pairs in gap i.
-
-    The gap's annulus is cut along the reference edge, which itself is never
-    crossed.  Plain edges cross when the cut linearizations invert them; two
-    reference-adjacent edges on opposite ends cross when their flags agree; a
-    reference-adjacent edge crosses a plain edge when its flag disagrees with
-    the plain edge's position relative to the adjacent edge's free endpoint.
+    A gap without a reference edge (level mode) reads levels i and i+1 as
+    lines.  A radial gap's annulus is cut along its reference edge, which
+    itself is never crossed, so each level is read as its circle cut at the
+    reference edge's end.  Plain edges cross when the two lines invert them;
+    two reference-adjacent edges on opposite ends cross when their flags
+    agree; a reference-adjacent edge crosses a plain edge when its flag
+    disagrees with the plain edge's position relative to the adjacent edge's
+    free endpoint.  A drawing that lacks the left flag of a
+    reference-adjacent edge of the gap is refused with a ValueError naming
+    the first such edge.
     """
-    return _gap_crossing_pairs_radial(d, i, gap_edge_classes(g, refs, i))
-
-
-def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) -> list[tuple[Edge, Edge]]:
-    """`gap_crossing_pairs_radial` on gap i's `gap_edge_classes`; a drawing
-    that lacks the left flag of a reference-adjacent edge of the gap is
-    refused with a ValueError naming the first such edge."""
+    eps, plain, plus_adj, minus_adj = classes
+    if eps is None:
+        lo, hi = d.positions(i), d.positions(i + 1)
+    else:
+        lo, hi = d.cut_after(i, eps[0]), d.cut_after(i + 1, eps[1])
+    out = _inverted_pairs(plain, lo, hi)
+    if not (plus_adj or minus_adj):
+        return out
     for e in gap_flagged_edges(classes):
         if e not in d.left_flag:
             raise ValueError(f"drawing lacks a left flag for reference-adjacent edge {e}")
-    eps, plain, plus_adj, minus_adj = classes
-    lo = d.cut_after(i, eps[0])
-    hi = d.cut_after(i + 1, eps[1])
-    out = _inverted_pairs(plain, lo, hi)
     for e in plus_adj:
         for f in minus_adj:
             if d.left_flag[e] == d.left_flag[f]:
@@ -291,14 +298,30 @@ def _gap_crossing_pairs_radial(d: RadialDrawing, i: int, classes: GapClasses) ->
     return out
 
 
+def gap_crossing_pairs_level(d: LevelDrawing, g: LevelGraph, i: int) -> list[tuple[Edge, Edge]]:
+    """Segment pairs that cross between levels i and i+1: independent and inverted."""
+    return _gap_crossing_pairs(d, i, gap_edge_classes(g, None, i))
+
+
+def gap_crossing_pairs_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets, i: int) -> list[tuple[Edge, Edge]]:
+    """Segment pairs that cross in gap i, cut along its reference edge."""
+    return _gap_crossing_pairs(d, i, gap_edge_classes(g, refs, i))
+
+
+def _report(d: LevelDrawing | RadialDrawing, g: LevelGraph, classes: Callable[[int], GapClasses],
+            origin: Callable[[Edge], Edge] | None = None) -> CrossingReport:
+    """The crossings of a drawing of g as `_count_crossings` counts them,
+    gap i read by the crossing rule under `classes(i)`."""
+    view = _Positions(d.orders, g) if isinstance(d, LevelDrawing) else _Positions(d.cyclic, g, d.left_flag)
+    return _count_crossings(g, lambda i: _gap_crossing_pairs(view, i, classes(i)), origin)
+
+
 def count_crossings_level(d: LevelDrawing, g: LevelGraph) -> CrossingReport:
-    view = _Positions(d.orders, g)
-    return _count_crossings(g, lambda i: gap_crossing_pairs_level(view, g, i))
+    return _report(d, g, partial(gap_edge_classes, g, None))
 
 
 def count_crossings_radial(d: RadialDrawing, g: LevelGraph, refs: ReferenceSets) -> CrossingReport:
-    view = _Positions(d.cyclic, g, d.left_flag)
-    return _count_crossings(g, lambda i: gap_crossing_pairs_radial(view, g, refs, i))
+    return _report(d, g, partial(gap_edge_classes, g, refs))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +352,11 @@ class LevelContext:
     @property
     def star_form(self) -> StarForm:
         return self.pg.star_form
+
+    @cached_property
+    def plus_gap_classes(self) -> dict[int, GapClasses]:
+        """The `gap_edge_classes` of each gap of the subdivision."""
+        return {i: gap_edge_classes(self.pg.graph, self.plus_refs, i) for i in range(1, self.pg.graph.k)}
 
     def segment_origin(self, seg: Edge) -> Edge:
         """The star edge that the subdivision's edge seg subdivides.
@@ -363,11 +391,6 @@ class RadialContext(LevelContext):
         return record_checked_refs(plus_refs, self.pg.graph)
 
     @cached_property
-    def plus_gap_classes(self) -> dict[int, GapClasses]:
-        """The `gap_edge_classes` of each gap of the subdivision."""
-        return {i: gap_edge_classes(self.pg.graph, self.plus_refs, i) for i in range(1, self.pg.graph.k)}
-
-    @cached_property
     def plus_flagged(self) -> tuple[Edge, ...]:
         """The subdivision's edges that carry a left flag: gap by gap, each in
         `gap_flagged_edges` order."""
@@ -387,15 +410,13 @@ def make_radial_context(g: LevelGraph, refs: ReferenceSets) -> RadialContext:
 
 
 def star_report_level(d: LevelDrawing, ctx: LevelContext) -> CrossingReport:
-    g = ctx.pg.graph
-    view = _Positions(d.orders, g)
-    return _count_crossings(g, lambda i: gap_crossing_pairs_level(view, g, i), ctx.segment_origin)
+    """Verification: the crossings of a drawing of G+, by star edge pair."""
+    return _report(d, ctx.pg.graph, ctx.plus_gap_classes.__getitem__, ctx.segment_origin)
 
 
 def star_report_radial(d: RadialDrawing, ctx: RadialContext) -> CrossingReport:
-    g, classes = ctx.pg.graph, ctx.plus_gap_classes
-    view = _Positions(d.cyclic, g, d.left_flag)
-    return _count_crossings(g, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), ctx.segment_origin)
+    """`star_report_level`: the context holds each mode's gap classes."""
+    return star_report_level(d, ctx)
 
 
 @dataclass(frozen=True)
@@ -417,8 +438,7 @@ class LiftedAssignment:
         return [*starmap(self.triple, system.points()), *map(self.flag, system.flag)]
 
 
-def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
-                             read: Callable[..., bool]) -> list[bool]:
+def _assignment_from_drawing(ctx: LevelContext, view: _Positions, read: Callable[..., bool]) -> list[bool]:
     """The back-conversion rule of both modes: the bits of G+'s reduced
     system, in index order, from a Hanani-Tutte drawing of G+, its raw
     reading corrected by crossing parity.
@@ -432,12 +452,12 @@ def _assignment_from_drawing(ctx: LevelContext, view: _Positions, gap_pairs,
     nothing, nor does a star edge that crosses none, so a point with fewer
     than two vertices on crossing star edges is read raw.  Each flagged edge
     (`ConstraintSystem.flag`), after the points, takes the drawing's flag.
-    `gap_pairs(i)` lists gap i's crossing segment pairs; the crossings are
-    listed once, and an independent star edge pair crossing an odd number of
-    times is refused.
+    The crossings are listed once, each gap by the crossing rule under its
+    `ctx.plus_gap_classes`, and an independent star edge pair crossing an
+    odd number of times is refused.
     """
-    g, plus = ctx.pg.graph, ctx.plus_system
-    by_pair = _gap_crossings(g, gap_pairs, ctx.segment_origin)
+    g, plus, classes = ctx.pg.graph, ctx.plus_system, ctx.plus_gap_classes
+    by_pair = _gap_crossings(g, lambda i: _gap_crossing_pairs(view, i, classes[i]), ctx.segment_origin)
     odd = _odd_independent(pair for pair, gaps in by_pair.items() if len(gaps) % 2)
     if odd:
         raise NotHananiTutteError(odd[0], len(by_pair[odd[0]]))
@@ -477,8 +497,7 @@ def assignment_from_drawing_level(d: LevelDrawing, ctx: LevelContext) -> tuple[l
     pg, sf, plus = ctx.pg, ctx.star_form, ctx.plus_system
     view = _Positions(d.orders, pg.graph)
     at = view.at
-    bits_plus = _assignment_from_drawing(ctx, view, lambda i: gap_crossing_pairs_level(view, pg.graph, i),
-                                         lambda u, w: at[u] < at[w])
+    bits_plus = _assignment_from_drawing(ctx, view, lambda u, w: at[u] < at[w])
     star_level, stretch, number = sf.star.level, sf.stretch, plus.number
     bits = []
     for u, w in ctx.system.points():
@@ -628,7 +647,7 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> list
     of a flag the drawing's flag; triples are corrected by crossing parity as
     `_assignment_from_drawing` states.
     """
-    classes, level = ctx.plus_gap_classes, ctx.pg.graph.level
+    level = ctx.pg.graph.level
     view = _Positions(d.cyclic, ctx.pg.graph, d.left_flag)
     cut_after = view.cut_after
 
@@ -636,6 +655,6 @@ def assignment_from_drawing_radial(d: RadialDrawing, ctx: RadialContext) -> list
         cut = cut_after(level[a], a)
         return cut[u] < cut[v]
 
-    bits = _assignment_from_drawing(ctx, view, lambda i: _gap_crossing_pairs_radial(view, i, classes[i]), clockwise)
+    bits = _assignment_from_drawing(ctx, view, clockwise)
     require_satisfying(ctx.plus_system, bits)
     return bits

@@ -4,12 +4,14 @@ Both oracles search the full combinatorial drawing space (linear orders per
 level, or cyclic orders plus reference flags) in one deterministic
 enumeration order and accept the first zero-crossing state.  The search goes
 level by level in that order and prunes by gap: a prefix of level orders is
-dropped as soon as its newest gap has no crossing-free flag setting.  The
-per-gap crossing rules read the search's state through one drawing view
-(`drawing._Positions`), which shows a level's new order whenever its pick
-changes.  `states_examined` is the 1-based rank of the witness state in the
-enumeration order, or the full count when there is no witness; the budget
-bounds the full count.  A graph with no level has one state, the empty
+dropped as soon as its newest gap has no crossing-free flag setting.  Both
+modes read a gap by the drawing layer's one crossing rule, over the gap's
+edge classes under the reference sets (level mode has none: no reference
+edge and no flag).  The rule reads the search's state through one drawing
+view (`drawing._Positions`), which shows a level's new order whenever its
+pick changes.  `states_examined` is the 1-based rank of the witness state
+in the enumeration order, or the full count when there is no witness; the
+budget bounds the full count.  A graph with no level has one state, the empty
 drawing, which is crossing-free.  The witness drawing and the count are
 reproducible.
 """
@@ -22,8 +24,8 @@ from itertools import permutations, product
 from math import factorial
 
 from .constraints import ReferenceSets, gap_edge_classes, gap_flagged_edges, require_reference_sets
-from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs_radial, _Positions, gap_crossing_pairs_level
-from .graphs import Edge, LevelGraph, VertexId, require_valid
+from .drawing import LevelDrawing, RadialDrawing, _gap_crossing_pairs, _Positions
+from .graphs import LevelGraph, VertexId, require_valid
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PLANARITY_HT_BUDGET"
@@ -60,14 +62,15 @@ def _orders(vs: tuple[VertexId, ...], pinned: int):
     return (head + rest for rest in permutations(tail))
 
 
-def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[int, list[Edge]],
-               drawing, gap_pairs) -> OracleResult:
+def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSets | None,
+               drawing) -> OracleResult:
     """Find the first state with no crossing in any gap, in enumeration order.
 
     A state is one order per level (first `pinned` vertices fixed) plus one
     value per flag.  The enumeration order is `product` over the levels' orders,
     each level in `_orders` order, then `product((False, True), ...)` over the
-    flags, listed gap by gap (`gap_flags[i]` holds gap i's).  Gap i's crossings
+    flags, listed gap by gap, each gap's in `gap_flagged_edges` order of its
+    `gap_edge_classes` under refs (None in level mode).  Gap i's crossings
     read only levels i and i+1 and gap i's flags, so the search walks the
     levels depth first in that order and drops a prefix as soon as its newest
     gap has no crossing-free flag setting.  The first full state it reaches,
@@ -79,7 +82,9 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[i
     """
     budget = default_budget() if budget is None else budget
     levels = [g.on_level(i) for i in range(1, g.k + 1)]
-    flagged = [e for i in range(1, g.k) for e in gap_flags.get(i, ())]
+    classes = {i: gap_edge_classes(g, refs, i) for i in g.by_gap}  # a gap without edges has no crossing
+    gap_flags = {i: gap_flagged_edges(c) for i, c in classes.items()}
+    flagged = [e for flags in gap_flags.values() for e in flags]
     needed = 2 ** len(flagged)
     for vs in levels:
         needed *= factorial(len(vs) - pinned)
@@ -96,7 +101,7 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[i
         flags = gap_flags.get(i, ())
         for setting in product((False, True), repeat=len(flags)):
             view.left_flag.update(zip(flags, setting))
-            if not gap_pairs(view, i):
+            if i not in classes or not _gap_crossing_pairs(view, i, classes[i]):
                 return setting
         return None
 
@@ -132,8 +137,7 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, gap_flags: dict[i
 def brute_level(g: LevelGraph, budget: int | None = None) -> OracleResult:
     """Try every per-level vertex order; planar iff some combination is crossing-free."""
     require_valid(g, proper=True)
-    return _enumerate(g, budget, 0, {}, lambda orders, _: LevelDrawing(orders),
-                      lambda d, i: gap_crossing_pairs_level(d, g, i))
+    return _enumerate(g, budget, 0, None, lambda orders, _: LevelDrawing(orders))
 
 
 def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) -> OracleResult:
@@ -143,10 +147,5 @@ def brute_radial(g: LevelGraph, refs: ReferenceSets, budget: int | None = None) 
     first, which visits every cyclic order exactly once.
     """
     require_valid(g, proper=True)
-    if any(not g.on_level(i) for i in range(1, g.k + 1)):
-        raise ValueError("radial enumeration needs every level nonempty")
-    require_reference_sets(g, refs)
-    classes = {i: gap_edge_classes(g, refs, i) for i in range(1, g.k)}
-    gap_flags = {i: gap_flagged_edges(classes[i]) for i in classes}
-    return _enumerate(g, budget, 1, gap_flags, RadialDrawing,
-                      lambda d, i: _gap_crossing_pairs_radial(d, i, classes[i]))
+    require_reference_sets(g, refs)  # refuses an empty level, which has no anchor
+    return _enumerate(g, budget, 1, refs, RadialDrawing)

@@ -54,7 +54,7 @@ def _marker(x: float, y: float) -> str:
 
 def _render(g: LevelGraph, width: float, height: float, backdrop: list[str], pt, gap_pairs) -> str:
     """Edges, vertices with labels, and one marker per crossing of `gap_pairs(i)`
-    over the backdrop, with vertex v drawn at pt(v)."""
+    in each gap that holds edges, over the backdrop, with vertex v drawn at pt(v)."""
     body = list(backdrop)
     for u, v in sorted(g.edges):
         (x1, y1), (x2, y2) = pt(u), pt(v)
@@ -63,7 +63,7 @@ def _render(g: LevelGraph, width: float, height: float, backdrop: list[str], pt,
         x, y = pt(v)
         body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{VERTEX_R}" fill="black"/>')
         body.append(f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{escape(v)}</text>')
-    for i in range(1, g.k):
+    for i in g.by_gap:
         for e, f in gap_pairs(i):
             x, y = _seg_intersection(pt(e[0]), pt(e[1]), pt(f[0]), pt(f[1]))
             body.append(_marker(x, y))

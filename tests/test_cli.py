@@ -154,16 +154,26 @@ def test_check_radial_empty_level_exit_2(tmp_path):
 
 
 def test_a_graph_without_vertices_gets_an_empty_level_witness(tmp_path, capsys):
-    # its star form has no sublevels, so G+ is a graph with no levels
-    p = tmp_path / "empty.json"
-    p.write_text(json.dumps({"levels": 1, "vertices": [], "edges": []}))
-    witness = tmp_path / "w.json"
-    assert main(["--json", "check", "level", str(p), "--witness", str(witness)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["planar"] is True and payload["witness_crossings"] == 0
-    assert json.loads(witness.read_text())["orders"] == {}
-    assert main(["render", str(witness), str(p), "--out", str(tmp_path / "w.svg")]) == 0
-    assert main(["emit-constraints", "level", str(p), "--stage", "Gplus"]) == 0
+    # its star form has no sublevels, so G+ is a graph with no levels; radial
+    # mode has nothing to anchor and answers it as the graph with no level
+    for levels in (1, 2):
+        p = tmp_path / f"{levels}" / "empty.json"
+        p.parent.mkdir()
+        p.write_text(json.dumps({"levels": levels, "vertices": [], "edges": []}))
+        for mode in ("level", "radial"):
+            witness = tmp_path / "w.json"
+            assert main(["--json", "check", mode, str(p), "--witness", str(witness)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["planar"] is True and payload["witness_crossings"] == 0
+            assert json.loads(witness.read_text())["orders"] == {}
+            assert main(["render", str(witness), str(p), "--out", str(tmp_path / "w.svg")]) == 0
+            assert main(["emit-constraints", mode, str(p), "--stage", "Gplus"]) == 0
+            capsys.readouterr()
+            assert main(["--json", "oracle", mode, str(p)]) == 0
+            assert json.loads(capsys.readouterr().out)["planar"] is True
+        assert main(["--json", "crosscheck", str(p.parent)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"command": "crosscheck", "instances": 1, "level_planar": 1,
+                                                       "radial_planar": 1, "mismatches": []}
 
 
 @pytest.mark.parametrize("doc, message", [

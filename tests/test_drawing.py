@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -337,15 +338,16 @@ def _counting_gap_rule(monkeypatch, name: str, gap_arg: int) -> list[int]:
 
 
 def test_each_back_conversion_runs_each_gap_rule_once(monkeypatch):
+    # both modes read each gap through the one crossing rule
     _, ctx, d, _, _ = _double_crossing_drawing()
-    gaps = _counting_gap_rule(monkeypatch, "gap_crossing_pairs_level", 2)
+    gaps = _counting_gap_rule(monkeypatch, "_gap_crossing_pairs", 1)
     assignment_from_drawing_level(d, ctx)
     assert gaps == list(range(1, ctx.pg.graph.k))
 
     aug, refs = _radial_fixture()
     ctx = make_radial_context(aug, refs)
     d = drawing_from_assignment_radial(lift_assignment_radial(solve_reduced(ctx.system), ctx), ctx)
-    gaps = _counting_gap_rule(monkeypatch, "_gap_crossing_pairs_radial", 1)
+    gaps.clear()
     assignment_from_drawing_radial(d, ctx)
     assert gaps == list(range(1, ctx.pg.graph.k))
 
@@ -557,11 +559,8 @@ def _reference_count(d, g: LevelGraph, rule, origin=None):
 
 
 def _reference_star_report(d, ctx):
-    g = ctx.pg.graph
-    if isinstance(d, LevelDrawing):
-        return _reference_count(d, g, lambda d, i: gap_crossing_pairs_level(d, g, i), ctx.segment_origin)
     classes = ctx.plus_gap_classes
-    return _reference_count(d, g, lambda d, i: drawing._gap_crossing_pairs_radial(d, i, classes[i]),
+    return _reference_count(d, ctx.pg.graph, lambda d, i: drawing._gap_crossing_pairs(d, i, classes[i]),
                             ctx.segment_origin)
 
 
@@ -674,3 +673,27 @@ def test_counting_equals_the_per_gap_rules_reading_the_drawing():
             bent, broken = _corrupted(rng, d) if h.k > 1 and max(h.widths()) > 1 else ([], [])
             for c in (d, *bent, *broken):
                 assert _outcome(count, c) == _outcome(_reference_count, c, h, rule)
+
+
+def test_an_order_on_a_level_outside_the_graph_is_refused():
+    """A drawing that orders level 0 or level k+1 draws no graph of k levels,
+    whichever vertices it puts there: counting and verification refuse it in
+    both modes, naming the level."""
+    g = LevelGraph(2, {"a": 1, "b": 2}, (("a", "b"),))
+    refs, aug = choose_reference_sets(g)
+    counts = [(LevelDrawing({1: ("a",), 2: ("b",)}), lambda d: count_crossings_level(d, g), g),
+              (RadialDrawing({1: ("a",), 2: ("b",)}, {}), lambda d: count_crossings_radial(d, aug, refs), aug)]
+    reports = []
+    for mode, (lift, realize, report) in MODES.items():
+        ctx = stage_context(g, mode)
+        d = realize(lift(solve_reduced(ctx.system), ctx), ctx)
+        reports.append((d, partial(report, ctx=ctx), ctx.pg.graph))
+    refused = 0
+    for d, count, h in counts + reports:
+        assert count(d).planar
+        for extra, ids in ((0, ()), (0, ("zzz",)), (h.k + 1, ("zzz",)), (h.k + 1, (h.on_level(1)[0],))):
+            message = f"level {extra} is not a level of the graph, whose levels are 1..{h.k}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                count(_with(d, {**(d.orders if isinstance(d, LevelDrawing) else d.cyclic), extra: ids}))
+            refused += 1
+    assert refused == 16

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import re
@@ -24,6 +26,7 @@ from planarity_ht.corpus import exhaustive_proper_graphs
 from planarity_ht.crosscheck import crosscheck_instance
 from planarity_ht.drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
 from planarity_ht.graphs import LevelGraph
+from planarity_ht.iofmt import drawing_to_json
 from planarity_ht.oracle import BudgetExceededError, OracleResult, brute_level, brute_radial
 from tests.conftest import make_path
 
@@ -230,3 +233,20 @@ for run in (lambda: brute_level(g, budget=1000), lambda: brute_radial(aug, refs,
     assert done.returncode == 0, done.stderr
     assert done.stdout == ("enumeration needs 6227020800 states, budget is 1000\n"
                            "enumeration needs 479001600 states, budget is 1000\n")
+
+
+def test_the_oracles_answers_on_the_3x3_corpus_are_pinned():
+    # every oracle call of the exhaustive 3x3 corpus, level mode and radial
+    # mode under each reference selection, hashed as (planar, states_examined,
+    # witness JSON): a refactor of the search or of the crossing rules must
+    # keep each answer, its rank and its witness
+    digest, calls = hashlib.sha256(), 0
+    for g in exhaustive_proper_graphs(3, 3):
+        results = [brute_level(g), *(brute_radial(aug, refs) for refs, aug in reference_set_variants(g))]
+        for result in results:
+            witness = None if result.witness is None else drawing_to_json(result.witness)
+            digest.update(json.dumps([result.planar, result.states_examined, witness], sort_keys=True).encode())
+            digest.update(b"\n")
+            calls += 1
+    assert calls == 18_867
+    assert digest.hexdigest() == "649d586a381ee7069299aa0ada7ab92a53aead743627f3bf0e56daac7a3219a7"
