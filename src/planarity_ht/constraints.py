@@ -13,6 +13,7 @@ the consistency rows x(u,w) + x(w,u) = 1 and t(a,u,v) + t(a,v,u) = 1 as twin
 pairs, which say only that one variable is the other's negation, and the
 other rows as a stream in build order; a level or gap too small to give a
 row makes no run.  A system holds that one source; a decision solves it,
+`runs` lists its runs once, in place, for a witness that reads them again,
 and `rows` is a property that makes the row list, once, only when read.
 The system a builder returns carries the numbering (`number`, and in
 radial mode the ordered `flag` map), which the full builders reuse for
@@ -50,7 +51,7 @@ from functools import cached_property
 from itertools import chain, combinations, permutations, starmap
 
 from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
-from .xorsat import RowSource, row_problem, violated
+from .xorsat import RowSource, Run, row_problem, violated
 
 
 @dataclass(frozen=True, order=True)
@@ -138,7 +139,8 @@ class ConstraintSystem:
     to its left flag's index, and the flags take the last indices.
     `number(u, w)` or `number(a, u, v)` is the index of a pair or anchored
     triple.  `source` is the rows' `RowSource`, which `xorsat.solve` reads;
-    `rows` is the list, made and checked on first read."""
+    `runs` holds its runs as lists, made on first read, and `rows` the flat
+    list, made and checked on first read."""
 
     n: int
     points: Callable[[], Iterable[tuple]]
@@ -155,10 +157,17 @@ class ConstraintSystem:
                 raise ValueError(f"clause {cl} references an undeclared variable index, {n} declared")
 
     @cached_property
-    def rows(self) -> list[Row]:
-        """The rows in build order, made once; `source` then reads the runs as made."""
+    def runs(self) -> list[Run]:
+        """The source's runs in build order, each listed once; `source` then
+        reads these lists, so the solve and `violated` read the rows as made."""
         runs = [(twins, list(run)) for twins, run in self.source.runs()]
         self.source = RowSource(lambda: runs)
+        return runs
+
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The rows in build order, made and checked once, from `runs`."""
+        self.runs
         rows = list(self.source)
         _check_rows(self.n, rows)
         self.source.count = len(rows)

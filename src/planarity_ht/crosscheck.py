@@ -71,8 +71,8 @@ def _compare(mode: str, ctx, alternatives, oracle, lift, realize, report_fn, bac
     G's solution, check the lift against G+'s system, realize and verify the
     drawing, and convert it back."""
     if oracle.planar:
-        # the round trip reads both systems' rows: made before the solves, they are made once
-        ctx.system.rows, ctx.plus_system.rows
+        # the round trip reads both systems' rows: held before the solves, they are made once
+        ctx.system.runs, ctx.plus_system.runs
     phi = solve_reduced(ctx.system)
     sats = [phi is not None] + [solve_reduced(system) is not None for system in alternatives]
     sat_plus = solve_reduced(ctx.plus_system) is not None

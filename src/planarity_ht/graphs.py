@@ -8,11 +8,14 @@ in this package is deterministic.
 Each graph is validated once: its violations and its properness are computed
 on first use and kept, so every public entry checks its input and a repeat
 check costs nothing.  A graph this package builds valid from a checked one
-(a properization, a star form) is recorded as checked when it is built.
+(a properization, a star form) is recorded as checked when it is built; a
+properization is indexed too, its `by_level` and `by_gap` filled as it is
+subdivided.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -35,7 +38,8 @@ class LevelGraph:
 
     `level` and `edges` are not mutated after construction: the per-level
     index (`by_level`, `by_gap`), the violations and the properness are
-    computed from them on first use and kept.
+    computed from them on first use and kept, unless `properize` filled
+    them when it built the graph.
     """
 
     k: int
@@ -158,30 +162,49 @@ class Properization:
 
 
 def properize(g: LevelGraph) -> tuple[LevelGraph, Properization]:
-    """Subdivide every long edge so each edge connects consecutive levels."""
+    """Subdivide every long edge so each edge connects consecutive levels.
+
+    The result is recorded as checked and indexed as it is built: each vertex
+    and each segment goes into its level's bucket as it is made, and each
+    bucket is sorted, which gives the `by_level` and `by_gap` a scan of the
+    level map and the edges would."""
     require_valid(g)
     level = dict(g.level)
+    at_level: defaultdict[int, list[VertexId]] = defaultdict(list)
+    for v, lv in level.items():
+        at_level[lv].append(v)
+    at_gap: defaultdict[int, list[Edge]] = defaultdict(list)
     new_edges: list[Edge] = []
     origin: dict[VertexId, Edge] = {}
     paths: dict[Edge, tuple[VertexId, ...]] = {}
     for u, v in g.edges:
-        span = g.level[v] - g.level[u]
-        if span == 1:
-            new_edges.append((u, v))
-            paths[(u, v)] = (u, v)
+        e = (u, v)
+        lu, lv = level[u], level[v]
+        if lv - lu == 1:
+            new_edges.append(e)
+            at_gap[lu].append(e)
+            paths[e] = e
             continue
         path = [u]
-        for lv in range(g.level[u] + 1, g.level[v]):
-            w = subdivision_name(u, v, lv)
+        for j in range(lu + 1, lv):
+            w = subdivision_name(u, v, j)
             while w in level:  # the name of an input vertex or an earlier point: prime it
                 w += "'"
-            level[w] = lv
-            origin[w] = (u, v)
+            level[w] = j
+            at_level[j].append(w)
+            origin[w] = e
+            seg = (path[-1], w)
+            new_edges.append(seg)
+            at_gap[j - 1].append(seg)
             path.append(w)
+        seg = (path[-1], v)
+        new_edges.append(seg)
+        at_gap[lv - 1].append(seg)
         path.append(v)
-        new_edges.extend(zip(path, path[1:]))
-        paths[(u, v)] = tuple(path)
+        paths[e] = tuple(path)
     proper = record_checked(LevelGraph(g.k, level, tuple(new_edges)), proper=True)
+    proper.__dict__["by_level"] = {i: tuple(sorted(at_level[i])) for i in sorted(at_level)}
+    proper.__dict__["by_gap"] = {i: tuple(sorted(at_gap[i])) for i in sorted(at_gap)}
     return proper, Properization(origin, paths)
 
 

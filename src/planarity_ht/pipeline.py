@@ -3,8 +3,9 @@
 A check properizes the input, assembles the reduced constraint system of the
 properized graph G, and solves it over GF(2) from its row source, without
 making its row list; its satisfiability is the answer.  Only when a witness
-is wanted is the list made, since the lift is checked against it, and made
-before the solve, which then reads it.  Only then too is the star form and
+is wanted are the source's runs held (`ConstraintSystem.runs`), since the
+lift is checked against the rows, and held before the solve, which then
+reads them; no row list is made either way.  Only then too is the star form and
 its proper subdivision G+ built: the solution is lifted to G+, each bit
 computed as the drawing reads it, without G+'s constraint system, and
 realized as a drawing whose smoothed form passes the even-crossings
@@ -84,7 +85,7 @@ def stage_context(g: LevelGraph, mode: str) -> LevelContext:
 def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) -> CheckResult:
     ctx = stage_context(g, mode)
     if witness:
-        ctx.system.rows  # the lift reads the rows: made before the solve, they are made once
+        ctx.system.runs  # the lift reads the rows: held before the solve, they are made once
     phi = solve_reduced(ctx.system)
     # the solve counts the rows as it reads them; a decision never makes the row list
     result = CheckResult(mode, phi is not None, ctx.system.n, len(ctx.system.source),

@@ -160,14 +160,22 @@ def build_plus(sf: StarForm) -> PlusGraph:
     """Properize the star form and record the origin of every vertex."""
     plus, prov = properize(sf.star)
     origin: dict[VertexId, VertexId] = dict(sf.owner)
-    for w, star_edge in prov.vertex_origin.items():
+    level, level_origin = sf.star.level, sf.level_origin
+    for star_edge, path in prov.paths.items():
+        if len(path) == 2:
+            continue
         if star_edge in sf.edge_origin:
+            # an edge image's points lie in its tail's block, then in its head's
             u, v = sf.edge_origin[star_edge]
-            tail_block = sf.level_origin[sf.star.level[star_edge[0]]]
-            origin[w] = u if sf.level_origin[plus.level[w]] == tail_block else v
+            low = level[star_edge[0]]
+            tail_block = level_origin[low]
+            for j in range(1, len(path) - 1):
+                origin[path[j]] = u if level_origin[low + j] == tail_block else v
         else:
-            # stretch edge subdivision point
-            origin[w] = sf.owner[star_edge[0]]
+            # stretch edge subdivision points
+            owner = sf.owner[star_edge[0]]
+            for w in path[1:-1]:
+                origin[w] = owner
     return PlusGraph(sf, plus, prov, origin)
 
 

@@ -280,8 +280,9 @@ def solve(sys: XorSystem) -> SolveResult:
     is free for `eliminate` exactly when it represents a class whose quotient
     column lies in the span of earlier ones, and free variables are 0 on both
     paths, so the assignments and free variables agree.  After a conflict the
-    rest of the rows are only counted: a `RowSource` learns its length either
-    way.
+    rest of the rows are counted, and checked too when held as lists, as a
+    witness check holds them, so no held row goes unchecked: a `RowSource`
+    learns its length either way.
     """
     n = sys.n
     forest = _ParityForest(n)
@@ -291,8 +292,8 @@ def solve(sys: XorSystem) -> SolveResult:
     closing: list[int] | None = None  # rows that sum to 0 = 1 once on class representatives
     r = -1  # the last row read
     runs = iter(_runs(sys))
-    for twins, run in runs:
-        run = iter(run)
+    for twins, rows in runs:
+        run = iter(rows)
         if twins:
             for r, (lo, hi) in enumerate(run, r + 1):
                 if not 0 <= lo < hi < n or parent[lo] != lo:
@@ -339,7 +340,14 @@ def solve(sys: XorSystem) -> SolveResult:
             offset[rb] = pa ^ pb ^ parity
             tree.append(r)
         if closing is not None:
-            r += sum(1 for _ in run) + sum(1 for _, more in runs for _ in more)
+            left = chain(run, chain.from_iterable(zip(more, repeat(1)) if twin else more for twin, more in runs))
+            if isinstance(rows, list):
+                for r, (idx, parity) in enumerate(left, r + 1):
+                    problem = row_problem(n, idx, parity)
+                    if problem:
+                        raise ValueError(problem)
+            else:
+                r += sum(1 for _ in left)
             break
     if isinstance(sys.rows, RowSource):
         sys.rows.count = r + 1

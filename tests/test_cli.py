@@ -155,8 +155,10 @@ def test_check_radial_empty_level_exit_2(tmp_path):
 
 def test_a_graph_without_vertices_gets_an_empty_level_witness(tmp_path, capsys):
     # its star form has no sublevels, so G+ is a graph with no levels; radial
-    # mode has nothing to anchor and answers it as the graph with no level
+    # mode has nothing to anchor and answers it as the graph with no level,
+    # while the level oracle draws each of the input's levels empty
     for levels in (1, 2):
+        oracle_orders = {"level": {str(i): [] for i in range(1, levels + 1)}, "radial": {}}
         p = tmp_path / f"{levels}" / "empty.json"
         p.parent.mkdir()
         p.write_text(json.dumps({"levels": levels, "vertices": [], "edges": []}))
@@ -170,7 +172,11 @@ def test_a_graph_without_vertices_gets_an_empty_level_witness(tmp_path, capsys):
             assert main(["emit-constraints", mode, str(p), "--stage", "Gplus"]) == 0
             capsys.readouterr()
             assert main(["--json", "oracle", mode, str(p)]) == 0
-            assert json.loads(capsys.readouterr().out)["planar"] is True
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["planar"] is True and payload["witness"]["orders"] == oracle_orders[mode]
+            witness.write_text(json.dumps(payload["witness"]))
+            assert main(["render", str(witness), str(p), "--out", str(tmp_path / "w.svg")]) == 0
+            capsys.readouterr()
         assert main(["--json", "crosscheck", str(p.parent)]) == 0
         assert json.loads(capsys.readouterr().out) == {"command": "crosscheck", "instances": 1, "level_planar": 1,
                                                        "radial_planar": 1, "mismatches": []}

@@ -276,10 +276,11 @@ def test_limit_levels_always_aligned():
 
 
 @st.composite
-def graphs_with_empty_levels(draw):
-    """Valid graphs on up to 6 levels; ids come unsorted and levels may be empty."""
+def graphs_with_empty_levels(draw, names="hgfedcba"):
+    """Valid graphs on up to 6 levels over ids drawn from `names`; ids come
+    unsorted, levels may be empty and edges may be long."""
     k = draw(st.integers(1, 6))
-    ids = draw(st.lists(st.sampled_from("hgfedcba"), max_size=8, unique=True))
+    ids = draw(st.lists(st.sampled_from(names), max_size=8, unique=True))
     level = {v: draw(st.integers(1, k)) for v in ids}
     upward = [(u, v) for u in ids for v in ids if level[u] < level[v]]
     edges = draw(st.lists(st.sampled_from(upward), unique=True)) if upward else []
@@ -299,3 +300,50 @@ def test_level_index_equals_the_scans(case):
     for e in extra:
         assert e in h.gap_edges(g.level[e[0]])
         assert e not in g.gap_edges(g.level[e[0]])
+
+
+# ids that subdivision points of edges among them are named after, so some
+# points take a primed name
+POINT_LIKE_IDS = ["a", "b", "c", "d", "a~b", "b~c", "a~b~2", "a~b~2'", "a~b~3", "a~b~c~2", "a~d~3"]
+
+
+def _assert_indexed_as_the_scans(proper: LevelGraph, paths) -> None:
+    """The index equals sorted scans of the level map and the edges, and every
+    path point lies on the level its position on the path gives it."""
+    for i in range(0, proper.k + 2):
+        assert proper.on_level(i) == tuple(sorted(v for v, lv in proper.level.items() if lv == i))
+        assert proper.gap_edges(i) == tuple(sorted(e for e in proper.edges if proper.level[e[0]] == i))
+    assert list(proper.by_level) == sorted(set(proper.level.values()))
+    assert list(proper.by_gap) == sorted({proper.level[u] for u, _ in proper.edges})
+    for path in paths.values():
+        low = proper.level[path[0]]
+        for j, w in enumerate(path):
+            assert w in proper.on_level(low + j)
+        for j, seg in enumerate(zip(path, path[1:])):
+            assert seg in proper.gap_edges(low + j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_empty_levels(POINT_LIKE_IDS))
+def test_a_properizations_index_equals_the_scans(case):
+    proper, prov = properize(case[0])
+    _assert_indexed_as_the_scans(proper, prov.paths)
+
+
+def test_a_properization_with_primed_points_is_indexed_by_level():
+    # a(1)->d(4) names its points a~d~2 and a~d~3, an input id, so the second is primed
+    g = LevelGraph(4, {"d": 4, "a~d~3": 3, "a": 1, "a~b~2": 2, "b": 3, "c": 1},
+                   (("a", "d"), ("a", "b"), ("c", "d"), ("a~b~2", "b")))
+    proper, prov = properize(g)
+    assert prov.paths[("a", "d")] == ("a", "a~d~2", "a~d~3'", "d")
+    assert prov.paths[("a", "b")] == ("a", "a~b~2'", "b")
+    assert proper.on_level(2) == ("a~b~2", "a~b~2'", "a~d~2", "c~d~2")
+    assert proper.on_level(3) == ("a~d~3", "a~d~3'", "b", "c~d~3")
+    _assert_indexed_as_the_scans(proper, prov.paths)
+
+
+def test_the_stretched_subdivisions_are_indexed_by_level(bench_gen):
+    for inst in bench_gen.witness_instances(1, 6):
+        for mode in ("level", "radial"):
+            pg = stage_context(inst.graph, mode).pg
+            _assert_indexed_as_the_scans(pg.graph, pg.prov.paths)

@@ -185,6 +185,47 @@ def test_a_decision_never_makes_the_row_list(monkeypatch, bench_gen):
     assert True in answers and False in answers
 
 
+def test_a_witness_check_and_a_crosscheck_never_make_the_row_list(monkeypatch, bench_gen, k22):
+    # a witness holds its systems' runs, which the solves, the lift checks and
+    # the round trip read; the flat row list is never made
+    def refuse(system):
+        raise AssertionError(f"the rows of {system.meta} were made")
+
+    monkeypatch.setattr(constraints.ConstraintSystem, "rows", property(refuse))
+    for g in (_staircase(4, 3), *(inst.graph for inst in bench_gen.witness_instances(2, 3))):
+        for check in (check_level, check_radial):
+            assert check(g, witness=True).witness is not None
+    rng = random.Random(5)
+    answers = set()
+    for g in (k22, _staircase(3, 3), *(random_proper_graph(rng) for _ in range(20))):
+        problems, level_planar, radial_planar = crosscheck_instance(g)
+        assert problems == []
+        answers |= {level_planar, radial_planar}
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("check, builder", [(check_level, "build_level_reduced"),
+                                            (check_radial, "build_radial_reduced")])
+def test_a_witness_check_refuses_a_row_out_of_range_in_the_solve(monkeypatch, check, builder):
+    # no row list checks the rows before the solve: the solver checks each
+    # index as it reads it, and checks the held rows after a conflict too,
+    # so a non-planar answer is not given over a bad row
+    real = getattr(drawing, builder)
+
+    def with_a_row_out_of_range(*args):
+        system = real(*args)
+        runs = system.source.runs
+        system.source = xorsat.RowSource(lambda: [*runs(), (False, [((0, system.n), 0)])])
+        return system
+
+    monkeypatch.setattr(drawing, builder, with_a_row_out_of_range)
+    k33 = LevelGraph(2, {f"a{i}": 1 for i in range(3)} | {f"b{i}": 2 for i in range(3)},
+                     tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(3)))
+    for g in (_staircase(4, 3), k33):
+        with pytest.raises(ValueError, match=r"references an undeclared variable index"):
+            check(g, witness=True)
+
+
 def test_a_level_decision_peaks_far_below_its_rows(bench_gen):
     # planted 3x120: 42,840 variables and 77,395 rows.  Making the row list
     # and solving it peaked at 19.1 MiB; reading the row source, with the
@@ -315,7 +356,8 @@ def test_solve_reduced_returns_a_satisfying_bit_list():
 
 
 def test_checks_hand_the_built_rows_to_the_solver(monkeypatch, k22):
-    # the builders' rows are checked once, by ConstraintSystem, not repacked
+    # the builders' rows reach the solver as built, not repacked: the solver
+    # checks each index and parity as it reads it
     def refuse(*args):
         raise AssertionError("XorSystem.build was called")
 
