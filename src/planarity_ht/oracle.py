@@ -4,16 +4,20 @@ Both oracles search the full combinatorial drawing space (linear orders per
 level, or cyclic orders plus reference flags) in one deterministic
 enumeration order and accept the first zero-crossing state.  The search goes
 level by level in that order and prunes by gap: a prefix of level orders is
-dropped as soon as its newest gap has no crossing-free flag setting.  Both
-modes read a gap by the drawing layer's one crossing rule, over the gap's
-edge classes under the reference sets (level mode has none: no reference
-edge and no flag).  The rule reads the search's state through one drawing
-view (`drawing._Positions`), which shows a level's new order whenever its
-pick changes.  `states_examined` is the 1-based rank of the witness state
-in the enumeration order, or the full count when there is no witness; the
-budget bounds the full count.  A graph with no level has one state, the empty
-drawing, which is crossing-free.  The witness drawing and the count are
-reproducible.
+dropped as soon as its newest gap has no crossing-free flag setting, and a
+level order with no crossing-free completion above it is dead and never
+searched again.  Both modes read a gap by the drawing layer's one crossing
+rule, over the gap's edge classes under the reference sets (level mode has
+none: no reference edge and no flag).  The rule reads the search's state
+through one drawing view (`drawing._Positions`), which shows a level's new
+order whenever its pick changes.  `states_examined` is the 1-based rank of
+the witness state in the enumeration order, or the full count when there is
+no witness; the budget bounds the full count.  The work is bounded by pairs
+of orders: the gap rule runs at most sum_i |O_i|·|O_{i+1}|·2^{f_i} times,
+with O_i level i's orders and f_i gap i's flag count, which is polynomial
+in the level count for bounded width.  A graph with no level has one state,
+the empty drawing, which is crossing-free.  The witness drawing and the
+count are reproducible.
 """
 
 from __future__ import annotations
@@ -73,10 +77,16 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSe
     `gap_edge_classes` under refs (None in level mode).  Gap i's crossings
     read only levels i and i+1 and gap i's flags, so the search walks the
     levels depth first in that order and drops a prefix as soon as its newest
-    gap has no crossing-free flag setting.  The first full state it reaches,
-    with each gap's first crossing-free flag setting, is the enumeration's
-    first crossing-free state; `states_examined` is its 1-based rank, or the
-    full count when there is none.
+    gap has no crossing-free flag setting.  For the same reason, whether
+    levels i+1..k can be completed depends only on level i's order: when the
+    search backs off level i+1 after its last pick, level i's current pick is
+    dead, and a dead pick is skipped without reading its gap or re-ordering
+    the view.  Each order is thus searched at most once, and the gap rule
+    reads each pair of adjacent orders at most once per flag setting.  The
+    skipped states have no crossing-free completion, so the first full state
+    the search reaches, with each gap's first crossing-free flag setting, is
+    the enumeration's first crossing-free state; `states_examined` is its
+    1-based rank, or the full count when there is none.
 
     The full count is checked against the budget before any order is built.
     """
@@ -105,6 +115,7 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSe
                 return setting
         return None
 
+    dead = set()  # (level, pick) pairs with no crossing-free completion above them
     top = 1  # the deepest level with a picked order
     while True:
         setting = () if top == 1 else first_free_setting(top - 1)
@@ -113,13 +124,16 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSe
             if top == g.k:
                 break
             top += 1
-            pick[top - 1] = 0
-        else:
+            pick[top - 1] = -1
+        while True:  # level top's next live pick, backing off each level whose picks are spent
             while pick[top - 1] == len(choices[top - 1]) - 1:
                 top -= 1
                 if top == 0:
                     return OracleResult(False, None, needed)
+                dead.add((top, pick[top - 1]))
             pick[top - 1] += 1
+            if (top, pick[top - 1]) not in dead:
+                break
         view.show(top, choices[top - 1][pick[top - 1]])
 
     # the rank: the orders' mixed-radix index, then the flag bits with

@@ -10,21 +10,30 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import islice, permutations, product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
 import planarity_ht
+from planarity_ht import oracle
 from planarity_ht.constraints import (
     ReferenceSets,
     build_radial_reduced,
     choose_reference_sets,
     gap_edge_classes,
+    gap_flagged_edges,
     reference_set_variants,
 )
 from planarity_ht.corpus import exhaustive_proper_graphs
 from planarity_ht.crosscheck import crosscheck_instance
-from planarity_ht.drawing import LevelDrawing, RadialDrawing, count_crossings_level, count_crossings_radial
+from planarity_ht.drawing import (
+    LevelDrawing,
+    RadialDrawing,
+    _gap_crossing_pairs,
+    count_crossings_level,
+    count_crossings_radial,
+)
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.iofmt import drawing_to_json
 from planarity_ht.oracle import BudgetExceededError, OracleResult, brute_level, brute_radial
@@ -144,6 +153,62 @@ def test_long_path_planar_both_modes():
             assert result.planar and result.states_examined == 1
 
 
+def _late_conflict(k, w):
+    """k levels of w vertices, one edge in each of the lower k - 2 gaps, and a
+    K3,3 between three vertices of level k - 1 and three of level k: every
+    state fails only in the top gap, so the search backs off every level."""
+    names = {i: [f"{chr(96 + i)}{j}" for j in range(1, w + 1)] for i in range(1, k + 1)}
+    edges = [(names[i][0], names[i + 1][0]) for i in range(1, k - 1)]
+    edges += [(u, v) for u in names[k - 1][:3] for v in names[k][:3]]
+    return LevelGraph(k, {v: i for i, vs in names.items() for v in vs}, tuple(edges))
+
+
+def _runs(g):
+    """Each oracle run on g as (graph searched, reference sets or None, pinned
+    vertices per level, result thunk): level mode, then radial mode under each
+    reference selection."""
+    yield g, None, 0, lambda: brute_level(g)
+    for refs, aug in reference_set_variants(g):
+        yield aug, refs, 1, lambda refs=refs, aug=aug: brute_radial(aug, refs)
+
+
+def test_each_level_order_is_searched_at_most_once(monkeypatch):
+    # an order with no crossing-free completion above it is never searched
+    # again, so the gap rule reads each pair of adjacent orders at most once
+    # per flag setting: at most sum_i |O_i| |O_i+1| 2^f_i reads, where the
+    # full count is prod_i |O_i| times 2^(sum_i f_i)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _gap_crossing_pairs(*args)
+
+    monkeypatch.setattr(oracle, "_gap_crossing_pairs", counting)
+
+    def within_bound(g, refs, pinned, run):
+        nonlocal calls
+        orders = [factorial(len(g.on_level(i)) - pinned) for i in range(1, g.k + 1)]
+        flags = [len(gap_flagged_edges(gap_edge_classes(g, refs, i))) for i in range(1, g.k)]
+        bound = sum(a * b * 2 ** f for a, b, f in zip(orders, orders[1:], flags))
+        calls = 0
+        result = run()
+        assert calls <= bound, (calls, bound)
+        return result, prod(orders) * 2 ** sum(flags)
+
+    # a search that searches dead orders again reads the gap rule 1,548
+    # (level) and 268 (radial) times on 4x3, 9,324 and 540 on 5x3, and
+    # 8,308,800 in level mode on 5x4
+    for k, w in ((4, 3), (5, 3), (5, 4)):
+        g = _late_conflict(k, w)
+        for run in _runs(g):
+            result, full = within_bound(*run)
+            assert not result.planar and result.states_examined == full
+    for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 25):
+        for run in _runs(g):
+            within_bound(*run)
+
+
 def _reference_level(g):
     """Every combination of linear orders, each judged by its full crossing report."""
     states = 0
@@ -205,6 +270,13 @@ def test_oracles_match_a_plain_enumeration():
                     seen["radial late"] += result.witness.cyclic[3] == (last[0], *last[:0:-1])
     assert all(seen[case] for case in ("level nonplanar", "level late", "radial nonplanar",
                                        "radial gap-2 flag set", "radial late")), seen
+    # the 3x3 corpus (k <= 3) skips dead orders on level 2 only; these skip
+    # them on levels 2 to k - 1
+    for k in (4, 5):
+        g = _late_conflict(k, 3)
+        assert _answer(brute_level(g)) == _reference_level(g)
+        for refs, aug in reference_set_variants(g):
+            assert _answer(brute_radial(aug, refs)) == _reference_radial(aug, refs)
 
 
 def test_budget_is_checked_before_any_order_is_built():
