@@ -38,6 +38,10 @@ the independent-pair rows of a gap from a tail and a head block.
 reader the solver checks its assignment with, and spells out only the
 violated rows and clauses.
 
+The default reference selection (`choose_reference_sets`) gives as many
+middle levels as it can a single anchor, so that they get one block and no
+coupling rows; `reference_set_variants` adds the smallest- and the
+largest-edge selection, which the decision does not depend on either.
 A reference selection found valid for a graph is recorded as checked against
 that graph (`record_checked_refs`), so no later builder or oracle scans it
 again for the same graph.
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, permutations, starmap
 
 from .graphs import Edge, LevelGraph, VertexId, record_checked, require_valid
@@ -391,49 +395,116 @@ def require_reference_sets(g: LevelGraph, refs: ReferenceSets) -> None:
     record_checked_refs(refs, g)
 
 
-def choose_reference_sets(g: LevelGraph, *, largest: bool = False) -> tuple[ReferenceSets, LevelGraph]:
-    """Deterministic anchor selection; returns the anchors and the augmented graph.
+def _per_gap_edges(g: LevelGraph, pick: Callable = min) -> tuple[list[Edge], VertexId]:
+    """Each gap's smallest edge, or with pick=max its largest; an edgeless
+    gap gets an edge between the smallest (largest) vertices of its two
+    levels.  Returns the edges gap by gap and the anchor of a graph of one
+    level, level 1's smallest (largest) vertex."""
+    edges = [pick(gap) if (gap := g.gap_edges(i)) else (pick(g.on_level(i)), pick(g.on_level(i + 1)))
+             for i in range(1, g.k)]
+    return edges, pick(g.on_level(1))
 
-    Scans gaps bottom-up taking the lexicographically smallest existing edge
-    as the gap's reference edge (largest=True flips the tie-break, giving a
-    second valid choice when one exists).  A gap with no edges gets a fresh
-    reference edge between the extreme-id vertices of its two levels.  A
-    graph with no vertex has nothing to anchor: it is answered as the graph
-    with no level, whose reference sets are empty.
-    """
+
+def _path_edges(g: LevelGraph) -> tuple[list[Edge], VertexId]:
+    """The reference edges under which the most middle levels have one
+    anchor, and of those the lexicographically smallest, gap by gap.
+
+    Level i's anchors coincide when gap i - 1's reference edge ends where
+    gap i's begins, so a best selection follows monotone paths as far as
+    it can.  An edgeless gap may take any edge between its two levels.  A
+    pass down the gaps finds, for each gap, the tails of the edges that
+    reach the most coinciding levels above it (`starts`; None for an
+    edgeless gap, whose every vertex does) and whether that gap's edges can
+    gain the level above them at all (`gain`): the most levels above gap i
+    are gain[i] + gain[i + 1] + ..., and an edge ending in starts[i + 1]
+    gains level i + 1.  A pass up takes in each gap the smallest edge that
+    keeps the best count.  An edgeless gap's edge starts at the anchor below
+    it, which gains its level whatever the edge's head, or on gap 1 at level
+    1's smallest vertex; its candidates run to each vertex of the level
+    above.  Both passes are linear in the edges and vertices.  Returns the
+    edges gap by gap and the anchor of a graph of one level, its smallest
+    vertex."""
+    k, by_gap, by_level = g.k, g.by_gap, g.by_level
+    gain = [0] * (k + 1)
+    starts: list[set[VertexId] | None] = [set()] * (k + 1)  # nothing starts past the top gap
+    for i in range(k - 1, 0, -1):
+        up, gap = starts[i + 1], by_gap.get(i)
+        if not gap:
+            gain[i], starts[i] = up is None or bool(up), None
+            continue
+        reaching = {t for t, h in gap if up is None or h in up}
+        gain[i], starts[i] = bool(reaching), reaching or {t for t, _ in gap}
+    edges: list[Edge] = []
+    below = None
+    for i in range(1, k):
+        here, up = starts[i], starts[i + 1]
+        # the levels this gap's edge must gain: its own gain, and one more
+        # where the anchor below could gain level i
+        need = gain[i] + (below is not None and (here is None or below in here))
+        for t, h in by_gap.get(i) or [(below or by_level[i][0], h) for h in by_level[i + 1]]:
+            if (t == below) + (up is None or h in up) == need:
+                break
+        edges.append((t, h))
+        below = h
+    return edges, by_level[1][0]
+
+
+def _selections(g: LevelGraph, rules: Iterable[Callable[[LevelGraph], tuple[list[Edge], VertexId]]]
+                ) -> list[tuple[ReferenceSets, LevelGraph]]:
+    """The reference selections of g that the rules give, each with the
+    graph augmented by the edges it inserts, in rule order and each only if
+    it differs from every earlier one.  A rule gives the reference edges gap
+    by gap and the anchor of a graph of one level.  A graph with no vertex
+    has nothing to anchor: it is answered as the graph with no level, whose
+    reference sets are empty."""
     require_valid(g, proper=True)
     if not g.level:
         empty = record_checked(LevelGraph(0, {}, ()), proper=True)
-        return record_checked_refs(ReferenceSets({}, {}), empty), empty
-    pick = max if largest else min
-    for i in range(1, g.k + 1):
-        if not g.on_level(i):
-            raise ValueError(f"level {i} is empty, radial reference selection needs every level nonempty")
-    inserted: list[Edge] = []
-    alpha_plus: dict[int, VertexId] = {}
-    alpha_minus: dict[int, VertexId] = {}
-    for i in range(1, g.k):
-        gap = g.gap_edges(i)
-        if not gap:
-            inserted.append((pick(g.on_level(i)), pick(g.on_level(i + 1))))
-        alpha_plus[i], alpha_minus[i + 1] = pick(gap) if gap else inserted[-1]
-    alpha_minus[1] = alpha_plus[1] if g.k > 1 else pick(g.on_level(1))
-    alpha_plus[g.k] = alpha_minus[g.k]
-    refs = ReferenceSets(alpha_plus, alpha_minus, tuple(inserted))
-    aug = record_checked(g.with_edges(inserted), proper=True) if inserted else g  # each joins levels i and i + 1
-    problems = validate_reference_sets(aug, refs)
-    if problems:
-        raise AssertionError(f"internal error: invalid reference selection: {problems}")
-    return record_checked_refs(refs, aug), aug
+        return [(record_checked_refs(ReferenceSets({}, {}), empty), empty)]
+    by_gap = g.by_gap
+    if len(g.by_level) < g.k:
+        i = next(i for i in range(1, g.k + 1) if i not in g.by_level)
+        raise ValueError(f"level {i} is empty, radial reference selection needs every level nonempty")
+    chosen: list[tuple[ReferenceSets, LevelGraph]] = []
+    seen: list[ReferenceSets] = []
+    for rule in rules:
+        edges, lone = rule(g)
+        alpha_plus: dict[int, VertexId] = {}
+        alpha_minus: dict[int, VertexId] = {}
+        inserted: list[Edge] = []
+        for i, e in enumerate(edges, 1):
+            alpha_plus[i], alpha_minus[i + 1] = e
+            if i not in by_gap:
+                inserted.append(e)
+        alpha_minus[1] = alpha_plus[1] if edges else lone
+        alpha_plus[g.k] = alpha_minus[g.k]
+        refs = ReferenceSets(alpha_plus, alpha_minus, tuple(inserted))
+        if refs in seen:
+            continue
+        seen.append(refs)
+        aug = record_checked(g.with_edges(inserted), proper=True) if inserted else g  # each joins levels i and i + 1
+        problems = validate_reference_sets(aug, refs)
+        if problems:
+            raise AssertionError(f"internal error: invalid reference selection: {problems}")
+        chosen.append((record_checked_refs(refs, aug), aug))
+    return chosen
+
+
+def choose_reference_sets(g: LevelGraph) -> tuple[ReferenceSets, LevelGraph]:
+    """The default reference selection and the augmented graph: of the
+    selections under which the most middle levels have one anchor, the
+    lexicographically smallest gap by gap (`_path_edges`).  Where each gap's
+    smallest edge already gives that many, it is that selection."""
+    (chosen,) = _selections(g, [_path_edges])
+    return chosen
 
 
 def reference_set_variants(g: LevelGraph) -> list[tuple[ReferenceSets, LevelGraph]]:
-    """The smallest-edge reference selection, then the largest-edge one if it differs."""
-    variants = [choose_reference_sets(g)]
-    alt = choose_reference_sets(g, largest=True)
-    if alt[0] != variants[0][0]:
-        variants.append(alt)
-    return variants
+    """The default reference selection, then the smallest-edge one, then the
+    largest-edge one, each only if it differs from every earlier one; the
+    other two keep the coupling rows of levels with two anchors in play,
+    which the default seldom builds."""
+    return _selections(g, [_path_edges, _per_gap_edges, partial(_per_gap_edges, pick=max)])
 
 
 # ---------------------------------------------------------------------------

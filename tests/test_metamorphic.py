@@ -66,26 +66,28 @@ def test_reversing_the_levels_and_renaming_the_vertices_keep_both_decisions():
 
 
 def test_every_reference_selection_decides_a_graph_alike():
-    # graphs past the oracle's reach: the smallest- and the largest-edge
-    # reference selection check each other
+    # graphs past the oracle's reach: the default, the smallest-edge and the
+    # largest-edge reference selection, each where it differs from those
+    # before it, check each other
     rng = random.Random(5)
-    two = nonplanar = witnessed = 0
+    several = three = nonplanar = witnessed = 0
     for n in range(150):
         g = random_proper_graph(rng, 6, 6, 0.4)
         variants = reference_set_variants(g)
         decisions = [solve_reduced(build_radial_reduced(augmented, refs)) for refs, augmented in variants]
         planar = decisions[0] is not None
         assert [phi is not None for phi in decisions] == [planar] * len(variants), g
-        two += len(variants) == 2
+        several += len(variants) > 1
+        three += len(variants) == 3
         nonplanar += not planar
-        # every tenth graph also realizes and verifies the second selection's witness
-        if n % 10 == 0 and len(variants) == 2 and planar:
-            refs, augmented = variants[1]
-            ctx = make_radial_context(augmented, refs)
-            d = drawing_from_assignment_radial(lift_assignment_radial(decisions[1], ctx), ctx)
-            assert star_report_radial(d, ctx).ht_violations == []
-            witnessed += 1
-    assert two > 100 and 0 < nonplanar < 150 and witnessed > 0
+        # every tenth graph also realizes and verifies the other selections' witnesses
+        if n % 10 == 0 and len(variants) > 1 and planar:
+            for (refs, augmented), phi in zip(variants[1:], decisions[1:]):
+                ctx = make_radial_context(augmented, refs)
+                d = drawing_from_assignment_radial(lift_assignment_radial(phi, ctx), ctx)
+                assert star_report_radial(d, ctx).ht_violations == []
+                witnessed += 1
+    assert several > 100 and three > 50 and 0 < nonplanar < 150 and witnessed > 0
 
 
 def test_a_disjoint_union_is_level_planar_exactly_when_both_parts_are():

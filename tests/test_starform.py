@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from planarity_ht.constraints import choose_reference_sets
+from planarity_ht.constraints import _per_gap_edges, _selections, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.graphs import LevelGraph
 from planarity_ht.starform import (
@@ -142,13 +142,14 @@ def test_origin_total_and_injective_on_middles():
 
 
 def test_betas_follow_anchor_stretch_paths():
-    # middle level with distinct anchors: enters at m1, leaves at m2
+    # middle level with distinct anchors: enters at m1, leaves at m2, under
+    # the smallest-edge selection (the default follows the path a, m2, z)
     g = LevelGraph(
         3,
         {"a": 1, "m1": 2, "m2": 2, "z": 3},
         (("a", "m1"), ("a", "m2"), ("m2", "z")),
     )
-    refs, aug = choose_reference_sets(g)
+    ((refs, aug),) = _selections(g, [_per_gap_edges])
     assert refs.alpha_minus[2] == "m1" and refs.alpha_plus[2] == "m2"
     sf = build_star_radial(aug, refs.alpha_plus, refs.alpha_minus)
     pg = build_plus(sf)
