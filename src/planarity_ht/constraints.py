@@ -366,10 +366,11 @@ def validate_reference_sets(g: LevelGraph, refs: ReferenceSets) -> list[str]:
         problems.append("anchors on level 1 must coincide")
     if refs.alpha_plus.get(g.k) != refs.alpha_minus.get(g.k):
         problems.append(f"anchors on level {g.k} must coincide")
-    edge_set = set(g.edges)
     for i in range(1, g.k):
         e = (refs.alpha_plus.get(i), refs.alpha_minus.get(i + 1))
-        if None not in e and e not in edge_set:  # a missing anchor is reported above
+        # a missing anchor is reported above; the edges leaving the tail's
+        # level are all of the graph's edges that could be e
+        if None not in e and e not in g.gap_edges(g.level.get(e[0])):
             problems.append(f"reference edge {e} missing from graph")
     return problems
 

@@ -3,24 +3,27 @@
 The exhaustive generator lists every proper level graph with bounded level
 count and width, one per class of level-preserving isomorphisms (vertices
 may be permuted within each level): the class's least joint edge mask.  Per
-size vector it scans the joint masks in ascending order, marks each new
-class's orbit in a seen-table and jumps to the next unmarked mask.  Orbits
-are built gap by gap from tables of one level's permutations (a row's image
-under each column permutation, each row permutation's slot shifts), so a
-class costs about its orbit and a size vector about its number of masks.
-The seen-table holds one byte per mask, 2^(sum of n_i * n_{i+1}) bytes: 16 MiB
-at widths (2, 4, 4) and 4 GiB at (4, 4, 4), which the default cap of 20,000
-classes keeps a (3, 4) bound from reaching.
+size vector it walks the gaps from the top (canonical augmentation, one gap
+at a time): gap 0's classes under both levels' permutations, then, for each,
+the next gap's classes under the projection of that class's stabilizer on
+the shared level, times every permutation of the level below, and so on.  Each
+gap's scan marks each new class's orbit in a seen-table of one byte per
+mask of that gap and jumps to the next unmarked mask; orbits are built from
+tables of one level's permutations (a row's image under each column
+permutation, each row permutation's slot shifts).  A class costs about its
+orbit in one gap, and memory is one table of 2^(n_i * n_{i+1}) bytes per gap
+of the walk, 64 KiB for a 4 x 4 gap, whatever the number of levels.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import islice, permutations, product
+from math import factorial
 from operator import lshift
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .graphs import Edge, LevelGraph, VertexId
+from .graphs import LevelGraph, VertexId
 
 
 def level_vertex_names(sizes: list[int] | tuple[int, ...]) -> list[list[VertexId]]:
@@ -30,17 +33,24 @@ def level_vertex_names(sizes: list[int] | tuple[int, ...]) -> list[list[VertexId
 
 def graph_from_masks(sizes: tuple[int, ...], masks: tuple[int, ...]) -> LevelGraph:
     """Build the graph whose gap g edges are the set bits r * n_{g+1} + c of masks[g]."""
+    return _builder(sizes)(masks)
+
+
+def _builder(sizes: tuple[int, ...]) -> Callable[[tuple[int, ...]], LevelGraph]:
+    """The graph builder of one size vector.
+
+    Its graphs share the vertex names and the level map, and read their
+    edges off one list of every possible edge, sorted, with its gap and bit.
+    """
     names = level_vertex_names(sizes)
     level = {v: i + 1 for i, vs in enumerate(names) for v in vs}
-    edges: list[Edge] = []
-    for g, mask in enumerate(masks):
-        n2 = sizes[g + 1]
-        bit = 0
-        while mask >> bit:
-            if mask >> bit & 1:
-                edges.append((names[g][bit // n2], names[g + 1][bit % n2]))
-            bit += 1
-    return LevelGraph(len(sizes), level, tuple(sorted(edges)))
+    slots = sorted(((names[g][bit // n2], names[g + 1][bit % n2]), g, bit)
+                   for g, n2 in enumerate(sizes[1:]) for bit in range(sizes[g] * n2))
+    k = len(sizes)
+
+    def build(masks: tuple[int, ...]) -> LevelGraph:
+        return LevelGraph(k, level, tuple([e for e, g, bit in slots if masks[g] >> bit & 1]))
+    return build
 
 
 class _Gap:
@@ -51,7 +61,9 @@ class _Gap:
     p1[r] * n2 + p2[c]: cols[i2][row] is a row's image under the i2-th
     permutation of the lower level, shifts[i1][r] = p1[r] * n2 for the i1-th
     permutation of the upper level.  The shifted rows fill disjoint slots, so
-    their sum is the relabeled mask.
+    their sum is the relabeled mask.  Both levels' permutations are indexed
+    in `itertools.permutations` order, so the lower level's index here is
+    the upper level's index in the next gap.
     """
 
     def __init__(self, n1: int, n2: int):
@@ -67,35 +79,33 @@ class _Gap:
         rows = [mask >> r & full for r in range(0, self.bits, self.n2)]
         return [tuple([col[row] for row in rows]) for col in self.cols]
 
-    def extend(self, prefixes_by_perm: list[set[int]], mask: int) -> list[set[int]]:
-        """Append the mask's images to the images of the gaps above it.
+    def classes(self, upper: list[int]) -> Iterator[tuple[int, list[int]]]:
+        """The gap's masks up to the upper permutations indexed by `upper`
+        (a group) times every lower permutation, each class as its least
+        mask, ascending.
 
-        prefixes_by_perm[i1] holds the images of the gaps above under every
-        relabeling that gives the upper level its i1-th permutation; the
-        result is the same, one set per permutation of the lower level.
-        Permutations that move the mask's columns alike share one set.
+        The scan marks each class's orbit in a seen-table of one byte per
+        mask, then jumps to the next unmarked mask.  With each class comes
+        the lower permutations that some upper permutation pairs with to fix
+        its mask: the stabilizer's projection on the lower level, a group.
         """
-        by_columns: dict[tuple[int, ...], set[int]] = {}
-        out = []
-        for rows in self.columns(mask):
-            reached = by_columns.get(rows)
-            if reached is None:
-                reached = by_columns[rows] = set()
-                for shift, prefixes in zip(self.shifts, prefixes_by_perm):
-                    image = sum(map(lshift, rows, shift))
-                    reached.update([prefix << self.bits | image for prefix in prefixes])
-            out.append(reached)
-        return out
-
-    def images(self, mask: int) -> list[tuple[int, ...]]:
-        """The mask's distinct images, one tuple per permutation of the upper level."""
-        columns = set(self.columns(mask))
-        return [tuple({sum(map(lshift, rows, shift)) for rows in columns}) for shift in self.shifts]
-
-
-# masks whose images the last gap keeps at a time: every mask of a 3 x 3 gap,
-# so at most 512 * 4! * 4! ints at width 4
-_MEMO_MASKS = 512
+        shifts = [self.shifts[i] for i in upper]
+        seen = bytearray(1 << self.bits)
+        mask = 0
+        while mask >= 0:
+            fixes: dict[tuple[int, ...], bool] = {}
+            lower = []
+            for i2, rows in enumerate(self.columns(mask)):
+                fixed = fixes.get(rows)
+                if fixed is None:
+                    images = [sum(map(lshift, rows, shift)) for shift in shifts]
+                    for image in images:
+                        seen[image] = 1
+                    fixed = fixes[rows] = mask in images
+                if fixed:
+                    lower.append(i2)
+            yield mask, lower
+            mask = seen.find(0, mask + 1)
 
 
 def exhaustive_proper_graphs(max_levels: int = 3, max_width: int = 3,
@@ -108,55 +118,30 @@ def _class_representatives(max_levels: int, max_width: int) -> Iterator[LevelGra
     """One graph per isomorphism class, size vector by size vector."""
     for k in range(1, max_levels + 1):
         for sizes in product(range(1, max_width + 1), repeat=k):
-            for masks in _least_masks(sizes):
-                yield graph_from_masks(sizes, masks)
+            yield from map(_builder(sizes), _least_masks(sizes))
 
 
 def _least_masks(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Each class's least joint mask, split into gap masks, in ascending order.
 
-    The joint mask puts gap 0 in its highest bits.  The scan marks each
-    class's orbit in `seen` and then jumps to the next unmarked mask.  The
-    orbit is built gap by gap: states[g][i] holds the images of gaps
-    0..g-1 under every relabeling that gives level g its i-th permutation.
-    The states of the leading gaps are kept while their masks stay the same.
+    The joint mask puts gap 0 in its highest bits, so it is least in its
+    orbit exactly when gap 0's mask is least under both levels'
+    permutations and each later gap's mask is least under the stabilizer
+    of the gaps above, projected on the gap's upper level, times every
+    permutation of its lower level.  The walk lists the classes gap by gap
+    in that order, with one seen-table per gap of the walk.
     """
-    gaps = [_Gap(sizes[g], sizes[g + 1]) for g in range(len(sizes) - 1)]
-    if not gaps:
-        yield ()
-        return
-    last = gaps[-1]
-    total = sum(gap.bits for gap in gaps)
-    seen = bytearray(1 << total)
-    built: list[int] = []
-    states = [[{0}] * len(gaps[0].shifts)]
-    memo: dict[int, list[tuple[int, ...]]] = {}
-    joint = 0
-    while joint >= 0:
-        masks = []
-        low = total
-        for gap in gaps:
-            low -= gap.bits
-            masks.append(joint >> low & ((1 << gap.bits) - 1))
-        yield tuple(masks)
-        kept = 0
-        while kept < len(built) and built[kept] == masks[kept]:
-            kept += 1
-        del built[kept:], states[kept + 1:]
-        for g in range(kept, len(gaps) - 1):
-            built.append(masks[g])
-            states.append(gaps[g].extend(states[g], masks[g]))
-        images = memo.get(masks[-1])
-        if images is None:
-            if len(memo) == _MEMO_MASKS:
-                memo.clear()
-            images = memo[masks[-1]] = last.images(masks[-1])
-        orbit: set[int] = set()
-        for prefixes, gap_images in zip(states[-1], images):
-            orbit.update([prefix << last.bits | image for prefix in prefixes for image in gap_images])
-        for image in orbit:
-            seen[image] = 1
-        joint = seen.find(0, joint + 1)
+    gaps = [_Gap(a, b) for a, b in zip(sizes, sizes[1:])]
+
+    def walk(g: int, upper: list[int]) -> Iterator[tuple[int, ...]]:
+        if g == len(gaps):
+            yield ()
+            return
+        for mask, lower in gaps[g].classes(upper):
+            for rest in walk(g + 1, lower):
+                yield (mask, *rest)
+
+    yield from walk(0, list(range(factorial(sizes[0]))))
 
 
 def random_proper_graph(rng: random.Random, max_levels: int = 4, max_width: int = 4,

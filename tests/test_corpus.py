@@ -12,16 +12,25 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
-from planarity_ht.corpus import exhaustive_proper_graphs, graph_from_masks
+from planarity_ht.corpus import _least_masks, exhaustive_proper_graphs, graph_from_masks
 from planarity_ht.iofmt import graph_to_json
 
 # sha256 over json.dumps(graph_to_json(g), sort_keys=True) + "\n" for each
 # graph of exhaustive_proper_graphs(3, 3), in order
 DIGEST_3X3 = "69a81e27d6ba963307a1cbd23ce26f46ffd90b1dd97a720580fbdce13f483c20"
+
+# the same digest past 3 x 3: (4, 2) in full, 1,536 classes over walks of up
+# to three gaps; (4, 3) and (3, 4) capped at 20,000 classes, the latter
+# ending inside size vector (2, 4, 4), whose second gap is 4 x 4
+DIGESTS_PAST_3X3 = [
+    ((4, 2), 20_000, "4b67d517798d654b8074d280d2c2cf144825f8ab3a3deadf77469f5aa5735d9c"),
+    ((4, 3), 20_000, "4ca26bed040cdbdbd40e67f56db234a07638525718f913eb16e1f7212b3b817f"),
+    ((3, 4), 20_000, "0df800b8bfadf6a81324d9426219625207b7dcef0873d108448ee5ca56633b62"),
+]
 
 
 def _split(joint: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -66,11 +75,20 @@ def test_class_counts(bounds, classes):
     assert sum(1 for _ in exhaustive_proper_graphs(*bounds)) == classes
 
 
-def test_the_3x3_sequence_is_pinned():
+def _digest(graphs) -> str:
     h = hashlib.sha256()
-    for g in exhaustive_proper_graphs(3, 3):
+    for g in graphs:
         h.update((json.dumps(graph_to_json(g), sort_keys=True) + "\n").encode())
-    assert h.hexdigest() == DIGEST_3X3
+    return h.hexdigest()
+
+
+def test_the_3x3_sequence_is_pinned():
+    assert _digest(exhaustive_proper_graphs(3, 3)) == DIGEST_3X3
+
+
+@pytest.mark.parametrize("bounds, cap, digest", DIGESTS_PAST_3X3)
+def test_the_sequence_past_3x3_is_pinned(bounds, cap, digest):
+    assert _digest(exhaustive_proper_graphs(*bounds, cap=cap)) == digest
 
 
 # every bound up to (3, 2) and (2, 3)
@@ -98,3 +116,15 @@ def test_width_four_enumerates_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_a_width_four_size_vector_starts_in_bounded_memory():
+    # a seen-table over the joint masks of (2, 4, 4) would take 2^24 bytes,
+    # 16 MiB, before the first class; one table per gap takes 2^16
+    tracemalloc.start()
+    try:
+        assert len(list(islice(_least_masks((2, 4, 4)), 200))) == 200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
