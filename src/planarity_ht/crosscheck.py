@@ -4,8 +4,11 @@ Each mode of an instance runs through one comparison: the reduced-system
 decisions (on the input, on its subdivision and, in radial mode, across
 distinct reference selections) must agree with the enumeration oracle, and
 a satisfiable instance must round-trip through drawing construction and
-back.  A lift that violates the subdivision's system, or a drawing that does
-not convert back, is a mismatch of its mode like any other.  The star forms'
+back.  The way back is the witness's even-crossings check: it converts a
+drawing of the subdivision exactly when its independent edges cross evenly
+(the strong Hanani-Tutte theorem), and otherwise names the first odd pair.
+A lift that violates the subdivision's system, or a drawing that does not
+convert back, is a mismatch of its mode like any other.  The star forms'
 structural counts must match the construction's arithmetic.
 """
 
@@ -27,8 +30,6 @@ from .drawing import (
     make_level_context,
     make_radial_context,
     require_satisfying,
-    star_report_level,
-    star_report_radial,
 )
 from .graphs import LevelGraph, properize
 from .iofmt import graph_to_json
@@ -65,11 +66,11 @@ def check_structural_counts(g: LevelGraph, level_ctx, radial_ctx) -> list[str]:
     return problems
 
 
-def _compare(mode: str, ctx, alternatives, oracle, lift, realize, report_fn, back) -> list[str]:
+def _compare(mode: str, ctx, alternatives, oracle, lift, realize, back) -> list[str]:
     """Compare one mode's decisions on G's system, on each alternative system
     and on G+'s system with the oracle's.  When they agree on planar, lift
-    G's solution, check the lift against G+'s system, realize and verify the
-    drawing, and convert it back."""
+    G's solution, check the lift against G+'s system, realize the drawing
+    and convert it back, which is its even-crossings check."""
     if oracle.planar:
         # the round trip reads both systems' rows: held before the solves, they are made once
         ctx.system.runs, ctx.plus_system.runs
@@ -84,11 +85,7 @@ def _compare(mode: str, ctx, alternatives, oracle, lift, realize, report_fn, bac
     try:
         lifted = lift(phi, ctx)
         require_satisfying(ctx.plus_system, lifted)
-        d = realize(lifted, ctx)
-        report = report_fn(d, ctx)
-        if report.ht_violations:
-            return [f"{mode} witness has odd independent pair {report.ht_violations[0]}"]
-        back(d, ctx)
+        back(realize(lifted, ctx), ctx)
     except (UnsatisfyingAssignmentError, NotHananiTutteError) as exc:
         return [f"{mode} round trip failed: {exc}"]
     return []
@@ -103,14 +100,14 @@ def crosscheck_instance(g: LevelGraph, budget: int | None = None) -> tuple[list[
     lctx = make_level_context(proper)
     level_oracle = brute_level(proper, budget)
     problems = _compare("level", lctx, [], level_oracle, lift_assignment_level,
-                        drawing_from_assignment_level, star_report_level, assignment_from_drawing_level)
+                        drawing_from_assignment_level, assignment_from_drawing_level)
 
     (refs, augmented), *others = reference_set_variants(proper)
     rctx = make_radial_context(augmented, refs)
     radial_oracle = brute_radial(rctx.base, rctx.refs, budget)
     problems += _compare("radial", rctx, [build_radial_reduced(alt, alt_refs) for alt_refs, alt in others],
                          radial_oracle, lift_assignment_radial, drawing_from_assignment_radial,
-                         star_report_radial, assignment_from_drawing_radial)
+                         assignment_from_drawing_radial)
 
     problems += check_structural_counts(proper, lctx, rctx)
     if level_oracle.planar and not radial_oracle.planar:

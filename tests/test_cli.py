@@ -241,6 +241,8 @@ def test_crosscheck_random_exit_0(capsys):
     (["--max-size", "0,0"], "--max-size"),
     (["--random", "-2"], "--random"),
     (["--max-size", "2,2", "--cap", "-3"], "--cap"),
+    (["--max-size", "a,b"], "--max-size"),
+    (["--max-size", "2,2", "--cap", "x"], "--cap"),
 ])
 def test_crosscheck_refuses_empty_sizes_and_negative_counts(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -70,7 +70,8 @@ def test_a_witness_with_two_vertices_swapped_has_an_odd_independent_pair(monkeyp
 
     monkeypatch.setattr(crosscheck, "drawing_from_assignment_level", swapped)
     problems, _, _ = crosscheck_instance(TWO_EDGES)
-    assert problems == ["level witness has odd independent pair (('a~bot', 'a~top'), ('b~bot', 'b~top'))"]
+    assert problems == ["level round trip failed: independent edges ('a~bot', 'a~top') and "
+                        "('b~bot', 'b~top') cross 1 times"]
 
 
 def test_a_radial_oracle_denying_a_level_planar_instance_is_reported(monkeypatch):

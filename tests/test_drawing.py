@@ -633,14 +633,44 @@ def test_a_shown_order_reads_as_a_fresh_view_of_the_reordered_drawing():
     assert moved > 50
 
 
+BACK = {"level": assignment_from_drawing_level, "radial": assignment_from_drawing_radial}
+
+
+def _first_violation(outcome):
+    """A report's outcome as the back-conversion can give it: its first odd
+    independent pair with that pair's count, None when it has none, or the
+    refusal's message."""
+    if isinstance(outcome, str):
+        return outcome
+    per_pair, violations, _ = outcome
+    return (violations[0], dict(per_pair)[violations[0]]) if violations else None
+
+
+def _back_outcome(back, d, ctx):
+    """The back-conversion's refusal of an odd independent pair as (pair,
+    count), None when it converts d, or the message of any other refusal."""
+    try:
+        back(d, ctx)
+    except NotHananiTutteError as exc:
+        return exc.pair, exc.count
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return None
+
+
 def test_verification_equals_the_per_gap_rules_reading_the_drawing():
     """`star_report_*` reads one position table per drawing; it must report
-    what the per-gap rules report reading the drawing itself, refusals included."""
+    what the per-gap rules report reading the drawing itself, refusals included.
+    The back-conversion refuses exactly the drawings the report flags, naming
+    its first violation and that pair's count, converts every other drawing
+    the report reads, and refuses the rest with the report's message."""
     rng = random.Random(53)
     witnesses = crossing = violated = refused = 0
     for mode, ctx, _, d in _corpus_witnesses():
-        report = MODES[mode][2]
-        assert _outcome(report, d, ctx) == _outcome(_reference_star_report, d, ctx)
+        report, back = MODES[mode][2], BACK[mode]
+        outcome = _outcome(report, d, ctx)
+        assert outcome == _outcome(_reference_star_report, d, ctx)
+        assert _back_outcome(back, d, ctx) == _first_violation(outcome)
         witnesses += 1
         if witnesses % 20 or ctx.pg.graph.k < 2 or max(ctx.pg.graph.widths()) < 2:
             continue
@@ -648,12 +678,14 @@ def test_verification_equals_the_per_gap_rules_reading_the_drawing():
         for c in bent:
             outcome = _outcome(report, c, ctx)
             assert outcome == _outcome(_reference_star_report, c, ctx)
+            assert _back_outcome(back, c, ctx) == _first_violation(outcome)
             crossing += 1
             violated += bool(outcome[1])
         for c in broken:
             outcome = _outcome(report, c, ctx)
             assert outcome.startswith("ValueError")
             assert outcome == _outcome(_reference_star_report, c, ctx)
+            assert _back_outcome(back, c, ctx) == outcome
             refused += 1
     assert witnesses > 7000 and crossing > 500 and refused > 1500
     assert 0 < violated < crossing

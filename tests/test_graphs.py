@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,10 @@ def test_properize_three_level_span_adds_two_vertices():
     assert len(proper.edges) == 3
     assert len(prov.vertex_origin) == 2
     assert prov.paths[("a", "b")] == ("a", "a~b~2", "a~b~3", "b")
+    assert prov.point_at(("a", "b"), 3, proper.level) == "a~b~3"
+    for lv in (0, 5):
+        with pytest.raises(ValueError, match=re.escape(f"edge ('a', 'b') does not cross level {lv}")):
+            prov.point_at(("a", "b"), lv, proper.level)
 
 
 def test_properize_names_avoid_every_vertex():
@@ -262,6 +267,8 @@ def test_limits_rejects_non_critical_pair():
     proper, prov = properize(g)
     with pytest.raises(ValueError):
         limits(CriticalPair(("a", "b"), ("c", "d")), proper, prov)
+    with pytest.raises(ValueError, match=re.escape("edges ('a', 'b') and ('a', 'c') are not independent")):
+        limits(CriticalPair(("a", "b"), ("a", "c")), proper, prov)
 
 
 def test_limit_levels_always_aligned():

@@ -31,6 +31,10 @@ def test_parse_graph_rejects_malformed():
         parse_graph(
             {"levels": 1, "vertices": [{"id": "a", "level": 1}, {"id": "a", "level": 1}], "edges": []}
         )
+    with pytest.raises(FormatError, match="'vertices' and 'edges' must be lists"):
+        parse_graph({"levels": 1, "vertices": {"a": 1}, "edges": []})
+    with pytest.raises(FormatError, match=r"vertex entry \{'id': 'a'\} needs 'id' and 'level'"):
+        parse_graph({"levels": 1, "vertices": [{"id": "a"}], "edges": []})
 
 
 def test_parse_graph_rejects_boolean_levels():
@@ -44,6 +48,8 @@ def test_parse_drawing_rejects_non_canonical_level_keys():
     for key in ("02", "x", "+2", " 2", "2.0"):
         with pytest.raises(FormatError, match="not a level number"):
             parse_drawing({"kind": "level", "orders": {"1": ["a"], "2": ["b"], key: ["c"]}})
+    with pytest.raises(FormatError, match="order of level '2' must be a list of vertex ids"):
+        parse_drawing({"kind": "level", "orders": {"1": ["a"], "2": "b"}})
 
 
 def test_parse_drawing_rejects_non_boolean_flags():
@@ -79,6 +85,8 @@ def test_ambiguous_flag_key_raises():
         parse_drawing({"kind": "radial", "orders": orders, "flags": {"a->b->c": 1}})
     with pytest.raises(FormatError):
         parse_drawing({"kind": "radial", "orders": {"1": ["a"], "2": ["c"]}, "flags": {"a->b->c": 1}})
+    with pytest.raises(FormatError, match="edge key 'ab' is not of the form tail->head"):
+        parse_drawing({"kind": "radial", "orders": {"1": ["a"], "2": ["c"]}, "flags": {"ab": 1}})
 
 
 def test_parse_drawing_rejects_unknown_kind():

@@ -81,6 +81,8 @@ def test_radial_oracle_refuses_invalid_reference_sets_as_the_system_builder_does
     refused = [
         (ReferenceSets({1: "a", 2: "d"}, {1: "a", 2: "d"}), "reference edge ('a', 'd') missing from graph"),
         (ReferenceSets({1: "a"}, {1: "a"}), "level 2 has no plus anchor; level 2 has no minus anchor"),
+        (ReferenceSets({1: "a", 2: "c"}, {1: "b", 2: "c"}), "anchors on level 1 must coincide"),
+        (ReferenceSets({1: "b", 2: "c"}, {1: "b", 2: "d"}), "anchors on level 2 must coincide"),
     ]
     for refs, problem in refused:
         for build in (brute_radial, build_radial_reduced):

@@ -247,6 +247,8 @@ def test_twins_are_checked_as_they_are_read():
             solve(source(*runs))
     with pytest.raises(ValueError, match=r"row \(0, 4\) references an undeclared variable index, 4 declared"):
         solve(source((True, [(0, 4)])))
+    with pytest.raises(ValueError, match=r"^variable index out of range in row \[0, 4\]$"):
+        XorSystem.build(4, [([0, 1], 0), ([0, 4], 1)])
     # a twin's lo may already be joined to a smaller variable; a closing row
     # after a conflict is counted, not read
     rows = source((False, [((0, 1), 1)]), (True, [(1, 2)]), (False, [((0, 2), 1), ((), 1), ((), 1)]))
