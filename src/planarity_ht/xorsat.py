@@ -4,13 +4,14 @@
 source: a list, or a `RowSource` that makes the rows anew on each read and
 names its consistency rows x_lo + x_hi = 1 as twin pairs.  A twin is linked
 in the parity union-find as it is read, without a union; every other
-two-variable row is contracted by a union, and Gauss-Jordan elimination
+two-variable row is contracted by a union, and elimination to echelon form
 (`eliminate`) runs only on the rows that are left, over one column per
 union-find class.  Elimination rows are bitmask integers, so it works on
 machine words regardless of variable count.  Each row becomes a mask when
-elimination reaches it, and only the pivot rows keep the history of original
-rows an unsat certificate needs; `rank` counts the pivots of the same
-elimination on the homogeneous system.  `solve` checks each index as it
+elimination reaches it and is reduced only by the pivots it hits; only the
+pivot rows keep the history of original rows an unsat certificate needs, and
+one back-substitution pass sets the pivots.  `rank` counts the pivots of the
+same elimination on the homogeneous system.  `solve` checks each index as it
 reads it and its assignment once against every row, as `eliminate` does,
 through `violated`: the one reader of the rows a bit list violates, which
 reads twins as twins and serves `constraints.evaluate` too; an unsat certificate,
@@ -67,9 +68,10 @@ class XorSystem:
     def build(n: int, rows: list[tuple[Sequence[int], int]]) -> "XorSystem":
         packed = []
         for idx, parity in rows:
-            if any(not 0 <= i < n for i in idx):
-                raise ValueError(f"variable index out of range in row {idx}")
-            packed.append((tuple(idx), parity & 1))
+            problem = row_problem(n, idx, parity)
+            if problem:
+                raise ValueError(problem)
+            packed.append((tuple(idx), parity))
         return XorSystem(n, tuple(packed))
 
 
@@ -116,10 +118,17 @@ def row_problem(n: int, idx: Sequence[int], parity: int) -> str | None:
 
 
 def eliminate(sys: XorSystem) -> SolveResult:
-    """Gauss-Jordan elimination; returns one satisfying assignment or an unsat certificate.
+    """Elimination to echelon form with back-substitution; returns one
+    satisfying assignment or an unsat certificate.
 
-    `solve` runs it on the rows its union-find leaves over; on a whole system
-    it is the reference that `solve` must match.
+    A pivot is its row's lowest set bit.  The pivot rows are the rows, in
+    build order, independent of the rows before them, and each pivot column
+    is the lowest bit of some vector of their span, as in Gauss-Jordan
+    reduced form: so the pivot columns, and the assignment with free
+    variables 0, are those of Gauss-Jordan elimination, and so is the
+    certificate, the one sum of independent rows that closes the first row
+    reducing to 0 = 1.  `solve` runs it on the rows its union-find leaves
+    over; on a whole system it is the reference that `solve` must match.
     """
     result = _eliminate(sys)
     if isinstance(result, Sat):
@@ -128,34 +137,31 @@ def eliminate(sys: XorSystem) -> SolveResult:
 
 
 def _eliminate(sys: XorSystem) -> SolveResult:
-    # (pivot col, mask, parity, history mask over original row indices); each
-    # pivot row is 0 in every other pivot column, so their order is immaterial
-    pivot_rows: list[tuple[int, int, int, int]] = []
+    # pivot col -> (mask, parity, history mask over original row indices); a
+    # pivot is its row's lowest set bit, so a pivot row reaches only columns above it
+    pivots: dict[int, tuple[int, int, int]] = {}
     for r, (idx, parity) in enumerate(sys.rows):
         mask = 0
         for i in idx:
             mask ^= 1 << i  # repeated indices cancel over GF(2)
         hist = 1 << r
-        for col, pmask, pparity, phist in pivot_rows:
-            if mask >> col & 1:
-                mask ^= pmask
-                parity ^= pparity
-                hist ^= phist
-        if mask == 0:
+        while mask:
+            col = (mask & -mask).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = (mask, parity, hist)
+                break
+            pmask, pparity, phist = pivots[col]
+            mask ^= pmask
+            parity ^= pparity
+            hist ^= phist
+        else:
             if parity == 1:
                 return Unsat(tuple(i for i in range(len(sys.rows)) if hist >> i & 1))
-            continue
-        col = (mask & -mask).bit_length() - 1  # lowest set bit: ascending pivot order
-        # Reduce earlier pivot rows so the matrix stays in reduced form.
-        for j, (c, m, p, h) in enumerate(pivot_rows):
-            if m >> col & 1:
-                pivot_rows[j] = (c, m ^ mask, p ^ parity, h ^ hist)
-        pivot_rows.append((col, mask, parity, hist))
-    pivots = {col for col, _, _, _ in pivot_rows}
     bits = 0
-    for col, _, parity, _ in pivot_rows:
-        # Row is col + free variables only; free variables are 0, so value = parity.
-        bits |= parity << col
+    for col in sorted(pivots, reverse=True):
+        # free variables are 0 and every column above col is already set
+        mask, parity, _ = pivots[col]
+        bits |= (parity ^ (mask & bits).bit_count() & 1) << col
     assignment = tuple(bits >> i & 1 for i in range(sys.n))
     free = tuple(i for i in range(sys.n) if i not in pivots)
     return Sat(assignment, free)

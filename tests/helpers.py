@@ -1,6 +1,7 @@
 """Test scaffolding that no library caller needs: random drawings, the
 assignments a drawing induces read straight off it, the edges that carry a
-left flag, and a parser for the textual constraint dump."""
+left flag, a parser for the textual constraint dump, and the Gauss-Jordan
+elimination that `xorsat.eliminate` must match."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from planarity_ht.constraints import (
 from planarity_ht.drawing import LevelDrawing, RadialDrawing
 from planarity_ht.graphs import Edge, LevelGraph
 from planarity_ht.iofmt import FormatError
+from planarity_ht.xorsat import Sat, SolveResult, Unsat, XorSystem
 
 
 def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
@@ -118,3 +120,40 @@ def parse_dump(text: str) -> tuple[list[XorEquation], list[TransitivityClause]]:
             vars_ = tuple(_parse_var(tok.strip()) for tok in body.split("+"))
             xors.append(XorEquation(vars_, int(parity)))
     return xors, trans
+
+
+def gauss_jordan_eliminate(sys: XorSystem) -> SolveResult:
+    """Gauss-Jordan elimination, keeping the reduced form at every row: the
+    reference whose assignments, free variables and certificates
+    `xorsat.eliminate` must match."""
+    # (pivot col, mask, parity, history mask over original row indices); each
+    # pivot row is 0 in every other pivot column, so their order is immaterial
+    pivot_rows: list[tuple[int, int, int, int]] = []
+    for r, (idx, parity) in enumerate(sys.rows):
+        mask = 0
+        for i in idx:
+            mask ^= 1 << i  # repeated indices cancel over GF(2)
+        hist = 1 << r
+        for col, pmask, pparity, phist in pivot_rows:
+            if mask >> col & 1:
+                mask ^= pmask
+                parity ^= pparity
+                hist ^= phist
+        if mask == 0:
+            if parity == 1:
+                return Unsat(tuple(i for i in range(len(sys.rows)) if hist >> i & 1))
+            continue
+        col = (mask & -mask).bit_length() - 1  # lowest set bit: ascending pivot order
+        # Reduce earlier pivot rows so the matrix stays in reduced form.
+        for j, (c, m, p, h) in enumerate(pivot_rows):
+            if m >> col & 1:
+                pivot_rows[j] = (c, m ^ mask, p ^ parity, h ^ hist)
+        pivot_rows.append((col, mask, parity, hist))
+    pivots = {col for col, _, _, _ in pivot_rows}
+    bits = 0
+    for col, _, parity, _ in pivot_rows:
+        # Row is col + free variables only; free variables are 0, so value = parity.
+        bits |= parity << col
+    assignment = tuple(bits >> i & 1 for i in range(sys.n))
+    free = tuple(i for i in range(sys.n) if i not in pivots)
+    return Sat(assignment, free)

@@ -14,8 +14,14 @@ after the planted ones.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import planarity_ht
 from planarity_ht.constraints import (
     _per_gap_edges,
     _selections,
@@ -24,6 +30,7 @@ from planarity_ht.constraints import (
     reference_set_variants,
 )
 from planarity_ht.graphs import LevelGraph, properize
+from planarity_ht.iofmt import graph_to_json
 from planarity_ht.pipeline import check_level, check_radial, solve_reduced
 
 
@@ -82,3 +89,19 @@ def test_a_tall_planted_graph_gets_no_coupling_row(bench_gen):
     # a level with two anchors gives coupling rows of four triples each
     assert all(len(idx) == 2 for idx, _ in system.rows)
     assert system.n <= 15_000
+
+
+def test_a_split_graph_decides_at_once(bench_gen, tmp_path):
+    # split 10x30: every middle level keeps two anchors, so the radial
+    # decision leaves 26,448 rows over 20,636 columns to elimination, which
+    # takes about half a second only if each row is reduced by just the
+    # pivots it hits (against every pivot row, it takes minutes)
+    g = _split(bench_gen.planted_planar(random.Random(7), [30] * 10, keep=1.0).graph)
+    p = tmp_path / "split.json"
+    p.write_text(json.dumps(graph_to_json(g)))
+    env = dict(os.environ, PYTHONPATH=str(Path(planarity_ht.__file__).resolve().parent.parent))
+    for mode in ("radial", "level"):
+        done = subprocess.run([sys.executable, "-m", "planarity_ht.cli", "--json", "check", mode, str(p)], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, mode
+        assert json.loads(done.stdout)["planar"] is True, mode

@@ -17,6 +17,7 @@ from planarity_ht.constraints import build_radial_reduced
 from planarity_ht.corpus import exhaustive_proper_graphs
 from planarity_ht.pipeline import check_level, check_radial, stage_context, system_for_stage, to_xor_system
 from planarity_ht.xorsat import RowSource, Sat, Unsat, XorSystem, eliminate, rank, solve, violated
+from tests.helpers import gauss_jordan_eliminate
 
 
 def brute_force_satisfiable(sys: XorSystem) -> bool:
@@ -89,6 +90,27 @@ def test_rank_counts_the_solutions_of_the_homogeneous_system(system):
     solutions = sum(all(sum(bits >> i & 1 for i in idx) & 1 == 0 for idx, _ in system.rows)
                     for bits in range(1 << system.n))
     assert solutions == 2 ** (system.n - rank(system))
+
+
+@st.composite
+def dense_systems(draw):
+    """Up to 2n rows of 1 to n indices over n <= 24 variables, repeats allowed."""
+    n = draw(st.integers(1, 24))
+    rows = [(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)), draw(st.integers(0, 1)))
+            for _ in range(draw(st.integers(0, 2 * n)))]
+    return XorSystem.build(n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_systems())
+def test_echelon_elimination_matches_gauss_jordan(sys):
+    # the pivot rows are the rows independent of the rows before them on both
+    # paths, so the pivot columns, the assignment with free variables 0 and
+    # the first contradiction's history over those rows are the same; Sat
+    # compares assignment and free variables, Unsat its certificate
+    assert eliminate(sys) == gauss_jordan_eliminate(sys)
+    homogeneous = XorSystem(sys.n, tuple((idx, 0) for idx, _ in sys.rows))
+    assert rank(sys) == sys.n - len(gauss_jordan_eliminate(homogeneous).free_vars)
 
 
 def test_free_variables_default_to_zero():
@@ -247,8 +269,10 @@ def test_twins_are_checked_as_they_are_read():
             solve(source(*runs))
     with pytest.raises(ValueError, match=r"row \(0, 4\) references an undeclared variable index, 4 declared"):
         solve(source((True, [(0, 4)])))
-    with pytest.raises(ValueError, match=r"^variable index out of range in row \[0, 4\]$"):
+    with pytest.raises(ValueError, match=r"^row \[0, 4\] references an undeclared variable index, 4 declared$"):
         XorSystem.build(4, [([0, 1], 0), ([0, 4], 1)])
+    with pytest.raises(ValueError, match=r"^row \[0, 1\] has parity 3, not 0 or 1$"):
+        XorSystem.build(2, [([0, 1], 3), ([0], 2)])
     # a twin's lo may already be joined to a smaller variable; a closing row
     # after a conflict is counted, not read
     rows = source((False, [((0, 1), 1)]), (True, [(1, 2)]), (False, [((0, 2), 1), ((), 1), ((), 1)]))
