@@ -10,9 +10,13 @@ the shared level, times every permutation of the level below, and so on.  Each
 gap's scan marks each new class's orbit in a seen-table of one byte per
 mask of that gap and jumps to the next unmarked mask; orbits are built from
 tables of one level's permutations (a row's image under each column
-permutation, each row permutation's slot shifts).  A class costs about its
-orbit in one gap, and memory is one table of 2^(n_i * n_{i+1}) bytes per gap
-of the walk, 64 KiB for a 4 x 4 gap, whatever the number of levels.
+permutation, each row permutation's slot shifts).  One listing scans each
+(gap shape, group) pair once and keeps its class list, which every later
+visit of that gap under that group reads, across size vectors too; a
+listing's tables live as long as the listing.  Memory is one set of
+relabeling tables per gap shape, a seen-table of 2^(n_i * n_{i+1}) bytes
+while a gap is scanned (64 KiB for a 4 x 4 gap), and the class lists held
+for one listing, whatever the number of levels.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 from itertools import islice, permutations, product
 from math import factorial
 from operator import lshift
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graphs import LevelGraph, VertexId
 
@@ -79,7 +83,7 @@ class _Gap:
         rows = [mask >> r & full for r in range(0, self.bits, self.n2)]
         return [tuple([col[row] for row in rows]) for col in self.cols]
 
-    def classes(self, upper: list[int]) -> Iterator[tuple[int, list[int]]]:
+    def classes(self, upper: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
         """The gap's masks up to the upper permutations indexed by `upper`
         (a group) times every lower permutation, each class as its least
         mask, ascending.
@@ -104,8 +108,33 @@ class _Gap:
                     fixed = fixes[rows] = mask in images
                 if fixed:
                     lower.append(i2)
-            yield mask, lower
+            yield mask, tuple(lower)
             mask = seen.find(0, mask + 1)
+
+
+class _Listing:
+    """The tables of one listing, shared across its size vectors: each gap
+    shape's `_Gap`, and each (gap shape, group) pair's classes as a list.
+
+    A walk revisits a later gap once per class above it, but under few
+    distinct groups: 21 pairs serve the whole 4 x 3 corpus.  The tables live
+    as long as the listing, so every listing pays for its own scans.
+    """
+
+    def __init__(self) -> None:
+        self.gaps: dict[tuple[int, int], _Gap] = {}
+        self.lists: dict[tuple[int, int, tuple[int, ...]], list[tuple[int, tuple[int, ...]]]] = {}
+
+    def classes(self, n1: int, n2: int, upper: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+        """`_Gap(n1, n2).classes(upper)` as a list, scanned on first use."""
+        key = (n1, n2, tuple(upper))
+        got = self.lists.get(key)
+        if got is None:
+            gap = self.gaps.get((n1, n2))
+            if gap is None:
+                gap = self.gaps[n1, n2] = _Gap(n1, n2)
+            got = self.lists[key] = list(gap.classes(upper))
+        return got
 
 
 def exhaustive_proper_graphs(max_levels: int = 3, max_width: int = 3,
@@ -116,12 +145,13 @@ def exhaustive_proper_graphs(max_levels: int = 3, max_width: int = 3,
 
 def _class_representatives(max_levels: int, max_width: int) -> Iterator[LevelGraph]:
     """One graph per isomorphism class, size vector by size vector."""
+    listing = _Listing()
     for k in range(1, max_levels + 1):
         for sizes in product(range(1, max_width + 1), repeat=k):
-            yield from map(_builder(sizes), _least_masks(sizes))
+            yield from map(_builder(sizes), _least_masks(sizes, listing))
 
 
-def _least_masks(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _least_masks(sizes: tuple[int, ...], listing: _Listing | None = None) -> Iterator[tuple[int, ...]]:
     """Each class's least joint mask, split into gap masks, in ascending order.
 
     The joint mask puts gap 0 in its highest bits, so it is least in its
@@ -129,19 +159,22 @@ def _least_masks(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     permutations and each later gap's mask is least under the stabilizer
     of the gaps above, projected on the gap's upper level, times every
     permutation of its lower level.  The walk lists the classes gap by gap
-    in that order, with one seen-table per gap of the walk.
+    in that order, reading each gap's classes from the listing's tables
+    (a fresh listing's by default).
     """
-    gaps = [_Gap(a, b) for a, b in zip(sizes, sizes[1:])]
+    classes = (_Listing() if listing is None else listing).classes
+    shapes = list(zip(sizes, sizes[1:]))
 
-    def walk(g: int, upper: list[int]) -> Iterator[tuple[int, ...]]:
-        if g == len(gaps):
+    def walk(g: int, upper: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        if g == len(shapes):
             yield ()
             return
-        for mask, lower in gaps[g].classes(upper):
+        for mask, lower in classes(*shapes[g], upper):
             for rest in walk(g + 1, lower):
                 yield (mask, *rest)
 
-    yield from walk(0, list(range(factorial(sizes[0]))))
+    # the top level's group as a range: a one-level size vector never reads it
+    yield from walk(0, range(factorial(sizes[0])))
 
 
 def random_proper_graph(rng: random.Random, max_levels: int = 4, max_width: int = 4,

@@ -16,6 +16,7 @@ from itertools import islice, permutations, product
 
 import pytest
 
+from planarity_ht import corpus
 from planarity_ht.corpus import _least_masks, exhaustive_proper_graphs, graph_from_masks
 from planarity_ht.iofmt import graph_to_json
 
@@ -31,6 +32,11 @@ DIGESTS_PAST_3X3 = [
     ((4, 3), 20_000, "4ca26bed040cdbdbd40e67f56db234a07638525718f913eb16e1f7212b3b817f"),
     ((3, 4), 20_000, "0df800b8bfadf6a81324d9426219625207b7dcef0873d108448ee5ca56633b62"),
 ]
+
+# sha256 over f"{tuple(g.widths())} {g.edges}\n" for each graph of the whole
+# 4 x 3 corpus, in order: cheaper than the JSON digest above, which would
+# add about 11 s
+DIGEST_4X3 = "5e5dc2c4c48bb010bdc4f0ec8236c8cad59c7e5e88b9f374a0319c01e2a19fb3"
 
 
 def _split(joint: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -91,6 +97,15 @@ def test_the_sequence_past_3x3_is_pinned(bounds, cap, digest):
     assert _digest(exhaustive_proper_graphs(*bounds, cap=cap)) == digest
 
 
+def test_the_whole_4x3_sequence_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for g in exhaustive_proper_graphs(4, 3, cap=600_000):
+        h.update(f"{tuple(g.widths())} {g.edges}\n".encode())
+        count += 1
+    assert (count, h.hexdigest()) == (573_252, DIGEST_4X3)
+
+
 # every bound up to (3, 2) and (2, 3)
 @pytest.mark.parametrize("bounds", sorted({(k, w) for k in (1, 2, 3) for w in (1, 2)}
                                           | {(k, w) for k in (1, 2) for w in (1, 2, 3)}))
@@ -128,3 +143,38 @@ def test_a_width_four_size_vector_starts_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_listing_scans_each_gap_shape_and_group_once(monkeypatch):
+    scans = 0
+    classes = corpus._Gap.classes
+
+    def counted(gap, upper):
+        nonlocal scans
+        scans += 1
+        return classes(gap, upper)
+    monkeypatch.setattr(corpus._Gap, "classes", counted)
+    # the 3 x 3 walks revisit later gaps 291 times under 21 distinct
+    # (gap shape, group) pairs
+    assert sum(1 for _ in exhaustive_proper_graphs(3, 3)) == 6_310
+    assert scans == 21
+    # no table outlives its listing: the next one scans again
+    assert sum(1 for _ in exhaustive_proper_graphs(3, 3)) == 6_310
+    assert scans == 42
+
+
+@pytest.mark.parametrize("bounds, classes, bound", [
+    # a one-level size vector has no gap, so its level's W! permutations are
+    # never listed; at W = 10 a list of them would take about 140 MiB
+    ((1, 10), 10, 2**20),
+    # a listing holds the class lists of each gap shape under each group it met
+    ((3, 4), 20_000, 4 * 2**20),
+])
+def test_a_listing_holds_its_class_lists_in_bounded_memory(bounds, classes, bound):
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in exhaustive_proper_graphs(*bounds, cap=20_000)) == classes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
