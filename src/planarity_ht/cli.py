@@ -64,7 +64,7 @@ def cmd_check(args) -> int:
             json.dump(iofmt.drawing_to_json(result.witness), fh, indent=2, sort_keys=True)
             fh.write("\n")
         payload["witness"] = out
-        payload["witness_crossings"] = result.witness_report.total()
+        payload["witness_crossings"] = result.witness_crossings
         text += f"; witness drawing written to {out}"
     _emit(args, payload, text)
     return EXIT_PLANAR if result.planar else EXIT_NONPLANAR

@@ -16,7 +16,11 @@ visit of that gap under that group reads, across size vectors too; a
 listing's tables live as long as the listing.  Memory is one set of
 relabeling tables per gap shape, a seen-table of 2^(n_i * n_{i+1}) bytes
 while a gap is scanned (64 KiB for a 4 x 4 gap), and the class lists held
-for one listing, whatever the number of levels.
+for one listing, whatever the number of levels.  The seen-table doubles with
+each edge slot, so a listing of two or more levels is refused when a level
+could be wider than `MAX_GAP_WIDTH`: a 5 x 5 gap takes 32 MiB, a 5 x 6 gap
+would take 1 GiB and a 6 x 6 gap 64 GiB.  A one-level listing scans no gap
+and takes any width.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from operator import lshift
 from typing import Callable, Iterator, Sequence
 
 from .graphs import LevelGraph, VertexId
+
+MAX_GAP_WIDTH = 5  # the widest level an exhaustive listing of two or more levels takes
 
 
 def level_vertex_names(sizes: list[int] | tuple[int, ...]) -> list[list[VertexId]]:
@@ -139,7 +145,13 @@ class _Listing:
 
 def exhaustive_proper_graphs(max_levels: int = 3, max_width: int = 3,
                              cap: int = 20_000) -> Iterator[LevelGraph]:
-    """All proper level graphs within the bounds, deduplicated; the first `cap` of them."""
+    """All proper level graphs within the bounds, deduplicated; the first `cap` of them.
+
+    Bounds whose gaps could be wider than `MAX_GAP_WIDTH` are refused at the
+    call with a ValueError, before any graph is listed."""
+    if max_levels >= 2 and max_width > MAX_GAP_WIDTH:
+        raise ValueError(f"the exhaustive listing of two or more levels takes widths up to "
+                         f"{MAX_GAP_WIDTH}, got {max_width}")
     return islice(_class_representatives(max_levels, max_width), max(cap, 0))
 
 

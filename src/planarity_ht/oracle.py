@@ -88,23 +88,28 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSe
     the enumeration's first crossing-free state; `states_examined` is its
     1-based rank, or the full count when there is none.
 
-    The full count is checked against the budget before any order is built.
+    The full count is checked against the budget before any order is built,
+    and no level's orders are listed: each level holds one generator of its
+    orders and shows its current one, and the generator restarts whenever
+    the search climbs onto the level, so memory is one order per level
+    whatever the width.
     """
     budget = default_budget() if budget is None else budget
     levels = [g.on_level(i) for i in range(1, g.k + 1)]
     classes = {i: gap_edge_classes(g, refs, i) for i in g.by_gap}  # a gap without edges has no crossing
     gap_flags = {i: gap_flagged_edges(c) for i, c in classes.items()}
     flagged = [e for flags in gap_flags.values() for e in flags]
+    counts = [factorial(len(vs) - pinned) for vs in levels]  # counts[i - 1]: level i's order count
     needed = 2 ** len(flagged)
-    for vs in levels:
-        needed *= factorial(len(vs) - pinned)
+    for count in counts:
+        needed *= count
     if needed > budget:
         raise BudgetExceededError(needed, budget)
     if not g.k:
         return OracleResult(True, drawing({}, {}), 1)
-    choices = [list(_orders(vs, pinned)) for vs in levels]
-    view = _Positions({i: options[0] for i, options in enumerate(choices, start=1)}, g, {})
-    pick = [0] * g.k  # pick[i - 1]: the index of level i's order in choices[i - 1]
+    walks = [_orders(vs, pinned) for vs in levels]  # walks[i - 1]: level i's orders from its pick on
+    view = _Positions({i: next(walk) for i, walk in enumerate(walks, start=1)}, g, {})
+    pick = [0] * g.k  # pick[i - 1]: the index of level i's order, which the view shows
     settings: list[tuple[bool, ...]] = [()] * g.k  # settings[i]: gap i's flag values
 
     def first_free_setting(i: int) -> tuple[bool, ...] | None:
@@ -125,27 +130,28 @@ def _enumerate(g: LevelGraph, budget: int | None, pinned: int, refs: ReferenceSe
                 break
             top += 1
             pick[top - 1] = -1
+            walks[top - 1] = _orders(levels[top - 1], pinned)
         while True:  # level top's next live pick, backing off each level whose picks are spent
-            while pick[top - 1] == len(choices[top - 1]) - 1:
+            while pick[top - 1] == counts[top - 1] - 1:
                 top -= 1
                 if top == 0:
                     return OracleResult(False, None, needed)
                 dead.add((top, pick[top - 1]))
             pick[top - 1] += 1
+            order = next(walks[top - 1])
             if (top, pick[top - 1]) not in dead:
                 break
-        view.show(top, choices[top - 1][pick[top - 1]])
+        view.show(top, order)
 
     # the rank: the orders' mixed-radix index, then the flag bits with
     # flagged[0] the most significant and True as 1
     rank = 0
-    for j, options in zip(pick, choices):
-        rank = rank * len(options) + j
+    for j, count in zip(pick, counts):
+        rank = rank * count + j
     bits = [b for setting in settings for b in setting]
     for b in bits:
         rank = 2 * rank + b
-    orders = {i: options[j] for i, (j, options) in enumerate(zip(pick, choices), start=1)}
-    return OracleResult(True, drawing(orders, dict(zip(flagged, bits))), rank + 1)
+    return OracleResult(True, drawing(dict(view.orders), dict(zip(flagged, bits))), rank + 1)
 
 
 def brute_level(g: LevelGraph, budget: int | None = None) -> OracleResult:

@@ -9,7 +9,8 @@ reads them; no row list is made either way.  Only then too is the star form and
 its proper subdivision G+ built: the solution is lifted to G+, each bit
 computed as the drawing reads it, without G+'s constraint system, and
 realized as a drawing whose smoothed form passes the even-crossings
-verification; that drawing is the returned witness.
+verification; that drawing is the returned witness, and the verification's
+crossing count the one part of its report the result keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .constraints import (
     count_transitivity,
 )
 from .drawing import (
-    CrossingReport,
     LevelContext,
     LevelDrawing,
     RadialDrawing,
@@ -59,7 +59,12 @@ def solve_reduced(system: ConstraintSystem) -> list[bool] | None:
 @dataclass
 class CheckResult:
     """One decision; variables and equations count the reduced system of the
-    properized input, the system that decided, transitivity_clauses its full system's clauses."""
+    properized input, the system that decided, transitivity_clauses its full system's clauses.
+
+    With a witness comes witness_crossings, the crossing count of its
+    verified drawing (every pair of independent edges crosses evenly); the
+    per-pair crossing table is dropped once the check has passed.  Both are
+    None without a witness, a non-planar answer included."""
 
     mode: str
     planar: bool
@@ -67,7 +72,7 @@ class CheckResult:
     equations: int
     transitivity_clauses: int
     witness: LevelDrawing | RadialDrawing | None = None
-    witness_report: CrossingReport | None = None
+    witness_crossings: int | None = None
 
 
 def stage_context(g: LevelGraph, mode: str) -> LevelContext:
@@ -92,9 +97,10 @@ def _check(g: LevelGraph, mode: str, witness: bool, lift, realize, report_fn) ->
                          count_transitivity(ctx.base, ctx.refs))
     if phi is not None and witness:
         result.witness = realize(lift(phi, ctx), ctx)
-        result.witness_report = report = report_fn(result.witness, ctx)
+        report = report_fn(result.witness, ctx)
         if report.ht_violations:
             raise AssertionError(f"witness drawing failed verification: {report.ht_violations[0]}")
+        result.witness_crossings = report.total()
     return result
 
 

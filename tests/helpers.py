@@ -1,7 +1,8 @@
 """Test scaffolding that no library caller needs: random drawings, the
 assignments a drawing induces read straight off it, the edges that carry a
-left flag, a parser for the textual constraint dump, and the Gauss-Jordan
-elimination that `xorsat.eliminate` must match."""
+left flag, a parser for the textual constraint dump, the Gauss-Jordan
+elimination that `xorsat.eliminate` must match, and a check result's witness
+verified again on its own."""
 
 from __future__ import annotations
 
@@ -20,15 +21,23 @@ from planarity_ht.constraints import (
     gap_edge_classes,
     gap_flagged_edges,
 )
-from planarity_ht.drawing import LevelDrawing, RadialDrawing
+from planarity_ht.drawing import CrossingReport, LevelDrawing, RadialDrawing, star_report_level, star_report_radial
 from planarity_ht.graphs import Edge, LevelGraph
 from planarity_ht.iofmt import FormatError
+from planarity_ht.pipeline import CheckResult, stage_context
 from planarity_ht.xorsat import Sat, SolveResult, Unsat, XorSystem
 
 
 def flagged_edges(g: LevelGraph, refs: ReferenceSets) -> list[Edge]:
     """The edges that carry a left flag: gap by gap, each in `gap_flagged_edges` order."""
     return [e for i in range(1, g.k) for e in gap_flagged_edges(gap_edge_classes(g, refs, i))]
+
+
+def witness_report(g: LevelGraph, result: CheckResult) -> CrossingReport:
+    """The crossing report of a check's witness of g, computed afresh from
+    the stage context rather than read off the result."""
+    report = star_report_level if result.mode == "level" else star_report_radial
+    return report(result.witness, stage_context(g, result.mode))
 
 
 def random_level_drawing(rng: random.Random, g: LevelGraph) -> LevelDrawing:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from planarity_ht.graphs import LevelGraph
 from planarity_ht.iofmt import graph_to_json
 from planarity_ht.pipeline import check_level
 from tests.conftest import make_path
+from tests.helpers import witness_report
 
 
 @pytest.fixture
@@ -253,6 +255,21 @@ def test_crosscheck_refuses_empty_sizes_and_negative_counts(argv, option, capsys
     assert "Traceback" not in err and "randrange" not in err
 
 
+def test_crosscheck_refuses_an_exhaustive_listing_too_wide_to_scan(tmp_path):
+    # a 6 x 6 gap's seen-table would take 2^36 bytes; the refusal comes before
+    # any instance is listed, so the child neither allocates nor scans
+    env = dict(os.environ, PYTHONPATH=str(Path(planarity_ht.__file__).resolve().parent.parent))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "planarity_ht.cli", "--json", "crosscheck", "--max-size", "2,6"],
+                          env=env, capture_output=True, text=True, timeout=10, preexec_fn=cap_memory)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: the exhaustive listing of two or more levels takes widths up to 5, got 6\n"
+
+
 def test_crosscheck_random_zero_checks_no_instance(capsys):
     assert main(["--json", "crosscheck", "--random", "0", "--max-size", "2,2"]) == 0
     assert json.loads(capsys.readouterr().out)["instances"] == 0
@@ -335,7 +352,7 @@ def test_check_json_reports_witness_crossings(tmp_path, capsys):
     p.write_text(json.dumps(graph_to_json(g)))
     assert main(["--json", "check", "level", str(p), "--witness", str(tmp_path / "w.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
-    expect = check_level(g, witness=True).witness_report.total()
+    expect = witness_report(g, check_level(g, witness=True)).total()
     assert expect > 0
     assert payload["witness_crossings"] == expect
 

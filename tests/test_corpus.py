@@ -178,3 +178,12 @@ def test_a_listing_holds_its_class_lists_in_bounded_memory(bounds, classes, boun
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_a_listing_too_wide_to_scan_is_refused_at_the_call():
+    # widths past corpus.MAX_GAP_WIDTH (5) would need a seen-table of 1 GiB or more
+    # per gap; a one-level listing scans no gap and takes any width
+    for bounds in ((2, 6), (4, 9)):
+        with pytest.raises(ValueError, match=rf"takes widths up to 5, got {bounds[1]}"):
+            exhaustive_proper_graphs(*bounds)
+    assert [g.widths() for g in exhaustive_proper_graphs(1, 7)] == [[w] for w in range(1, 8)]

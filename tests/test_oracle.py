@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import partial
 from itertools import islice, permutations, product
@@ -310,6 +311,22 @@ for run in (lambda: brute_level(g, budget=1000), lambda: brute_radial(aug, refs,
     assert done.returncode == 0, done.stderr
     assert done.stdout == ("enumeration needs 6227020800 states, budget is 1000\n"
                            "enumeration needs 479001600 states, budget is 1000\n")
+
+
+def test_a_wide_level_is_searched_without_listing_its_orders():
+    # an edgeless level of 9 vertices is crossing-free in its first order;
+    # listing its 9! linear (8! cyclic) orders would take tens of MiB
+    g = LevelGraph(1, {f"v{j}": 1 for j in range(9)}, ())
+    refs, aug = choose_reference_sets(g)
+    for run in (lambda: brute_level(g), lambda: brute_radial(aug, refs)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.planar and result.states_examined == 1
+        assert peak < 1 << 20, peak
 
 
 def test_the_oracles_answers_on_the_3x3_corpus_are_pinned():

@@ -19,6 +19,7 @@ from planarity_ht.iofmt import graph_to_json
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import check_level, check_radial, solve_reduced, stage_context, system_for_stage
 from tests.conftest import make_path
+from tests.helpers import witness_report
 
 
 def test_k22_level_nonplanar(k22):
@@ -53,7 +54,7 @@ def test_k22_radial_planar_with_witness(k22):
     result = check_radial(k22, witness=True)
     assert result.planar
     assert result.witness is not None
-    assert result.witness_report.ht_violations == []
+    assert witness_report(k22, result).ht_violations == []
 
 
 def test_paths_planar_both_modes():
@@ -69,6 +70,25 @@ def test_improper_input_is_properized_transparently():
     assert check_radial(g).planar
 
 
+def test_a_witness_result_keeps_its_verified_crossing_count(bench_gen):
+    # the result keeps the count, not the report: it must equal the total of
+    # the witness verified afresh, and be None wherever no witness is drawn
+    planted = [inst.graph for inst in (*bench_gen.witness_instances(3, 6), *bench_gen.decide_instances(3, 6))]
+    answers, crossings = set(), 0
+    for g in (*planted, *islice(exhaustive_proper_graphs(3, 3), 0, None, 50)):
+        for check in (check_level, check_radial):
+            assert check(g).witness_crossings is None
+            result = check(g, witness=True)
+            answers.add(result.planar)
+            if result.planar:
+                assert result.witness_crossings == witness_report(g, result).total()
+                crossings += result.witness_crossings
+            else:
+                assert result.witness is None and result.witness_crossings is None
+    assert answers == {True, False}
+    assert crossings > 0
+
+
 def test_level_witness_passes_verification_on_random_instances():
     rng = random.Random(19)
     planar_seen = 0
@@ -77,7 +97,7 @@ def test_level_witness_passes_verification_on_random_instances():
         result = check_level(g, witness=True)
         if result.planar:
             planar_seen += 1
-            assert result.witness_report.ht_violations == []
+            assert witness_report(g, result).ht_violations == []
     assert planar_seen > 5
 
 
@@ -405,7 +425,7 @@ def test_verification_rejects_a_lift_with_one_pivot_bit_flipped(monkeypatch, che
             return dataclasses.replace(lifted, pair=lambda *point: lifted.pair(*point) != (point == flipped))
         return dataclasses.replace(lifted, triple=lambda *point: lifted.triple(*point) != (point == flipped))
 
-    assert check(g, witness=True).witness_report.ht_violations == []
+    assert witness_report(g, check(g, witness=True)).ht_violations == []
     monkeypatch.setattr(pipeline, lift, broken)
     with pytest.raises(AssertionError, match="witness drawing failed verification"):
         check(g, witness=True)
@@ -437,7 +457,7 @@ def test_an_id_named_like_a_subdivision_point_changes_no_answer():
         for check in (check_level, check_radial):
             result = check(twin, witness=True)
             assert result.planar == check(g).planar
-            assert result.witness is None or result.witness_report.ht_violations == []
+            assert result.witness is None or witness_report(twin, result).ht_violations == []
         renamed += 1
 
 
