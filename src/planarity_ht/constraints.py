@@ -361,16 +361,19 @@ def anchor_problems(g: LevelGraph, alpha_plus: dict[int, VertexId], alpha_minus:
 
 
 def validate_reference_sets(g: LevelGraph, refs: ReferenceSets) -> list[str]:
-    problems = [p for i in range(1, g.k + 1) for p in anchor_problems(g, refs.alpha_plus, refs.alpha_minus, i)]
-    if g.k >= 1 and refs.alpha_plus.get(1) != refs.alpha_minus.get(1):
+    level, plus, minus = g.level, refs.alpha_plus, refs.alpha_minus
+    # a level whose two anchors lie on it has no anchor problem to list
+    problems = [p for i in range(1, g.k + 1) if not level.get(plus.get(i)) == i == level.get(minus.get(i))
+                for p in anchor_problems(g, plus, minus, i)]
+    if g.k >= 1 and plus.get(1) != minus.get(1):
         problems.append("anchors on level 1 must coincide")
-    if refs.alpha_plus.get(g.k) != refs.alpha_minus.get(g.k):
+    if plus.get(g.k) != minus.get(g.k):
         problems.append(f"anchors on level {g.k} must coincide")
     for i in range(1, g.k):
-        e = (refs.alpha_plus.get(i), refs.alpha_minus.get(i + 1))
+        e = (plus.get(i), minus.get(i + 1))
         # a missing anchor is reported above; the edges leaving the tail's
         # level are all of the graph's edges that could be e
-        if None not in e and e not in g.gap_edges(g.level.get(e[0])):
+        if None not in e and e not in g.gap_edges(level.get(e[0])):
             problems.append(f"reference edge {e} missing from graph")
     return problems
 

@@ -552,12 +552,12 @@ def _around(pivot: VertexId, vs: tuple[VertexId, ...], lead: tuple[VertexId, ...
 
 def drawing_from_assignment_level(phi_plus: LiftedAssignment, ctx: LevelContext) -> LevelDrawing:
     """Place each level's lone stretched vertex as pivot; order others by their bit."""
-    pg, pair = ctx.pg, phi_plus.pair
+    pair, stars = phi_plus.pair, ctx.star_form.star.by_level
     orders: dict[int, tuple[VertexId, ...]] = {}
-    for j in range(1, pg.graph.k + 1):
-        pivots = pg.star_vertices_on(j)
+    for j, vs in ctx.pg.graph.by_level.items():  # G+ has a vertex on each of its sublevels
+        pivots = stars.get(j, ())
         assert len(pivots) == 1, f"level {j} of the plain subdivision must hold one stretched vertex"
-        orders[j] = _around(pivots[0], pg.graph.on_level(j), (), partial(pair, pivots[0]))
+        orders[j] = _around(pivots[0], vs, (), partial(pair, pivots[0]))
     return LevelDrawing(orders)
 
 
@@ -620,17 +620,16 @@ def drawing_from_assignment_radial(phi_plus: LiftedAssignment, ctx: RadialContex
     vertex picks its arc; elsewhere the lone stretched vertex is placed
     against the level's anchor.  Residual order inside an arc is ascending id.
     """
-    pg, triple, flag = ctx.pg, phi_plus.triple, phi_plus.flag
+    triple, flag, stars = phi_plus.triple, phi_plus.flag, ctx.star_form.star.by_level
+    minus, plus = ctx.plus_refs.alpha_minus, ctx.plus_refs.alpha_plus
     cyclic: dict[int, tuple[VertexId, ...]] = {}
-    for j in range(1, pg.graph.k + 1):
-        vs = pg.graph.on_level(j)
-        bm, bp = ctx.plus_refs.alpha_minus[j], ctx.plus_refs.alpha_plus[j]
+    for j, vs in ctx.pg.graph.by_level.items():  # G+ has a vertex on each of its sublevels
+        bm, bp = minus[j], plus[j]
         if bm != bp:
             # the vertices with t(bm, v, bp) set lie on the arc from bm to bp, before bp
             cyclic[j] = _around(bp, vs, (bm,), lambda v: not triple(bm, v, bp))
         else:
-            stars = pg.star_vertices_on(j)
-            xi = stars[0] if stars else None
+            xi = stars[j][0] if j in stars else None
             if xi is None or xi == bm:
                 cyclic[j] = tuple(vs)
             else:

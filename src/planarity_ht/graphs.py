@@ -8,9 +8,10 @@ in this package is deterministic.
 Each graph is validated once: its violations and its properness are computed
 on first use and kept, so every public entry checks its input and a repeat
 check costs nothing.  A graph this package builds valid from a checked one
-(a properization, a star form) is recorded as checked when it is built; a
-properization is indexed too, its `by_level` and `by_gap` filled as it is
-subdivided.
+(a properization, a star form and its subdivision) is recorded as checked
+when it is built, and indexed too: a properization's and a subdivision's
+`by_level` and `by_gap` are filled as they are subdivided, a star form's
+`by_level` as its copies are placed.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class LevelGraph:
 
     `level` and `edges` are not mutated after construction: the per-level
     index (`by_level`, `by_gap`), the violations and the properness are
-    computed from them on first use and kept, unless `properize` filled
-    them when it built the graph.
+    computed from them on first use and kept, unless the builder filled
+    them when it built the graph (`properize`, and the star form and its
+    subdivision in `starform`).
     """
 
     k: int

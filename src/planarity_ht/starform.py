@@ -18,6 +18,11 @@ orders each level from its minus anchor and gives the block a *middle sublevel*
 n + spans crossed by all of its stretch edges: when the level's two anchors
 differ, the plus anchor comes last and the shift is -1 (2n-1 sublevels); when
 they coincide, the anchor's stretch edge spans the block (2n+1 sublevels).
+
+Each structure is made in one pass: the layout fills the stretched graph's
+`by_level` as it places the copies, and `build_plus` subdivides the stretched
+graph itself, indexing the subdivision and recording each point's origin as
+the point is made.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from .graphs import (
     LevelGraph,
     Properization,
     VertexId,
-    properize,
     record_checked,
     require_valid,
+    subdivision_name,
 )
 
 
@@ -68,9 +73,11 @@ def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, b
     """Stretch g by the layout rule, one block per (level, order, top shift, spans).
 
     g is valid and proper and each order lists its level's vertices, so the
-    stretched graph is valid by construction and recorded as checked.
+    stretched graph is valid by construction and recorded as checked; its
+    `by_level` is filled block by block as the copies are placed.
     """
     level: dict[VertexId, int] = {}
+    by_level: dict[int, tuple[VertexId, ...]] = {}
     bot: dict[VertexId, VertexId] = {}
     top: dict[VertexId, VertexId] = {}
     level_origin: dict[int, int] = {}
@@ -79,16 +86,20 @@ def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, b
     for i, order, shift, spans in blocks:
         n = len(order)
         for j, v in enumerate(order, start=1):
-            bot[v] = bot_name(v)
-            top[v] = top_name(v)
-            level[bot[v]] = offset + j
-            level[top[v]] = offset + n + shift + j
-        if spans:
-            level[top[order[0]]] = offset + 2 * n + 1
+            b, t = bot[v], top[v] = bot_name(v), top_name(v)
+            level[b] = offset + j
+            level[t] = offset + (2 * n + 1 if spans and j == 1 else n + shift + j)
+            by_level[offset + j] = (b,)
+        # the top copies ascend with the order, a spanning one ends the block;
+        # with shift -1 the first shares the last bottom copy's sublevel
+        for v in (*order[1:], order[0]) if spans else order:
+            t = top[v]
+            s = level[t]
+            by_level[s] = tuple(sorted((*by_level[s], t))) if s in by_level else (t,)
         width = 2 * n + shift + spans
         middle[i] = offset + n + spans
-        for s in range(1, width + 1):
-            level_origin[offset + s] = i
+        for s in range(offset + 1, offset + width + 1):
+            level_origin[s] = i
         offset += width
     stretch = {v: (bot[v], top[v]) for v in g.level}
     star_edge = {(u, v): (top[u], bot[v]) for u, v in g.edges}
@@ -97,6 +108,7 @@ def _lay_out(g: LevelGraph, blocks: list[tuple[int, tuple[VertexId, ...], int, b
     owner = {c: v for v, c in bot.items()}
     owner.update({c: v for v, c in top.items()})
     star = record_checked(LevelGraph(offset, level, edges))
+    star.__dict__["by_level"] = by_level
     return StarForm(star, bot, top, owner, stretch, star_edge, edge_origin, level_origin,
                     middle if radial else None)
 
@@ -157,26 +169,54 @@ class PlusGraph:
 
 
 def build_plus(sf: StarForm) -> PlusGraph:
-    """Properize the star form and record the origin of every vertex."""
-    plus, prov = properize(sf.star)
-    origin: dict[VertexId, VertexId] = dict(sf.owner)
-    level, level_origin = sf.star.level, sf.level_origin
-    for star_edge, path in prov.paths.items():
-        if len(path) == 2:
+    """Subdivide the star form to a proper graph and record the origin of every vertex.
+
+    The star edges are subdivided in the star graph's edge order, as
+    `graphs.properize` would subdivide them: each point is named by
+    `subdivision_name`, primed while its name is taken, and goes into its
+    sublevel's bucket, its segments into their gaps' buckets, as it is made;
+    the buckets are sorted into the subdivision's `by_level` and `by_gap`.
+    """
+    star, level_origin, edge_origin, owner = sf.star, sf.level_origin, sf.edge_origin, sf.owner
+    level = dict(star.level)
+    at_level = [list(star.by_level.get(j, ())) for j in range(star.k + 1)]
+    at_gap: list[list[Edge]] = [[] for _ in range(star.k + 1)]
+    edges: list[Edge] = []
+    vertex_origin: dict[VertexId, Edge] = {}
+    paths: dict[Edge, tuple[VertexId, ...]] = {}
+    origin: dict[VertexId, VertexId] = dict(owner)
+    for e in star.edges:
+        u, v = e
+        lu, lv = level[u], level[v]
+        if lv - lu == 1:
+            edges.append(e)
+            at_gap[lu].append(e)
+            paths[e] = e
             continue
-        if star_edge in sf.edge_origin:
-            # an edge image's points lie in its tail's block, then in its head's
-            u, v = sf.edge_origin[star_edge]
-            low = level[star_edge[0]]
-            tail_block = level_origin[low]
-            for j in range(1, len(path) - 1):
-                origin[path[j]] = u if level_origin[low + j] == tail_block else v
-        else:
-            # stretch edge subdivision points
-            owner = sf.owner[star_edge[0]]
-            for w in path[1:-1]:
-                origin[w] = owner
-    return PlusGraph(sf, plus, prov, origin)
+        # a point of an edge image belongs to the edge's tail while in the
+        # tail's block, then to its head; a point of a stretch edge to its owner
+        tail, head = edge_origin.get(e) or (owner[u], owner[u])
+        tail_block = level_origin[lu]
+        path = [u]
+        for j in range(lu + 1, lv):
+            w = subdivision_name(u, v, j)
+            while w in level:  # the name of a copy or an earlier point: prime it
+                w += "'"
+            level[w] = j
+            at_level[j].append(w)
+            vertex_origin[w] = e
+            origin[w] = tail if level_origin[j] == tail_block else head
+            path.append(w)
+        path.append(v)
+        segs = list(zip(path, path[1:]))
+        edges += segs
+        for j, seg in enumerate(segs, lu):
+            at_gap[j].append(seg)
+        paths[e] = tuple(path)
+    plus = record_checked(LevelGraph(star.k, level, tuple(edges)), proper=True)
+    plus.__dict__["by_level"] = {j: tuple(sorted(vs)) for j, vs in enumerate(at_level) if vs}
+    plus.__dict__["by_gap"] = {j: tuple(sorted(es)) for j, es in enumerate(at_gap) if es}
+    return PlusGraph(sf, plus, Properization(vertex_origin, paths), origin)
 
 
 def build_betas(pg: PlusGraph, alpha_plus: dict[int, VertexId],

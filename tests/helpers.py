@@ -1,8 +1,10 @@
 """Test scaffolding that no library caller needs: random drawings, the
 assignments a drawing induces read straight off it, the edges that carry a
 left flag, a parser for the textual constraint dump, the Gauss-Jordan
-elimination that `xorsat.eliminate` must match, and a check result's witness
-verified again on its own."""
+elimination that `xorsat.eliminate` must match, a check result's witness
+verified again on its own, and the references that `starform.build_plus`
+and `constraints.validate_reference_sets` must match: the star form
+subdivided by `graphs.properize`, and every level's `anchor_problems`."""
 
 from __future__ import annotations
 
@@ -18,13 +20,15 @@ from planarity_ht.constraints import (
     TransitivityClause,
     TripleVar,
     XorEquation,
+    anchor_problems,
     gap_edge_classes,
     gap_flagged_edges,
 )
 from planarity_ht.drawing import CrossingReport, LevelDrawing, RadialDrawing, star_report_level, star_report_radial
-from planarity_ht.graphs import Edge, LevelGraph
+from planarity_ht.graphs import Edge, LevelGraph, properize
 from planarity_ht.iofmt import FormatError
 from planarity_ht.pipeline import CheckResult, stage_context
+from planarity_ht.starform import PlusGraph, StarForm
 from planarity_ht.xorsat import Sat, SolveResult, Unsat, XorSystem
 
 
@@ -166,3 +170,44 @@ def gauss_jordan_eliminate(sys: XorSystem) -> SolveResult:
     assignment = tuple(bits >> i & 1 for i in range(sys.n))
     free = tuple(i for i in range(sys.n) if i not in pivots)
     return Sat(assignment, free)
+
+
+def plus_by_properize(sf: StarForm) -> PlusGraph:
+    """The subdivision of a star form by `graphs.properize`, each point's
+    origin assigned in a second walk over the paths: the reference that
+    `starform.build_plus` must equal field by field."""
+    plus, prov = properize(sf.star)
+    origin: dict[str, str] = dict(sf.owner)
+    level, level_origin = sf.star.level, sf.level_origin
+    for star_edge, path in prov.paths.items():
+        if len(path) == 2:
+            continue
+        if star_edge in sf.edge_origin:
+            # an edge image's points lie in its tail's block, then in its head's
+            u, v = sf.edge_origin[star_edge]
+            low = level[star_edge[0]]
+            tail_block = level_origin[low]
+            for j in range(1, len(path) - 1):
+                origin[path[j]] = u if level_origin[low + j] == tail_block else v
+        else:
+            # stretch edge subdivision points
+            owner = sf.owner[star_edge[0]]
+            for w in path[1:-1]:
+                origin[w] = owner
+    return PlusGraph(sf, plus, prov, origin)
+
+
+def reference_set_problems(g: LevelGraph, refs: ReferenceSets) -> list[str]:
+    """`constraints.validate_reference_sets` with every level's
+    `anchor_problems` listed, whether or not its anchors lie on it: the
+    reference its check of the anchors must match."""
+    problems = [p for i in range(1, g.k + 1) for p in anchor_problems(g, refs.alpha_plus, refs.alpha_minus, i)]
+    if g.k >= 1 and refs.alpha_plus.get(1) != refs.alpha_minus.get(1):
+        problems.append("anchors on level 1 must coincide")
+    if refs.alpha_plus.get(g.k) != refs.alpha_minus.get(g.k):
+        problems.append(f"anchors on level {g.k} must coincide")
+    for i in range(1, g.k):
+        e = (refs.alpha_plus.get(i), refs.alpha_minus.get(i + 1))
+        if None not in e and e not in g.gap_edges(g.level.get(e[0])):
+            problems.append(f"reference edge {e} missing from graph")
+    return problems

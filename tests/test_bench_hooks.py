@@ -15,9 +15,12 @@ def test_bench_tracer_finds_every_hooked_name():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.install()  # detached: no library function is replaced
-    # pipeline and crosscheck take their level systems from the stage
-    # contexts, whose builds go through drawing's hooked builders; crosscheck
-    # verifies a witness by converting it back, so it runs no star report
-    assert tracer.missing == ["pipeline.build_level_reduced", "pipeline.build_radial_reduced",
+    # build_plus subdivides the star form itself, so starform looks no
+    # properize up; pipeline and crosscheck take their level systems from the
+    # stage contexts, whose builds go through drawing's hooked builders;
+    # crosscheck verifies a witness by converting it back, so it runs no star
+    # report
+    assert tracer.missing == ["starform.properize",
+                              "pipeline.build_level_reduced", "pipeline.build_radial_reduced",
                               "crosscheck.build_level_reduced", "crosscheck.star_report_level",
                               "crosscheck.star_report_radial"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,10 @@ from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.graphs import LevelGraph, independent
 from planarity_ht.oracle import brute_level, brute_radial
 from planarity_ht.pipeline import solve_reduced, stage_context
+from planarity_ht.starform import build_betas
 from planarity_ht.xorsat import RowSource
 from tests.conftest import make_path
-from tests.helpers import flagged_edges, induced_pair_assignment, induced_radial_assignment
+from tests.helpers import flagged_edges, induced_pair_assignment, induced_radial_assignment, reference_set_problems
 
 
 def test_level_full_two_vertex_level():
@@ -126,6 +128,51 @@ def test_reference_set_variants_distinct_when_possible(k22):
     assert variants[0][0] != variants[1][0]
     for refs, aug in variants:
         assert validate_reference_sets(aug, refs) == []
+
+
+def _faulty_selections(g: LevelGraph, refs: ReferenceSets):
+    """Valid reference sets of g, each copied with one fault: an anchor
+    deleted or moved off its level, level 1's or level k's anchors split, or
+    a reference edge removed from the graph; with the graph each applies to."""
+    plus, minus = refs.alpha_plus, refs.alpha_minus
+
+    def changed(which: str, i: int, v: str | None) -> ReferenceSets:
+        p, m = dict(plus), dict(minus)
+        anchors = p if which == "plus" else m
+        if v is None:
+            del anchors[i]
+        else:
+            anchors[i] = v
+        return ReferenceSets(p, m, refs.inserted)
+
+    for i in range(1, g.k + 1):
+        off = g.by_level[i % g.k + 1][0] if g.k > 1 else "zz"  # a vertex not on level i
+        for which in ("plus", "minus"):
+            yield g, changed(which, i, None)
+            yield g, changed(which, i, off)
+    for i in {1, g.k} & set(g.by_level):
+        yield from ((g, changed("minus", i, v)) for v in g.by_level[i][:2] if v != plus[i])
+    for i in range(1, g.k):
+        e = refs.reference_edge(i)
+        yield LevelGraph(g.k, g.level, tuple(f for f in g.edges if f != e)), refs
+
+
+def test_the_anchor_check_lists_what_every_levels_anchor_problems_list(bench_gen):
+    # validation reads a level's anchor problems only when its anchors fail a
+    # direct level test; the reference lists every level's problems
+    cases = [(aug, refs) for g in islice(exhaustive_proper_graphs(3, 3), 0, None, 10)
+             for refs, aug in reference_set_variants(g)]
+    for inst in bench_gen.witness_instances(1, 20):
+        ctx = stage_context(inst.graph, "radial")
+        cases.append((ctx.pg.graph, build_betas(ctx.pg, ctx.refs.alpha_plus, ctx.refs.alpha_minus)))
+    kinds = set()
+    for g, refs in cases:
+        assert validate_reference_sets(g, refs) == reference_set_problems(g, refs) == []
+        for h, faulty in _faulty_selections(g, refs):
+            problems = validate_reference_sets(h, faulty)
+            assert problems and problems == reference_set_problems(h, faulty), (h, faulty)
+            kinds.update(p.split(" ")[0] for p in problems)
+    assert kinds == {"level", "plus", "minus", "anchors", "reference"}
 
 
 def test_reference_set_variants_forced_single_on_path():

@@ -4,12 +4,13 @@ import dataclasses
 import gc
 import json
 import random
+import sys
 import tracemalloc
 from itertools import islice
 
 import pytest
 
-from planarity_ht import constraints, crosscheck, drawing, pipeline, xorsat
+from planarity_ht import constraints, crosscheck, drawing, graphs, pipeline, xorsat
 from planarity_ht.cli import main
 from planarity_ht.constraints import build_level_reduced, build_radial_reduced, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
@@ -295,6 +296,27 @@ def test_a_witness_check_derives_each_table_once(monkeypatch):
         calls[0] = 0
         build_full()
         assert calls[0] == 1
+
+
+def test_a_witness_check_properizes_only_its_input(monkeypatch):
+    # build_plus subdivides the star form itself, so graphs.properize,
+    # patched wherever the package looks it up, runs once: on the input
+    properized = []
+
+    def counted(g, _properize=graphs.properize):
+        properized.append(g)
+        return _properize(g)
+
+    sites = [module for name, module in sys.modules.items()
+             if name.partition(".")[0] == "planarity_ht" and getattr(module, "properize", None) is graphs.properize]
+    for module in sites:
+        monkeypatch.setattr(module, "properize", counted)
+    g = make_path(3).with_edges([("p1", "p3")])
+    for check in (check_level, check_radial):
+        properized.clear()
+        result = check(g, witness=True)
+        assert result.witness is not None and result.witness_crossings == 0
+        assert properized == [g]
 
 
 def test_each_reference_selection_is_checked_once_per_graph(monkeypatch):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import islice
 
 import pytest
 
+from planarity_ht.cli import main
 from planarity_ht.constraints import _per_gap_edges, _selections, choose_reference_sets
 from planarity_ht.corpus import exhaustive_proper_graphs, random_proper_graph
 from planarity_ht.graphs import LevelGraph
+from planarity_ht.iofmt import graph_to_json
+from planarity_ht.pipeline import check_level, check_radial, stage_context
 from planarity_ht.starform import (
     build_betas,
     build_plus,
@@ -15,6 +19,8 @@ from planarity_ht.starform import (
     build_star_radial,
 )
 from tests.conftest import make_path
+from tests.helpers import plus_by_properize
+from tests.test_planted_families import _families
 
 
 def test_single_edge_star_form():
@@ -261,3 +267,52 @@ def test_plain_star_form_gives_an_empty_level_no_sublevels():
     assert sf.star.k == 4
     assert sf.level_origin == {1: 1, 2: 1, 3: 3, 4: 3}
     assert sf.block(2) == []
+
+
+@pytest.mark.parametrize("mode", ["level", "radial"])
+def test_build_plus_equals_the_properized_star_form(mode, bench_gen):
+    # build_plus subdivides the star form itself and indexes the result as it
+    # goes; graphs.properize with a second walk for the origins is the reference
+    graphs = [*islice(exhaustive_proper_graphs(3, 3), 0, None, 5),
+              *(inst.graph for inst in bench_gen.witness_instances(1, 200)),
+              *(g for family, g, _ in _families(bench_gen) if family in ("split", "long"))]
+    for g in graphs:
+        ctx = stage_context(g, mode)
+        pg, ref = ctx.pg, plus_by_properize(ctx.star_form)
+        assert pg.graph.k == ref.graph.k
+        assert list(pg.graph.level.items()) == list(ref.graph.level.items())
+        assert pg.graph.edges == ref.graph.edges
+        assert list(pg.graph.by_level.items()) == list(ref.graph.by_level.items())
+        assert list(pg.graph.by_gap.items()) == list(ref.graph.by_gap.items())
+        assert list(pg.prov.vertex_origin.items()) == list(ref.prov.vertex_origin.items())
+        assert list(pg.prov.paths.items()) == list(ref.prov.paths.items())
+        assert list(pg.origin.items()) == list(ref.origin.items())
+        # the layout fills the star graph's index as it places the copies
+        star = ctx.star_form.star
+        assert list(star.by_level.items()) == list(LevelGraph(star.k, star.level, star.edges).by_level.items())
+
+
+# level mode stretches p -> q~top~r and p~top~q -> r into (p~top, q~top~r~bot)
+# and (p~top~q~top, r~bot), whose points on sublevel 5 take one name
+PRIMING = LevelGraph(2, {"p": 1, "p~top~q": 1, "a": 2, "q~top~r": 2, "r": 2},
+                     (("p", "q~top~r"), ("p~top~q", "r")))
+
+
+def test_two_edge_images_naming_one_point_prime_the_later_one():
+    pg = build_plus(build_star_level(PRIMING))
+    first, second = ("p~top", "q~top~r~bot"), ("p~top~q~top", "r~bot")
+    assert pg.prov.paths[first] == ("p~top", "p~top~q~top~r~bot~4", "p~top~q~top~r~bot~5", "q~top~r~bot")
+    assert pg.prov.paths[second] == ("p~top~q~top", "p~top~q~top~r~bot~5'", "p~top~q~top~r~bot~6", "r~bot")
+    assert pg.graph.on_level(5) == ("a~bot", "p~top~q~top~r~bot~5", "p~top~q~top~r~bot~5'")
+    assert [pg.origin[w] for w in pg.prov.paths[first][1:-1]] == ["p", "q~top~r"]
+    assert [pg.origin[w] for w in pg.prov.paths[second][1:-1]] == ["r", "r"]
+
+
+@pytest.mark.parametrize("mode, check, crossings", [("level", check_level, 0), ("radial", check_radial, 2)])
+def test_the_priming_graph_gets_a_witness_that_renders(mode, check, crossings, tmp_path):
+    result = check(PRIMING, witness=True)
+    assert result.planar and result.witness_crossings == crossings
+    graph, witness = tmp_path / "prime.json", tmp_path / "w.json"
+    graph.write_text(json.dumps(graph_to_json(PRIMING)))
+    assert main(["check", mode, str(graph), "--witness", str(witness)]) == 0
+    assert main(["render", str(witness), str(graph), "--out", str(tmp_path / "w.svg")]) == 0
